@@ -12,6 +12,17 @@ from __future__ import annotations
 import numpy as np
 
 
+def _tree(x: np.ndarray) -> np.ndarray:
+    """The pairwise tree over the first axis of a non-empty ``x``; drops that axis."""
+    while x.shape[0] > 1:
+        m = x.shape[0] // 2
+        paired = x[: 2 * m : 2] + x[1 : 2 * m : 2]
+        if x.shape[0] % 2:
+            paired = np.concatenate([paired, x[-1:]])
+        x = paired
+    return x[0]
+
+
 def pairwise_sum(values) -> float:
     """Sum ``values`` with a fixed pairwise (tree) reduction.
 
@@ -21,15 +32,7 @@ def pairwise_sum(values) -> float:
     results.
     """
     x = np.asarray(values, dtype=np.float64).ravel()
-    if x.size == 0:
-        return 0.0
-    while x.size > 1:
-        m = x.size // 2
-        paired = x[: 2 * m : 2] + x[1 : 2 * m : 2]
-        if x.size % 2:
-            paired = np.concatenate([paired, x[-1:]])
-        x = paired
-    return float(x[0])
+    return float(_tree(x)) if x.size else 0.0
 
 
 def pairwise_mean(values) -> float:
@@ -45,10 +48,6 @@ def pairwise_sum_rows(matrix: np.ndarray) -> np.ndarray:
     x = np.asarray(matrix, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"expected a 2-D array, got shape {x.shape}")
-    while x.shape[1] > 1:
-        m = x.shape[1] // 2
-        paired = x[:, : 2 * m : 2] + x[:, 1 : 2 * m : 2]
-        if x.shape[1] % 2:
-            paired = np.concatenate([paired, x[:, -1:]], axis=1)
-        x = paired
-    return x[:, 0] if x.shape[1] else np.zeros(x.shape[0])
+    # The tree slices the first axis, which keeps the many short 1-D sums as
+    # cheap as a 1-D-only loop; rows therefore go in transposed.
+    return _tree(x.T) if x.shape[1] else np.zeros(x.shape[0])

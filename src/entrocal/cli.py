@@ -20,16 +20,16 @@ import json
 import os
 import secrets
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
 
 from .binning import BinSpec, build_report, reliability_points
-from .gaussian import GaussianPrediction, ecd_gaussian, nees
+from .gaussian import GaussianPrediction, _NonFinitePrediction, ecd_gaussian, nees
 from .metrics import ClipPolicy, Dataset, ecd_curve
 from .report_io import (
     REPORT_FORMATS,
+    _write_text,
     load_csv,
     render_ecd_curve_svg,
     render_histogram_svg,
@@ -56,29 +56,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+def _from_flags(make, *args, **kwargs):
+    """Build a settings object from flag values; a ValueError is a usage error."""
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _clip_policy(epsilon: float) -> ClipPolicy:
-    try:
-        return ClipPolicy(epsilon)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-
-
-def _bin_spec(num_bins: int) -> BinSpec:
-    try:
-        return BinSpec(num_bins)
+        return make(*args, **kwargs)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -108,52 +89,40 @@ def _load_dataset(path: str) -> Dataset:
 
 
 def _cmd_evaluate(args) -> int:
-    policy = _clip_policy(args.clip)
-    spec = _bin_spec(args.bins)
+    policy = _from_flags(ClipPolicy, args.clip)
+    spec = _from_flags(BinSpec, args.bins)
     data = _load_dataset(args.input)
     if len(data) < 1:
         raise DataError(f"{args.input}: empty dataset")
     report = build_report(data, spec, policy)
     doc = render_report(report, args.format)
     if args.output:
-        _write_atomic(Path(args.output), doc.content)
+        _write_text(args.output, doc.content)
     else:
         sys.stdout.write(doc.content)
     if args.plots_dir:
         plots = Path(args.plots_dir)
-        _write_atomic(plots / "reliability.svg",
-                      render_reliability_svg(reliability_points(report.bins)))
-        _write_atomic(plots / "histogram.svg", render_histogram_svg(data, args.bins))
+        _write_text(plots / "reliability.svg",
+                    render_reliability_svg(reliability_points(report.bins)))
+        _write_text(plots / "histogram.svg", render_histogram_svg(data, args.bins))
     return 0
 
 
 def _cmd_simulate(args) -> int:
     seed = _resolve_seed(args.seed)
-    try:
-        config = SimulationConfig(
-            seed=seed,
-            n=args.n,
-            logodds_halfwidth=args.halfwidth,
-            weight=args.weight,
-            noise_mean=args.noise_mean,
-            noise_sigma=args.noise_sigma,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    config = _from_flags(
+        SimulationConfig,
+        seed=seed,
+        n=args.n,
+        logodds_halfwidth=args.halfwidth,
+        weight=args.weight,
+        noise_mean=args.noise_mean,
+        noise_sigma=args.noise_sigma,
+    )
     sim = simulate(config)
-    buf = []
-    write_simulated_csv(sim, _StringSink(buf), include_true_probs=args.include_true)
-    _write_atomic(Path(args.output), "".join(buf))
+    write_simulated_csv(sim, args.output, include_true_probs=args.include_true)
     print(f"wrote {args.output} (n={config.n}, seed={seed})", file=sys.stderr)
     return 0
-
-
-class _StringSink:
-    def __init__(self, buf: list) -> None:
-        self._buf = buf
-
-    def write(self, text: str) -> None:
-        self._buf.append(text)
 
 
 def _parse_sigmas(raw: str) -> list[float]:
@@ -174,14 +143,12 @@ def _cmd_suite(args) -> int:
         raise UsageError(f"--out-dir is required (or set {OUT_DIR_ENV})")
     sigmas = _parse_sigmas(args.sigmas)
     seed = _resolve_seed(args.seed)
-    policy = _clip_policy(args.clip)
-    spec = _bin_spec(args.bins)
-    try:
-        base = SimulationConfig(
-            seed=seed, n=args.n, logodds_halfwidth=args.halfwidth, weight=args.weight
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    policy = _from_flags(ClipPolicy, args.clip)
+    spec = _from_flags(BinSpec, args.bins)
+    base = _from_flags(
+        SimulationConfig,
+        seed=seed, n=args.n, logodds_halfwidth=args.halfwidth, weight=args.weight,
+    )
 
     runs = run_noise_suite(base, sigmas, spec, policy)
     root = Path(out_dir)
@@ -191,22 +158,20 @@ def _cmd_suite(args) -> int:
     ]
     for run in runs:
         sub = root / f"sigma-{run.sigma:g}"
-        buf = []
-        write_simulated_csv(run.data, _StringSink(buf), include_true_probs=True)
-        _write_atomic(sub / "dataset.csv", "".join(buf))
-        _write_atomic(sub / "report.json", render_report(run.report, "json").content)
+        write_simulated_csv(run.data, sub / "dataset.csv", include_true_probs=True)
+        _write_text(sub / "report.json", render_report(run.report, "json").content)
         if args.format != "json":
             ext = "md" if args.format == "markdown" else args.format
-            _write_atomic(sub / f"report.{ext}",
-                          render_report(run.report, args.format).content)
-        _write_atomic(
+            _write_text(sub / f"report.{ext}",
+                        render_report(run.report, args.format).content)
+        _write_text(
             sub / "reliability.svg",
             render_reliability_svg(
                 reliability_points(run.report.bins),
                 title=f"Reliability diagram (sigma={run.sigma:g})",
             ),
         )
-        _write_atomic(
+        _write_text(
             sub / "histogram.svg",
             render_histogram_svg(
                 run.data.dataset(), args.bins,
@@ -218,16 +183,14 @@ def _cmd_suite(args) -> int:
             f"| {run.sigma:g} | {run.config.seed} | {r.ece:.4f} | {r.esce:.4f} "
             f"| {r.ecd:.4f} | {r.brier:.4f} | {r.nll:.4f} |"
         )
-    _write_atomic(root / "comparison.md", "\n".join(comparison) + "\n")
+    _write_text(root / "comparison.md", "\n".join(comparison) + "\n")
     print(f"wrote {len(runs)} runs under {out_dir} (base seed {seed})", file=sys.stderr)
     return 0
 
 
 def _as_matrix(value, index: int) -> np.ndarray:
     arr = np.asarray(value, dtype=np.float64)
-    if arr.ndim == 0:
-        arr = arr.reshape(1, 1)
-    if arr.ndim == 1 and arr.size == 1:
+    if arr.ndim < 2 and arr.size == 1:
         arr = arr.reshape(1, 1)
     if arr.ndim != 2:
         raise DataError(f"record {index}: covariance must be a matrix, got shape {arr.shape}")
@@ -254,18 +217,15 @@ def _cmd_gaussian(args) -> int:
         if missing:
             raise DataError(f"record {i}: missing key(s) {', '.join(missing)}")
         try:
-            preds.append(
-                GaussianPrediction(
-                    mean=np.atleast_1d(np.asarray(rec["mean"], dtype=np.float64)),
-                    covariance=_as_matrix(rec["covariance"], i),
-                    truth=np.atleast_1d(np.asarray(rec["truth"], dtype=np.float64)),
-                )
-            )
-        except ValueError as exc:
+            cov = _as_matrix(rec["covariance"], i)
+            preds.append(GaussianPrediction(mean=rec["mean"], covariance=cov, truth=rec["truth"]))
+        except (TypeError, ValueError) as exc:  # TypeError: an object where a number goes
             raise DataError(f"record {i}: {exc}") from None
     try:
         nees_value = nees(preds)
         ecd_value = ecd_gaussian(preds)
+    except _NonFinitePrediction as exc:
+        raise DataError(f"record {exc.index}: {exc.reason}") from None
     except ValueError as exc:
         raise DataError(str(exc)) from None
     result = {"n": len(preds), "d": preds[0].dim, "nees": nees_value, "ecd": ecd_value}
@@ -274,11 +234,11 @@ def _cmd_gaussian(args) -> int:
 
 
 def _cmd_curve(args) -> int:
-    policy = _clip_policy(args.clip)
+    policy = _from_flags(ClipPolicy, args.clip)
     if args.grid < 2:
         raise UsageError(f"--grid must be >= 2, got {args.grid}")
     svg = render_ecd_curve_svg(ecd_curve(args.grid, policy))
-    _write_atomic(Path(args.output), svg)
+    _write_text(args.output, svg)
     print(f"wrote {args.output}", file=sys.stderr)
     return 0
 

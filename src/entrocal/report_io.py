@@ -8,7 +8,9 @@ matched by name; any other columns (a leading ``id``, an exported
 ``true_prob``) are ignored. Loading is strict: the first bad row aborts the
 load with its 1-based row number and the reason. Probabilities are written
 with 17 significant digits so a write/read round trip reproduces every
-float64 bit-for-bit.
+float64 bit-for-bit. Every file written by path is written atomically: a
+temporary file in the destination directory (created if missing), then a
+rename over the destination, so a failed write leaves the old file intact.
 
 Report JSON: versioned via ``schema_version`` (currently 1); carries full
 float precision and round-trips to an equal :class:`CalibrationReport`.
@@ -27,6 +29,8 @@ from __future__ import annotations
 import io
 import json
 import math
+import os
+import secrets
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, TextIO, Union
@@ -157,10 +161,21 @@ def write_simulated_csv(
 
 
 def _write_text(dest: Union[str, Path, TextIO], text: str) -> None:
-    if isinstance(dest, (str, Path)):
-        Path(dest).write_text(text, encoding="utf-8")
-    else:
+    """Write ``text`` to a stream, or to a path through a temp file and a rename."""
+    if not isinstance(dest, (str, Path)):
         dest.write(text)
+        return
+    path = Path(dest)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
+    fh = open(tmp, "x", encoding="utf-8")  # mode from the umask, unlike mkstemp's 0600
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 # ---------------------------------------------------------------------------

@@ -331,6 +331,34 @@ def test_gaussian_malformed_inputs_exit_2(tmp_path, capsys):
     assert code == 2 and "covariance" in err
     path.write_text(json.dumps([]))
     assert run_cli(capsys, "gaussian", "--input", str(path))[0] == 2
+    path.write_text(json.dumps([{"mean": {}, "covariance": [[1.0]], "truth": [0.0]}]))
+    code, _, err = run_cli(capsys, "gaussian", "--input", str(path))
+    assert code == 2 and "record 0: " in err
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"mean": [0.0], "covariance": [[1.0]], "truth": [NAN]},
+        {"mean": [INF, 0.0], "covariance": [[1.0, 0.0], [0.0, 1.0]], "truth": [0.0, 0.0]},
+        {"mean": [0.0] * 3, "covariance": [[1.0, 0, 0], [0, NAN, 0], [0, 0, 1.0]],
+         "truth": [0.0] * 3},
+        {"mean": [0.0] * 3, "covariance": [[1.0, 0, 0], [0, 1.0, 0], [0, 0, INF]],
+         "truth": [1.0] * 3},
+    ],
+    ids=["nan-truth-d1", "inf-mean-d2", "nan-cov-d3", "inf-cov-diag-d3"],
+)
+def test_gaussian_non_finite_exit_2_with_index(tmp_path, capsys, bad):
+    d = len(bad["mean"])
+    good = {"mean": [0.0] * d, "covariance": np.eye(d).tolist(), "truth": [0.5] * d}
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps([good, good, bad]))  # NaN/Infinity literals
+    code, out, err = run_cli(capsys, "gaussian", "--input", str(path))
+    assert code == 2 and out == ""
+    assert "record 2: " in err and "finite" in err
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +373,20 @@ def test_curve_output_and_rerun_identical(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
     text = a.read_text()
     assert "min -0.278" in text
+
+
+def test_failed_rename_keeps_old_output(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "curve.svg"
+    out.write_bytes(b"old\n")
+
+    def fail(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="rename failed"):
+        main(["curve", "--grid", "11", "--output", str(out)])
+    assert out.read_bytes() == b"old\n"
+    assert list(tmp_path.iterdir()) == [out]
 
 
 def test_curve_grid_too_small_exit_1(tmp_path, capsys):

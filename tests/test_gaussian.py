@@ -11,6 +11,7 @@ from entrocal import (
     mahalanobis_sq,
     nees,
 )
+from entrocal.gaussian import _mahalanobis_sq_rows
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -117,6 +118,59 @@ def test_mahalanobis_whitening_invariance():
             assert mahalanobis_sq(whitened) == pytest.approx(
                 mahalanobis_sq(p), rel=1e-9, abs=1e-9
             )
+
+
+def stacked_factors(rng, n, d):
+    a = rng.normal(size=(n, d, d))
+    chol = np.linalg.cholesky(a @ a.transpose(0, 2, 1) + 0.1 * np.eye(d))
+    resid = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 4, size=(n, 1))
+    return chol, resid
+
+
+def test_kernel_matches_scalar_closed_forms_bit_for_bit():
+    # The d = 1 and d = 2 expressions the batched kernel replaced.
+    rng = np.random.default_rng(8)
+    chol, resid = stacked_factors(rng, 2000, 1)
+    z = resid[:, 0] / chol[:, 0, 0]
+    assert np.array_equal(_mahalanobis_sq_rows(chol, resid), z * z)
+    chol, resid = stacked_factors(rng, 2000, 2)
+    got = _mahalanobis_sq_rows(chol, resid)
+    for i in range(len(got)):
+        z0 = resid[i, 0] / chol[i, 0, 0]
+        z1 = (resid[i, 1] - chol[i, 1, 0] * z0) / chol[i, 1, 1]
+        assert got[i] == float(z0 * z0 + z1 * z1)
+
+
+def test_kernel_matches_scipy_triangular_solve():
+    from scipy.linalg import solve_triangular
+
+    rng = np.random.default_rng(9)
+    for d in (3, 4, 5):
+        chol, resid = stacked_factors(rng, 500, d)
+        got = _mahalanobis_sq_rows(chol, resid)
+        for i in range(len(got)):
+            z = solve_triangular(chol[i], resid[i], lower=True)
+            assert got[i] == pytest.approx(float(z @ z), rel=1e-12, abs=0.0)
+
+
+def test_nees_and_mahalanobis_reject_non_finite():
+    good = pred_1d(0.0, 1.0, 0.5)
+    with pytest.raises(ValueError, match="prediction 1: .*finite"):
+        nees([good, pred_1d(0.0, 1.0, math.nan)])
+    with pytest.raises(ValueError, match="prediction 2: .*finite"):
+        nees([good, good, pred_1d(0.0, math.inf, 0.5)])
+    bad_mean = GaussianPrediction(mean=[math.inf, 0.0], covariance=np.eye(2), truth=[0, 0])
+    with pytest.raises(ValueError, match="finite"):
+        mahalanobis_sq(bad_mean)
+
+
+def test_rejects_non_finite_covariance():
+    for bad in (math.nan, math.inf):
+        for pos in ((0, 0), (2, 1), (0, 2)):
+            cov = np.eye(3)
+            cov[pos] = bad
+            with pytest.raises(ValueError, match="finite"):
+                GaussianPrediction(mean=np.zeros(3), covariance=cov, truth=np.zeros(3))
 
 
 # ---------------------------------------------------------------------------

@@ -58,13 +58,24 @@ def test_pairwise_sum_chunked_reduction_is_bit_identical():
     assert pairwise_sum(chunks) == pairwise_sum(x)
 
 
+def _reference_pairwise_sum(x: np.ndarray) -> float:
+    # The 1-D tree loop as first written; the shared last-axis tree must match it.
+    while x.size > 1:
+        m = x.size // 2
+        paired = x[: 2 * m : 2] + x[1 : 2 * m : 2]
+        if x.size % 2:
+            paired = np.concatenate([paired, x[-1:]])
+        x = paired
+    return float(x[0])
+
+
 def test_pairwise_sum_rows_matches_scalar():
     rng = np.random.default_rng(3)
-    for k in (2, 3, 5, 8):
-        mat = rng.normal(size=(40, k))
+    for k in [*range(1, 300), 100_007, 2**20, 3 * 2**18 + 5]:
+        mat = rng.normal(size=(4 if k < 300 else 1, k))
         rows = pairwise_sum_rows(mat)
         for i in range(mat.shape[0]):
-            assert rows[i] == pairwise_sum(mat[i])
+            assert rows[i] == pairwise_sum(mat[i]) == _reference_pairwise_sum(mat[i])
 
 
 def test_pairwise_mean_empty_raises():
@@ -293,11 +304,49 @@ def test_ecd_discrete_errors():
 
 
 def test_ecd_discrete_mixed_class_counts():
-    dists = [DiscreteDistribution([0.2, 0.3, 0.5]), DiscreteDistribution([0.4, 0.6])]
+    # Interleaved class counts: grouped scoring must put scores back in order.
+    rng = np.random.default_rng(8)
+    dists, labels = [], []
+    for k in rng.choice([2, 3, 5], size=41):
+        raw = rng.random(k)
+        dists.append(DiscreteDistribution(raw / pairwise_sum(raw)))
+        labels.append(int(rng.integers(0, k)))
     expected = pairwise_mean(
-        [negative_entropy(d) - log_likelihood(d, y) for d, y in zip(dists, [2, 0])]
+        [negative_entropy(d) - log_likelihood(d, y) for d, y in zip(dists, labels)]
     )
-    assert ecd_discrete(dists, [2, 0]) == pytest.approx(expected, abs=1e-15)
+    assert ecd_discrete(dists, labels) == expected
+    two = [DiscreteDistribution([0.2, 0.3, 0.5]), DiscreteDistribution([0.4, 0.6])]
+    expected = pairwise_mean(
+        [negative_entropy(d) - log_likelihood(d, y) for d, y in zip(two, [2, 0])]
+    )
+    assert ecd_discrete(two, [2, 0]) == expected
+
+
+# Rows whose sum is within rounding of the 1e-9 tolerance, where a plain
+# np.sum and the pairwise tree fall on opposite sides of it.
+EDGE_ROWS = [
+    [0.2366375673036639, 0.4070329125623949, 0.3551374630569152, 0.0011920580770260348],
+    [0.2484867551834585, 0.18251051375993008, 0.17187024562704847, 0.3418482875167874,
+     0.05528419891277549],
+    [0.10215173132687089, 0.03387851100701104, 0.09253273340256472, 0.023067117005662597,
+     0.09986975118176525, 0.10509857093966894, 0.004978319301505694, 0.034262480480023554,
+     0.10535890062174467, 0.10219742321832913, 0.0707791022369808, 0.014193561047722078,
+     0.0006984308856063276, 0.02630427049214349, 0.09967739400592028, 0.08495170384648036],
+]
+
+
+@pytest.mark.parametrize("row", EDGE_ROWS, ids=lambda r: f"K{len(r)}")
+def test_discrete_object_and_array_forms_agree_on_edge_rows(row):
+    def accepts(build) -> bool:
+        try:
+            build()
+        except ValueError:
+            return False
+        return True
+
+    as_object = accepts(lambda: DiscreteDistribution(row))
+    as_array = accepts(lambda: ecd_discrete(np.array([row]), [0]))
+    assert as_object == as_array == (abs(pairwise_sum(row) - 1.0) <= 1e-9)
 
 
 def test_ecd_discrete_array_path_matches_object_path():

@@ -1,5 +1,6 @@
 import io
 import math
+import os
 import re
 
 import numpy as np
@@ -88,6 +89,28 @@ def test_write_then_load_round_trips_exactly(tmp_path):
     path = tmp_path / "rt.csv"
     write_dataset_csv(data, path)
     assert load_csv(path) == data
+
+
+def test_path_writes_are_atomic(tmp_path, monkeypatch):
+    data = Dataset([0.25, 0.75], [0, 1])
+    fresh = tmp_path / "new" / "dir" / "d.csv"
+    write_dataset_csv(data, fresh)  # creates missing parent directories
+    assert load_csv(fresh) == data
+    umask = os.umask(0o022)
+    os.umask(umask)
+    assert fresh.stat().st_mode & 0o777 == 0o666 & ~umask
+
+    path = tmp_path / "d.csv"
+    path.write_bytes(b"old contents\n")
+
+    def fail(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="rename failed"):
+        write_dataset_csv(data, path)
+    assert path.read_bytes() == b"old contents\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "new"]
 
 
 def test_simulated_csv_round_trip_and_true_column(tmp_path):
