@@ -9,8 +9,13 @@ per-datum ECD of the members.
 The weighted sums reproduce the usual report scalars: ECE (absolute gaps),
 ESCE (signed gaps, which can cancel across bins), and ECD. Because ECD is
 an average of per-datum scores, its count-weighted per-bin sum equals the
-global mean for any bin count; ``build_report`` verifies that identity at
-run time. ECE has no such invariance: changing M changes the score.
+global mean for any bin count; ``bin_stats`` verifies that identity at run
+time, so every report is checked. ECE has no such invariance: changing M
+changes the score.
+
+Rows are grouped by bin once: one stable sort by bin index puts each bin's
+members in dataset order, so every per-bin mean reduces the same array, and
+gives the same bits, as a per-bin mask would.
 """
 
 from __future__ import annotations
@@ -106,17 +111,30 @@ def assign_bin(prob: float, spec: BinSpec) -> int:
     return int(bin_indices(np.asarray([prob]), spec)[0])
 
 
+def _bin_members(probs: np.ndarray, spec: BinSpec) -> list[np.ndarray]:
+    """Per bin, the row numbers of its members in dataset order."""
+    idx = bin_indices(probs, spec)
+    counts = np.bincount(idx, minlength=spec.num_bins)
+    # numpy's stable sort is a radix sort for ints of 16 bits or less, so sort
+    # on the smallest type that holds every index rather than on intp.
+    keys = idx.astype(np.min_scalar_type(spec.num_bins))
+    del idx
+    return np.split(np.argsort(keys, kind="stable"), np.cumsum(counts)[:-1])
+
+
 def bin_stats(
     data: Dataset, spec: BinSpec = BinSpec(), policy: ClipPolicy = DEFAULT_CLIP
 ) -> list[BinStats]:
-    """Per-bin confidence, fraction of positives, gaps, and mean ECD."""
+    """Per-bin confidence, fraction of positives, gaps, and mean ECD.
+
+    Raises ``AssertionError`` if the count-weighted per-bin ECD differs from
+    the global per-datum mean by more than ``ECD_CONSISTENCY_TOL``.
+    """
     if len(data) < 1:
         raise ValueError("empty dataset")
-    idx = bin_indices(data.probs, spec)
     scores = ecd_sample_scores(data, policy)
     out: list[BinStats] = []
-    for m in range(spec.num_bins):
-        members = np.nonzero(idx == m)[0]
+    for m, members in enumerate(_bin_members(data.probs, spec)):
         count = int(members.size)
         if count == 0:
             out.append(BinStats(index=m, count=0, populated=False))
@@ -135,6 +153,13 @@ def bin_stats(
                 esce_bin=gap,
                 ecd_bin=pairwise_mean(scores[members]),
             )
+        )
+    ecd_weighted = _weighted(out, len(data), "ecd_bin")
+    ecd_global = pairwise_mean(scores)
+    if abs(ecd_weighted - ecd_global) > ECD_CONSISTENCY_TOL:
+        raise AssertionError(
+            "count-weighted per-bin ECD diverged from the global mean: "
+            f"{ecd_weighted!r} vs {ecd_global!r}"
         )
     return out
 
@@ -173,25 +198,18 @@ def build_report(
 ) -> CalibrationReport:
     """Assemble the full calibration report for one dataset.
 
-    The report ECD is the count-weighted sum of per-bin means; it is checked
-    against the global per-datum mean (the bin structure is reporting-only
-    and must not change the score).
+    The report ECD is the count-weighted sum of per-bin means; ``bin_stats``
+    checks it against the global per-datum mean (the bin structure is
+    reporting-only and must not change the score).
     """
     stats = bin_stats(data, spec, policy)
     n = len(data)
-    ecd_weighted = _weighted(stats, n, "ecd_bin")
-    ecd_global = pairwise_mean(ecd_sample_scores(data, policy))
-    if abs(ecd_weighted - ecd_global) > ECD_CONSISTENCY_TOL:
-        raise AssertionError(
-            "count-weighted per-bin ECD diverged from the global mean: "
-            f"{ecd_weighted!r} vs {ecd_global!r}"
-        )
     return CalibrationReport(
         bins=tuple(stats),
         n_total=n,
-        ece=ece(stats, n),
-        esce=esce(stats, n),
-        ecd=ecd_weighted,
+        ece=_weighted(stats, n, "ece_bin"),
+        esce=_weighted(stats, n, "esce_bin"),
+        ecd=_weighted(stats, n, "ecd_bin"),
         brier=brier(data),
         nll=nll(data, policy),
     )

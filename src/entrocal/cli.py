@@ -6,7 +6,8 @@ table), ``gaussian`` (NEES/ECD for Gaussian state estimates from JSON), and
 ``curve`` (per-datum score curve SVG).
 
 Exit codes: 0 success, 1 usage error (bad flags or parameter values),
-2 data error (unreadable or malformed input). Runs with identical flags and
+2 data error (unreadable or malformed input, or an output that cannot be
+written). Runs with identical flags and
 seed produce byte-identical stdout and files; output files are written
 atomically (temp file + rename). Seeds are required for ``simulate`` and
 ``suite`` when stdout is not a terminal; interactive runs draw one from the
@@ -20,6 +21,7 @@ import json
 import os
 import secrets
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -74,6 +76,20 @@ def _resolve_seed(seed) -> int:
     raise UsageError("--seed is required in non-interactive runs")
 
 
+@contextmanager
+def _writing(dest):
+    """Report an OSError raised while writing ``dest`` as a data error naming it."""
+    try:
+        yield
+    except OSError as exc:
+        raise DataError(f"cannot write '{dest}': {exc.strerror or exc}") from None
+
+
+def _write(dest, text: str) -> None:
+    with _writing(dest):
+        _write_text(dest, text)
+
+
 def _load_dataset(path: str) -> Dataset:
     try:
         return load_csv(path)
@@ -97,14 +113,14 @@ def _cmd_evaluate(args) -> int:
     report = build_report(data, spec, policy)
     doc = render_report(report, args.format)
     if args.output:
-        _write_text(args.output, doc.content)
+        _write(args.output, doc.content)
     else:
         sys.stdout.write(doc.content)
     if args.plots_dir:
         plots = Path(args.plots_dir)
-        _write_text(plots / "reliability.svg",
-                    render_reliability_svg(reliability_points(report.bins)))
-        _write_text(plots / "histogram.svg", render_histogram_svg(data, args.bins))
+        _write(plots / "reliability.svg",
+               render_reliability_svg(reliability_points(report.bins)))
+        _write(plots / "histogram.svg", render_histogram_svg(data, args.bins))
     return 0
 
 
@@ -120,7 +136,8 @@ def _cmd_simulate(args) -> int:
         noise_sigma=args.noise_sigma,
     )
     sim = simulate(config)
-    write_simulated_csv(sim, args.output, include_true_probs=args.include_true)
+    with _writing(args.output):
+        write_simulated_csv(sim, args.output, include_true_probs=args.include_true)
     print(f"wrote {args.output} (n={config.n}, seed={seed})", file=sys.stderr)
     return 0
 
@@ -158,20 +175,22 @@ def _cmd_suite(args) -> int:
     ]
     for run in runs:
         sub = root / f"sigma-{run.sigma:g}"
-        write_simulated_csv(run.data, sub / "dataset.csv", include_true_probs=True)
-        _write_text(sub / "report.json", render_report(run.report, "json").content)
+        dataset_csv = sub / "dataset.csv"
+        with _writing(dataset_csv):
+            write_simulated_csv(run.data, dataset_csv, include_true_probs=True)
+        _write(sub / "report.json", render_report(run.report, "json").content)
         if args.format != "json":
             ext = "md" if args.format == "markdown" else args.format
-            _write_text(sub / f"report.{ext}",
-                        render_report(run.report, args.format).content)
-        _write_text(
+            _write(sub / f"report.{ext}",
+                   render_report(run.report, args.format).content)
+        _write(
             sub / "reliability.svg",
             render_reliability_svg(
                 reliability_points(run.report.bins),
                 title=f"Reliability diagram (sigma={run.sigma:g})",
             ),
         )
-        _write_text(
+        _write(
             sub / "histogram.svg",
             render_histogram_svg(
                 run.data.dataset(), args.bins,
@@ -183,7 +202,7 @@ def _cmd_suite(args) -> int:
             f"| {run.sigma:g} | {run.config.seed} | {r.ece:.4f} | {r.esce:.4f} "
             f"| {r.ecd:.4f} | {r.brier:.4f} | {r.nll:.4f} |"
         )
-    _write_text(root / "comparison.md", "\n".join(comparison) + "\n")
+    _write(root / "comparison.md", "\n".join(comparison) + "\n")
     print(f"wrote {len(runs)} runs under {out_dir} (base seed {seed})", file=sys.stderr)
     return 0
 
@@ -227,7 +246,7 @@ def _cmd_gaussian(args) -> int:
     except _NonFinitePrediction as exc:
         raise DataError(f"record {exc.index}: {exc.reason}") from None
     except ValueError as exc:
-        raise DataError(str(exc)) from None
+        raise DataError(f"{args.input}: {exc}") from None
     result = {"n": len(preds), "d": preds[0].dim, "nees": nees_value, "ecd": ecd_value}
     sys.stdout.write(json.dumps(result) + "\n")
     return 0
@@ -238,7 +257,7 @@ def _cmd_curve(args) -> int:
     if args.grid < 2:
         raise UsageError(f"--grid must be >= 2, got {args.grid}")
     svg = render_ecd_curve_svg(ecd_curve(args.grid, policy))
-    _write_text(args.output, svg)
+    _write(args.output, svg)
     print(f"wrote {args.output}", file=sys.stderr)
     return 0
 

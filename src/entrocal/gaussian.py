@@ -15,7 +15,8 @@ Quadratic forms and log-determinants are computed from a Cholesky
 factorization; the covariance inverse is never formed explicitly. A
 covariance that fails the factorization is a hard error, never silently
 regularized: a miscalibration metric must not mask an invalid uncertainty
-model. NaN or inf in a mean, covariance or truth is a hard error too.
+model. NaN or inf in a mean, covariance or truth is a hard error too, and so
+is a squared distance or a NEES that overflows to inf.
 
 Every quadratic form is one numpy kernel, :func:`_mahalanobis_sq_rows`, a
 forward substitution over stacked factors: :func:`nees` calls it once per
@@ -117,32 +118,43 @@ class GaussianPrediction:
 
 
 class _NonFinitePrediction(ValueError):
-    """Prediction ``index`` of a stack, the first such one, holds NaN or inf."""
+    """Prediction ``index`` of a stack, the first such one, cannot be scored."""
 
-    reason = "mean, covariance and truth must be finite"
-
-    def __init__(self, index: int) -> None:
-        super().__init__(f"prediction {index}: {self.reason}")
+    def __init__(self, index: int, reason: str) -> None:
+        super().__init__(f"prediction {index}: {reason}")
         self.index = index
+        self.reason = reason
 
 
 def _mahalanobis_sq_rows(chol: np.ndarray, resid: np.ndarray) -> np.ndarray:
     """||L_i^-1 r_i||^2 for lower factors ``chol`` (N, d, d) and ``resid`` (N, d).
 
     Solves column by column across all N systems and sums squares left to
-    right, so d <= 2 match the scalar closed forms bit for bit.
+    right, so d <= 2 match the scalar closed forms bit for bit. Raises
+    :class:`_NonFinitePrediction` for the first row with a non-finite input
+    or a distance that overflows.
     """
     finite = np.isfinite(chol).all(axis=(1, 2)) & np.isfinite(resid).all(axis=1)
     if not finite.all():
-        raise _NonFinitePrediction(int(np.argmin(finite)))
+        raise _NonFinitePrediction(
+            int(np.argmin(finite)), "mean, covariance and truth must be finite"
+        )
     z = np.empty_like(resid)
     total = np.zeros(resid.shape[0])
-    for j in range(resid.shape[1]):
-        acc = resid[:, j]
-        for k in range(j):
-            acc = acc - chol[:, j, k] * z[:, k]
-        z[:, j] = acc / chol[:, j, j]
-        total = total + z[:, j] * z[:, j]
+    # Finite input can still overflow (a tiny variance, a huge residual); the
+    # check below reports it, so numpy need not warn.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(resid.shape[1]):
+            acc = resid[:, j]
+            for k in range(j):
+                acc = acc - chol[:, j, k] * z[:, k]
+            z[:, j] = acc / chol[:, j, j]
+            total = total + z[:, j] * z[:, j]
+    finite = np.isfinite(total)
+    if not finite.all():
+        raise _NonFinitePrediction(
+            int(np.argmin(finite)), "squared Mahalanobis distance overflows"
+        )
     return total
 
 
@@ -166,7 +178,11 @@ def nees(preds: Sequence[GaussianPrediction]) -> float:
     chol = np.concatenate([p.chol for p in preds]).reshape(n, d, d)
     truth = np.concatenate([p.truth for p in preds])
     resid = (truth - np.concatenate([p.mean for p in preds])).reshape(n, d)
-    return pairwise_mean(_mahalanobis_sq_rows(chol, resid))
+    with np.errstate(over="ignore"):
+        value = pairwise_mean(_mahalanobis_sq_rows(chol, resid))
+    if not math.isfinite(value):
+        raise ValueError("NEES overflows: the sum of squared Mahalanobis distances is not finite")
+    return value
 
 
 def ecd_gaussian(preds: Sequence[GaussianPrediction]) -> float:

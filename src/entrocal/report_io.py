@@ -35,6 +35,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, TextIO, Union
 
+import numpy as np
+
 from .binning import BinSpec, BinStats, CalibrationReport, bin_indices
 from .metrics import Dataset
 from .simulation import SimulatedDataset
@@ -432,9 +434,7 @@ def render_histogram_svg(
         raise ValueError(f"bins must be >= 1, got {bins}")
     if len(data) < 1:
         raise ValueError("empty dataset")
-    spec = BinSpec(bins)
-    idx = bin_indices(data.probs, spec)
-    counts = [int((idx == m).sum()) for m in range(bins)]
+    counts = np.bincount(bin_indices(data.probs, BinSpec(bins)), minlength=bins).tolist()
     top = max(counts)
     x0, y0, x1, y1 = 60, height - 50, width - 20, 30
     ticks_x = [(v / 5, v / 5) for v in range(6)]

@@ -1,10 +1,14 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import entrocal.binning
 from entrocal import (
     BinSpec,
+    BinStats,
     Dataset,
     assign_bin,
     bin_stats,
@@ -13,8 +17,11 @@ from entrocal import (
     ecd_binary,
     esce,
     reliability_points,
+    render_histogram_svg,
 )
+from entrocal._accumulate import pairwise_mean
 from entrocal.binning import ECD_CONSISTENCY_TOL, bin_indices
+from entrocal.metrics import ecd_sample_scores
 from entrocal.simulation import SimulationConfig, simulate
 
 probs_st = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -218,3 +225,73 @@ def test_bin_indices_vectorized_matches_scalar():
     idx = bin_indices(probs, spec)
     for p, i in zip(probs, idx):
         assert assign_bin(float(p), spec) == i
+
+
+def _reference_bin_stats(data, spec):
+    """The original grouping: one full mask pass per bin."""
+    idx = bin_indices(data.probs, spec)
+    scores = ecd_sample_scores(data)
+    out = []
+    for m in range(spec.num_bins):
+        members = np.nonzero(idx == m)[0]
+        if members.size == 0:
+            out.append(BinStats(index=m, count=0, populated=False))
+            continue
+        conf = pairwise_mean(data.probs[members])
+        frac = pairwise_mean(data.labels[members])
+        out.append(BinStats(m, int(members.size), True, conf, frac, abs(frac - conf),
+                            frac - conf, pairwise_mean(scores[members])))
+    return out
+
+
+@pytest.mark.parametrize("num_bins", [1, 2, 10, 255, 256, 257, 1000])
+def test_bin_stats_matches_mask_loop(num_bins):
+    rng = np.random.default_rng(num_bins)
+    spec = BinSpec(num_bins)
+    for n in (1, 2, 37, 5000):
+        data = Dataset(rng.random(n), rng.integers(0, 2, n))
+        assert bin_stats(data, spec) == _reference_bin_stats(data, spec)
+
+
+@pytest.mark.parametrize("num_bins", [1, 3, 7, 10, 256, 1000])
+def test_bin_stats_matches_mask_loop_on_edges(num_bins):
+    # Probabilities exactly 0, 1 and on every edge m/M, shuffled; the short
+    # prefixes (n = 1 and 3) leave most bins empty.
+    rng = np.random.default_rng(7)
+    edges = np.arange(num_bins + 1) / num_bins
+    probs = rng.permutation(np.concatenate([edges, edges, [0.0, 1.0]]))
+    labels = rng.integers(0, 2, probs.size)
+    spec = BinSpec(num_bins)
+    for n in (1, 3, probs.size):
+        data = Dataset(probs[:n], labels[:n])
+        assert bin_stats(data, spec) == _reference_bin_stats(data, spec)
+
+
+def test_histogram_counts_match_report():
+    rng = np.random.default_rng(5)
+    data = Dataset(rng.random(2000) ** 3, rng.integers(0, 2, 2000))
+    for num_bins in (1, 10, 37):
+        svg = render_histogram_svg(data, num_bins)
+        counts = [int(c) for c in re.findall(r'data-count="(\d+)"', svg)]
+        assert counts == [b.count for b in build_report(data, BinSpec(num_bins)).bins]
+
+
+def test_build_report_scores_each_datum_once(monkeypatch):
+    calls = []
+    real = entrocal.binning.ecd_sample_scores
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(entrocal.binning, "ecd_sample_scores", counting)
+    build_report(Dataset([0.1, 0.5, 0.9], [0, 1, 1]), BinSpec(4))
+    assert len(calls) == 1
+
+
+def test_bin_stats_checks_ecd_identity(monkeypatch):
+    # A per-bin mean that drifts from the global mean must trip the check.
+    monkeypatch.setattr(entrocal.binning, "pairwise_mean",
+                        lambda x: pairwise_mean(x) + (1e-9 if len(x) == 2 else 0.0))
+    with pytest.raises(AssertionError, match="diverged from the global mean"):
+        build_report(Dataset([0.1, 0.15, 0.9], [0, 1, 1]))

@@ -334,6 +334,17 @@ def test_gaussian_malformed_inputs_exit_2(tmp_path, capsys):
     path.write_text(json.dumps([{"mean": {}, "covariance": [[1.0]], "truth": [0.0]}]))
     code, _, err = run_cli(capsys, "gaussian", "--input", str(path))
     assert code == 2 and "record 0: " in err
+    # Finite input whose quadratic form, or whose mean, overflows.
+    tiny = {"mean": [0.0], "covariance": [[1e-200]], "truth": [1e200]}
+    path.write_text(json.dumps([{"mean": [0.0], "covariance": [[1.0]], "truth": [1.0]}, tiny]))
+    code, out, err = run_cli(capsys, "gaussian", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err == "entrocal: error: record 1: squared Mahalanobis distance overflows\n"
+    huge = {"mean": [0.0], "covariance": [[1e-300]], "truth": [1e4]}
+    path.write_text(json.dumps([huge, huge]))
+    code, out, err = run_cli(capsys, "gaussian", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"entrocal: error: {path}: NEES overflows")
 
 
 NAN, INF = float("nan"), float("inf")
@@ -383,10 +394,35 @@ def test_failed_rename_keeps_old_output(tmp_path, capsys, monkeypatch):
         raise OSError("rename failed")
 
     monkeypatch.setattr(os, "replace", fail)
-    with pytest.raises(OSError, match="rename failed"):
-        main(["curve", "--grid", "11", "--output", str(out)])
+    code, _, err = run_cli(capsys, "curve", "--grid", "11", "--output", str(out))
+    assert code == 2
+    assert err == f"entrocal: error: cannot write '{out}': rename failed\n"
     assert out.read_bytes() == b"old\n"
     assert list(tmp_path.iterdir()) == [out]
+
+
+@pytest.mark.parametrize(
+    "argv,dest",
+    [
+        (["curve", "--grid", "11", "--output", "{blocker}/x.svg"], "{blocker}/x.svg"),
+        (["evaluate", "--input", "{csv}", "--plots-dir", "{blocker}/plots"],
+         "{blocker}/plots/reliability.svg"),
+        (["suite", "--seed", "1", "--n", "50", "--sigmas", "0", "--out-dir", "{blocker}/s"],
+         "{blocker}/s/sigma-0/dataset.csv"),
+    ],
+    ids=["curve-output", "evaluate-plots-dir", "suite-out-dir"],
+)
+def test_unwritable_destination_exit_2(tmp_path, capsys, argv, dest):
+    # A regular file where a parent directory should be.
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    csv = tmp_path / "d.csv"
+    write_fixture_csv(csv, [0.3, 0.8], [1, 0])
+    paths = {"blocker": blocker, "csv": csv}
+    code, _, err = run_cli(capsys, *(a.format(**paths) for a in argv))
+    assert code == 2
+    assert err.startswith(f"entrocal: error: cannot write '{dest.format(**paths)}': ")
+    assert "Traceback" not in err
 
 
 def test_curve_grid_too_small_exit_1(tmp_path, capsys):

@@ -191,6 +191,10 @@ def test_nees_errors():
     with pytest.raises(ValueError, match="mixed dimensions"):
         nees([pred_1d(0, 1, 0),
               GaussianPrediction(mean=np.zeros(2), covariance=np.eye(2), truth=np.zeros(2))])
+    with pytest.raises(ValueError, match="prediction 1: .*overflows"):
+        nees([pred_1d(0.0, 1.0, 1.0), pred_1d(0.0, 1e-100, 1e200)])
+    with pytest.raises(ValueError, match="NEES overflows"):
+        nees([pred_1d(0.0, 1e-150, 1e4)] * 2)
 
 
 def test_ecd_gaussian_examples():
