@@ -16,7 +16,8 @@ factorization; the covariance inverse is never formed explicitly. A
 covariance that fails the factorization is a hard error, never silently
 regularized: a miscalibration metric must not mask an invalid uncertainty
 model. NaN or inf in a mean, covariance or truth is a hard error too, and so
-is a squared distance or a NEES that overflows to inf.
+is a residual ``truth - mean``, a squared distance or a NEES that overflows
+to inf.
 
 Every quadratic form is one numpy kernel, :func:`_mahalanobis_sq_rows`, a
 forward substitution over stacked factors: :func:`nees` calls it once per
@@ -131,14 +132,9 @@ def _mahalanobis_sq_rows(chol: np.ndarray, resid: np.ndarray) -> np.ndarray:
 
     Solves column by column across all N systems and sums squares left to
     right, so d <= 2 match the scalar closed forms bit for bit. Raises
-    :class:`_NonFinitePrediction` for the first row with a non-finite input
-    or a distance that overflows.
+    :class:`_NonFinitePrediction` for the first row whose distance is not
+    finite; inputs are checked by :func:`_residuals`.
     """
-    finite = np.isfinite(chol).all(axis=(1, 2)) & np.isfinite(resid).all(axis=1)
-    if not finite.all():
-        raise _NonFinitePrediction(
-            int(np.argmin(finite)), "mean, covariance and truth must be finite"
-        )
     z = np.empty_like(resid)
     total = np.zeros(resid.shape[0])
     # Finite input can still overflow (a tiny variance, a huge residual); the
@@ -158,13 +154,39 @@ def _mahalanobis_sq_rows(chol: np.ndarray, resid: np.ndarray) -> np.ndarray:
     return total
 
 
+def _residuals(chol: np.ndarray, truth: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """``truth - mean`` (N, d) for the stacked inputs of :func:`_mahalanobis_sq_rows`.
+
+    Raises :class:`_NonFinitePrediction` for the first row with NaN or inf in
+    its factor, truth or mean, then for the first finite row whose residual
+    overflows (values about 1.8e308 apart).
+    """
+    finite = (
+        np.isfinite(chol).all(axis=(1, 2))
+        & np.isfinite(truth).all(axis=1)
+        & np.isfinite(mean).all(axis=1)
+    )
+    if not finite.all():
+        raise _NonFinitePrediction(
+            int(np.argmin(finite)), "mean, covariance and truth must be finite"
+        )
+    with np.errstate(over="ignore"):
+        resid = truth - mean
+    finite = np.isfinite(resid).all(axis=1)
+    if not finite.all():
+        raise _NonFinitePrediction(int(np.argmin(finite)), "truth - mean overflows")
+    return resid
+
+
 def mahalanobis_sq(pred: GaussianPrediction) -> float:
     """Squared Mahalanobis distance of the truth from the predicted Gaussian.
 
     Computed as ||L^-1 (x - mu)||^2 with L the Cholesky factor; >= 0, and 0
     exactly when truth equals mean.
     """
-    return float(_mahalanobis_sq_rows(pred.chol[None], (pred.truth - pred.mean)[None])[0])
+    chol = pred.chol[None]
+    resid = _residuals(chol, pred.truth[None], pred.mean[None])
+    return float(_mahalanobis_sq_rows(chol, resid)[0])
 
 
 def nees(preds: Sequence[GaussianPrediction]) -> float:
@@ -176,8 +198,9 @@ def nees(preds: Sequence[GaussianPrediction]) -> float:
         if p.dim != d:
             raise ValueError(f"mixed dimensions: prediction {i} has d={p.dim}, expected {d}")
     chol = np.concatenate([p.chol for p in preds]).reshape(n, d, d)
-    truth = np.concatenate([p.truth for p in preds])
-    resid = (truth - np.concatenate([p.mean for p in preds])).reshape(n, d)
+    truth = np.concatenate([p.truth for p in preds]).reshape(n, d)
+    mean = np.concatenate([p.mean for p in preds]).reshape(n, d)
+    resid = _residuals(chol, truth, mean)
     with np.errstate(over="ignore"):
         value = pairwise_mean(_mahalanobis_sq_rows(chol, resid))
     if not math.isfinite(value):

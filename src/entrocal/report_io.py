@@ -12,6 +12,24 @@ float64 bit-for-bit. Every file written by path is written atomically: a
 temporary file in the destination directory (created if missing), then a
 rename over the destination, so a failed write leaves the old file intact.
 
+Loading runs in two tiers with one contract. A path or a seekable binary
+stream first goes to the block parser, which reads about 4 MiB at a time and
+checks each block with array operations: only digits, ``.``, ``,``, ``e``,
+``E``, ``+``, ``-`` and LF; the header's field count on every line, labels
+exactly ``0`` or ``1``, and probabilities (parsed by
+``np.loadtxt``, which uses the same conversion as ``float``) finite and in
+[0, 1]. Anything else, such as CRLF, whitespace, quotes, blank lines, ``nan``
+or an error of any kind, makes it decline, and the line parser reads the
+input again from the start, a row at a time with ``float``. The block parser
+accepts a strict subset of what the line parser accepts and gives the same
+bits, so which tier ran shows only in the time taken; every error comes from
+the line parser, with its row number and text. A text stream or an
+unseekable binary stream goes to the line parser directly. A caller's stream
+is left open.
+
+Rows are written through one ``%`` template per chunk of rows, which gives
+the same bytes as formatting each value with ``.17g``.
+
 Report JSON: versioned via ``schema_version`` (currently 1); carries full
 float precision and round-trips to an equal :class:`CalibrationReport`.
 
@@ -83,17 +101,121 @@ def load_csv(source: Source) -> Dataset:
     first malformed value (missing column, unparsable number, probability
     out of range, non-binary label).
     """
+    if isinstance(source, (str, Path)):
+        with open(source, "rb") as fh:
+            data = _load_blocks(fh)
+    elif isinstance(source, (io.RawIOBase, io.BufferedIOBase)) and source.seekable():
+        start = source.tell()
+        data = _load_blocks(source)
+        if data is None:
+            source.seek(start)
+    else:
+        data = None
+    return _load_lines(source) if data is None else data
+
+
+def _columns(header_line: str) -> tuple[int, int, int]:
+    """(field count, prob column, label column) of a header line without its newline."""
+    header = [h.strip() for h in header_line.split(",")]
+    for required in ("prob", "label"):
+        if required not in header:
+            raise ValueError(f"row 1: missing required column '{required}'")
+    return len(header), header.index("prob"), header.index("label")
+
+
+#: Bytes read per block by the block parser; each block is cut after its
+#: last newline and the rest carried into the next.
+_BLOCK_SIZE = 4 << 20
+_BLOCK_BYTES = b"0123456789.,eE+-\n"
+
+
+def _load_blocks(fh) -> Optional[Dataset]:
+    """Parse the common case of ``load_csv`` a block at a time, or return None.
+
+    Accepts a strict subset of what :func:`_load_lines` accepts: an ASCII
+    header, then a body of only the bytes in ``_BLOCK_BYTES``, with k - 1
+    commas on every line, every label exactly ``0`` or ``1`` and every
+    probability a number that is finite and in [0, 1]. (Other columns are
+    not read, by either parser, so they may be empty.) Such a file gives the
+    same ``Dataset`` as the line parser, which uses the same ``float`` parse.
+    For anything else it returns None, and the caller re-runs the line
+    parser from the start, so every error keeps its row number and its text.
+    """
+    line = fh.readline()
+    if not line.isascii():
+        return None
+    text = line.decode("ascii").removesuffix("\n").removesuffix("\r")
+    if "\r" in text:  # the line parser also ends a line at a bare CR
+        return None
+    try:
+        k, prob_col, label_col = _columns(text)
+    except ValueError:
+        return None
+    parsed = []
+    for block in _blocks(fh):
+        part = _parse_block(block, k, prob_col, label_col)
+        if part is None:
+            return None
+        parsed.append(part)
+    if not parsed:
+        return Dataset([], [])
+    probs, labels = zip(*parsed)
+    return Dataset(np.concatenate(probs), np.concatenate(labels))
+
+
+def _blocks(fh):
+    """Whole lines of ``fh``, about ``_BLOCK_SIZE`` bytes at a time, each ending in LF."""
+    tail = b""
+    while chunk := fh.read(_BLOCK_SIZE):
+        buf = tail + chunk
+        cut = buf.rfind(b"\n") + 1
+        if cut:
+            yield buf[:cut]
+        tail = buf[cut:]
+    if tail:  # a last line without its newline
+        yield tail + b"\n"
+
+
+def _parse_block(block: bytes, k: int, prob_col: int, label_col: int):
+    """(probs, labels) of whole lines ending in a newline, or None to decline."""
+    if block.translate(None, _BLOCK_BYTES):
+        return None
+    raw = np.frombuffer(block, dtype=np.uint8)
+    seps = np.flatnonzero((raw == ord(",")) | (raw == ord("\n")))
+    if seps.size % k:
+        return None
+    seps = seps.reshape(-1, k)
+    kinds = raw[seps]
+    if (kinds[:, -1] != ord("\n")).any() or (kinds[:, :-1] != ord(",")).any():
+        return None  # not k - 1 commas on every line, or a blank line
+    label_end = seps[:, label_col]
+    if label_col:
+        label_start = seps[:, label_col - 1] + 1
+    else:
+        label_start = np.concatenate(([0], seps[:-1, -1] + 1))
+    label_bytes = raw[label_start]
+    if (label_end - label_start != 1).any() or (
+        (label_bytes != ord("0")) & (label_bytes != ord("1"))
+    ).any():
+        return None
+    try:
+        probs = np.loadtxt(io.StringIO(block.decode("ascii")), dtype=np.float64,
+                           delimiter=",", comments=None, usecols=prob_col, ndmin=1)
+    except ValueError:
+        return None
+    if not (np.isfinite(probs).all() and probs.min() >= 0.0 and probs.max() <= 1.0):
+        return None
+    return probs, label_bytes - ord("0")
+
+
+def _load_lines(source: Source) -> Dataset:
+    """The line parser: ``float`` per field, a located error for the first bad row."""
     stream, should_close = _open_text(source)
     try:
         header_line = stream.readline()
         if not header_line:
             raise ValueError("row 1: missing header")
-        header = [h.strip() for h in header_line.rstrip("\r\n").split(",")]
-        for required in ("prob", "label"):
-            if required not in header:
-                raise ValueError(f"row 1: missing required column '{required}'")
-        prob_col = header.index("prob")
-        label_col = header.index("label")
+        k, prob_col, label_col = _columns(header_line.rstrip("\r\n"))
         probs: list[float] = []
         labels: list[int] = []
         for rownum, line in enumerate(stream, start=2):
@@ -101,10 +223,8 @@ def load_csv(source: Source) -> Dataset:
             if not line:
                 continue
             fields = line.split(",")
-            if len(fields) != len(header):
-                raise ValueError(
-                    f"row {rownum}: expected {len(header)} fields, got {len(fields)}"
-                )
+            if len(fields) != k:
+                raise ValueError(f"row {rownum}: expected {k} fields, got {len(fields)}")
             raw_prob = fields[prob_col].strip()
             raw_label = fields[label_col].strip()
             try:
@@ -125,17 +245,38 @@ def load_csv(source: Source) -> Dataset:
     finally:
         if should_close:
             stream.close()
+        elif stream is not source:
+            stream.detach()  # the caller's binary stream stays open
+
+
+#: Rows formatted per ``%`` template in :func:`_dataset_csv_text`.
+_WRITE_CHUNK_ROWS = 4096
 
 
 def _dataset_csv_text(probs, labels, true_probs=None) -> str:
-    lines = ["prob,label,true_prob" if true_probs is not None else "prob,label"]
+    """CSV text with the bytes of ``f"{p:.17g},{int(y)}"`` rows (and ``,{t:.17g}``).
+
+    Rows are formatted a chunk at a time through one ``%`` template, which
+    gives the same digits as the per-row f-strings at a fraction of the cost.
+    """
+    columns = [np.asarray(probs).tolist(), np.asarray(labels).tolist()]
+    row = "%.17g,%d"
+    header = "prob,label"
     if true_probs is not None:
-        for p, y, t in zip(probs, labels, true_probs):
-            lines.append(f"{p:.17g},{int(y)},{t:.17g}")
-    else:
-        for p, y in zip(probs, labels):
-            lines.append(f"{p:.17g},{int(y)}")
-    return "\n".join(lines) + "\n"
+        columns.append(np.asarray(true_probs).tolist())
+        row += ",%.17g"
+        header += ",true_prob"
+    row += "\n"
+    parts = [header + "\n"]
+    width = len(columns)
+    n = len(columns[0])
+    for lo in range(0, n, _WRITE_CHUNK_ROWS):
+        hi = min(lo + _WRITE_CHUNK_ROWS, n)
+        flat = [None] * (width * (hi - lo))
+        for j, col in enumerate(columns):
+            flat[j::width] = col[lo:hi]
+        parts.append(row * (hi - lo) % tuple(flat))
+    return "".join(parts)
 
 
 def write_dataset_csv(data: Dataset, dest: Union[str, Path, TextIO]) -> None:

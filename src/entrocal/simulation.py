@@ -24,6 +24,10 @@ inverse normal CDF (``scipy.special.ndtri``) for step 5; a uniform equal to
 one derived stream each: run k of base seed s is seeded with the first
 64-bit word of ``SeedSequence((s, k))`` (see :func:`derive_run_seed`).
 Identical seeds therefore give bit-identical datasets, across platforms.
+
+scipy is imported inside :func:`simulate`, and only when sigma > 0, so
+``import entrocal`` and every command that does not simulate noise start
+without it.
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.special import ndtri
 
 from .binning import BinSpec, CalibrationReport, build_report
 from .metrics import DEFAULT_CLIP, ClipPolicy, Dataset
@@ -122,6 +125,8 @@ def simulate(config: SimulationConfig) -> SimulatedDataset:
     true_probs = logistic(u)
     labels = (rng.random(n) < true_probs).astype(np.int64)
     if config.noise_sigma > 0:
+        from scipy.special import ndtri  # about 0.3 s to import; only noisy runs need it
+
         v = np.maximum(rng.random(n), 2.0 ** -53)
         eps = config.noise_mean + config.noise_sigma * ndtri(v)
     else:

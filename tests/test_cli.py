@@ -345,6 +345,12 @@ def test_gaussian_malformed_inputs_exit_2(tmp_path, capsys):
     code, out, err = run_cli(capsys, "gaussian", "--input", str(path))
     assert (code, out) == (2, "")
     assert err.startswith(f"entrocal: error: {path}: NEES overflows")
+    # Finite mean and truth whose difference overflows.
+    far = {"mean": [-1e308], "covariance": [[1.0]], "truth": [1e308]}
+    path.write_text(json.dumps([{"mean": [0.0], "covariance": [[1.0]], "truth": [1.0]}, far]))
+    code, out, err = run_cli(capsys, "gaussian", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err == "entrocal: error: record 1: truth - mean overflows\n"
 
 
 NAN, INF = float("nan"), float("inf")

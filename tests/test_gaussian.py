@@ -195,6 +195,12 @@ def test_nees_errors():
         nees([pred_1d(0.0, 1.0, 1.0), pred_1d(0.0, 1e-100, 1e200)])
     with pytest.raises(ValueError, match="NEES overflows"):
         nees([pred_1d(0.0, 1e-150, 1e4)] * 2)
+    # Finite mean and truth whose difference overflows.
+    far = pred_1d(-1e308, 1.0, 1e308)
+    with pytest.raises(ValueError, match=r"^prediction 1: truth - mean overflows$"):
+        nees([pred_1d(0.0, 1.0, 1.0), far])
+    with pytest.raises(ValueError, match=r"^prediction 0: truth - mean overflows$"):
+        mahalanobis_sq(far)
 
 
 def test_ecd_gaussian_examples():

@@ -2,10 +2,14 @@ import io
 import math
 import os
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from entrocal import report_io
 from entrocal import (
     BinSpec,
     Dataset,
@@ -35,20 +39,35 @@ CIRCLE_RE = re.compile(r'<circle cx="([-\d.]+)" cy="([-\d.]+)" r="4"[^>]*'
 # ---------------------------------------------------------------------------
 
 
+def _write(tmp_path, body: bytes):
+    path = tmp_path / "in.csv"
+    path.write_bytes(body)
+    return path
+
+
+@pytest.fixture(params=["stream", "path"])
+def as_source(request, tmp_path):
+    """Turn CSV bytes into a binary stream or a file path, the two block-parsed sources."""
+    if request.param == "stream":
+        return io.BytesIO
+    return lambda body: _write(tmp_path, body)
+
+
 def test_load_csv_minimal():
     data = load_csv(io.BytesIO(b"prob,label\n0.9,1\n"))
     assert data == Dataset([0.9], [1])
 
 
-def test_load_csv_crlf_and_id_column():
-    text = "id,prob,label\r\na,0.25,0\r\nb,0.75,1\r\n"
-    data = load_csv(io.BytesIO(text.encode()))
-    assert data == Dataset([0.25, 0.75], [0, 1])
+def test_load_csv_crlf_and_id_column(tmp_path):
+    text = "id,prob,label\r\na,0.25,0\r\nb,0.75,1\r\n".encode()
+    for source in (io.BytesIO(text), _write(tmp_path, text)):
+        assert load_csv(source) == Dataset([0.25, 0.75], [0, 1])
 
 
-def test_load_csv_ignores_extra_columns():
-    text = "prob,label,true_prob\n0.5,1,0.4\n"
-    assert load_csv(io.BytesIO(text.encode())) == Dataset([0.5], [1])
+def test_load_csv_ignores_extra_columns(tmp_path):
+    text = b"prob,label,true_prob\n0.5,1,0.4\n"
+    for source in (io.BytesIO(text), _write(tmp_path, text)):
+        assert load_csv(source) == Dataset([0.5], [1])
 
 
 def test_load_csv_preserves_order():
@@ -71,9 +90,152 @@ def test_load_csv_preserves_order():
         ("", r"row 1: missing header"),
     ],
 )
-def test_load_csv_errors(body, message):
-    with pytest.raises(ValueError, match=message):
-        load_csv(io.BytesIO(body.encode()))
+def test_load_csv_errors(tmp_path, body, message):
+    for source in (io.BytesIO(body.encode()), _write(tmp_path, body.encode())):
+        with pytest.raises(ValueError, match=message):
+            load_csv(source)
+
+
+def _outcome(load, body: bytes):
+    """The loaded bits, or the ValueError text, for comparing two parsers."""
+    try:
+        data = load(io.BytesIO(body))
+    except ValueError as exc:
+        return ("error", str(exc))
+    return ("data", data.probs.view(np.int64).tolist(), data.labels.tolist())
+
+
+def _lines_outcome(body: bytes):
+    return _outcome(report_io._load_lines, body)
+
+
+def _pinned(p_bits, labels):
+    return ("data", np.array(p_bits, dtype=np.float64).view(np.int64).tolist(), labels)
+
+
+# Inputs on which the block parser must decline and the line parser decides:
+# each pinned to the line parser's result or its exact error text.
+FALLBACK_CASES = [
+    (b"prob,label\n1_0,1\n", ("error", "row 2: prob out of range: 1_0")),
+    (b"prob,label\n0.2_5,1\n", _pinned([0.25], [1])),
+    (b"prob,label\n 0.5 , 1 \n", _pinned([0.5], [1])),
+    (b"prob,label\nnan,1\n", ("error", "row 2: prob out of range: nan")),
+    (b"prob,label\n0.5,1\ninf,0\n", ("error", "row 3: prob out of range: inf")),
+    ("\ufeffprob,label\n0.5,1\n".encode(),
+     ("error", "row 1: missing required column 'prob'")),
+    ("prob,label\n\ufeff0.5,1\n".encode(),
+     ("error", "row 2: invalid prob value '\ufeff0.5'")),
+    (b"prob,label\r\n0.5,1\r\n0.25,0\r\n", _pinned([0.5, 0.25], [1, 0])),
+    (b"prob,label\r0.5,1\r0.25,0\r", _pinned([0.5, 0.25], [1, 0])),
+    (b'prob,label\n"0.5",1\n', ("error", "row 2: invalid prob value '\"0.5\"'")),
+    (b'"prob","label"\n0.5,1\n', ("error", "row 1: missing required column 'prob'")),
+    (b"prob,label\n\n0.5,1\n\n\n0.25,0\n\n", _pinned([0.5, 0.25], [1, 0])),
+    (b"prob,label\n0.5,1\n0.25,0,1\n", ("error", "row 3: expected 2 fields, got 3")),
+    # As many commas in the block as k - 1 per line, but not on every line.
+    (b"prob,label,x\n0.5,1\n0.25,0,1,8\n", ("error", "row 2: expected 3 fields, got 2")),
+    (b"prob,label,x\r0.5,1,7\n", _pinned([0.5], [1])),  # a bare CR ends the header
+    (b"prob,label\n0.5,1\n,\n", ("error", "row 3: invalid prob value ''")),
+    (b"prob,label\n0.5,01\n", ("error", "row 2: label must be 0 or 1, got '01'")),
+    (b"prob,label\n0.5,1.0\n", ("error", "row 2: label must be 0 or 1, got '1.0'")),
+    (b"prob,label\n0.5,+1\n", ("error", "row 2: label must be 0 or 1, got '+1'")),
+    (b"prob,label\n0.5,\n", ("error", "row 2: label must be 0 or 1, got ''")),
+    (b"prob,label\n0.5,-\n", ("error", "row 2: label must be 0 or 1, got '-'")),
+    (b"prob,label\n0.5,.\n", ("error", "row 2: label must be 0 or 1, got '.'")),
+    (b"prob,label\n0.5,e\n", ("error", "row 2: label must be 0 or 1, got 'e'")),
+    (b"prob,label\n,1\n", ("error", "row 2: invalid prob value ''")),
+    (b"prob,label\n1e500,1\n", ("error", "row 2: prob out of range: 1e500")),
+    (b"prob,label\n0.5,1\n1e,0\n", ("error", "row 3: invalid prob value '1e'")),
+    (b"prob,label\n0.5,1\n-0.5,0\n", ("error", "row 3: prob out of range: -0.5")),
+    (b"prob,label\n0.5,1\n\xff,0\n", None),  # invalid UTF-8: a UnicodeDecodeError
+]
+
+# Inputs the block parser takes itself, with the line parser's bits.
+BLOCK_CASES = [
+    (b"prob,label\n1e-400,1\n", _pinned([0.0], [1])),
+    (b"prob,label\n-0,0\n", _pinned([-0.0], [0])),
+    (b"prob,label\n0.5,1\n0.25,0", _pinned([0.5, 0.25], [1, 0])),
+    (b"prob,label,x,y\n0.5,1,,\n", _pinned([0.5], [1])),  # unread columns may be empty
+    (b"prob,label\n", ("data", [], [])),
+    (b"prob,label", ("data", [], [])),
+    (b"label,x,prob\n1,7,1\n0,-2e5,5e-324\n", _pinned([1.0, 5e-324], [1, 0])),
+    (b"prob,label\n.5,1\n1.,0\n+0.125,1\n1E-1,0\n", _pinned([0.5, 1.0, 0.125, 0.1],
+                                                           [1, 0, 1, 0])),
+]
+
+
+@pytest.mark.parametrize("body,expected", FALLBACK_CASES + BLOCK_CASES)
+def test_load_csv_matches_line_parser(as_source, body, expected):
+    lines = _lines_outcome(body)
+    if expected is not None:
+        assert lines == expected
+    assert _outcome(lambda _: load_csv(as_source(body)), body) == lines
+
+
+@pytest.mark.parametrize("body,expected", FALLBACK_CASES)
+def test_block_parser_declines_what_it_does_not_take(body, expected):
+    assert report_io._load_blocks(io.BytesIO(body)) is None
+
+
+@pytest.mark.parametrize("body,expected", BLOCK_CASES)
+def test_block_parser_takes_the_common_case(as_source, monkeypatch, body, expected):
+    def no_fallback(source):
+        raise AssertionError("the line parser ran")
+
+    monkeypatch.setattr(report_io, "_load_lines", no_fallback)
+    data = load_csv(as_source(body))
+    assert ("data", data.probs.view(np.int64).tolist(), data.labels.tolist()) == expected
+
+
+@pytest.mark.parametrize("block_size", [1, 2, 3, 7, 64])
+def test_rows_spanning_block_boundaries(as_source, monkeypatch, block_size):
+    rng = np.random.default_rng(block_size)
+    rows = [f"{p:.17g},{y}" for p, y in zip(rng.random(40), rng.integers(0, 2, 40))]
+    body = ("prob,label\n" + "\n".join(rows) + "\n").encode()
+    monkeypatch.setattr(report_io, "_BLOCK_SIZE", block_size)
+    assert load_csv(as_source(body)) == report_io._load_lines(io.BytesIO(body))
+    # An error in the last row keeps its row number after earlier blocks parsed.
+    bad = body + b"0.5,2\n"
+    with pytest.raises(ValueError) as excinfo:
+        load_csv(as_source(bad))
+    assert str(excinfo.value) == "row 42: label must be 0 or 1, got '2'"
+
+
+def test_load_csv_reads_from_the_stream_position_and_leaves_it_open():
+    stream = io.BytesIO(b"junk\nprob,label\n0.5,1\n")
+    stream.readline()
+    assert load_csv(stream) == Dataset([0.5], [1])
+    assert not stream.closed
+    stream = io.BytesIO(b"junk\nprob,label\r\n0.5,1\r\n")
+    stream.readline()
+    assert load_csv(stream) == Dataset([0.5], [1])  # the line parser reads from 'prob'
+    assert not stream.closed
+
+
+_FIELDS = st.one_of(
+    st.floats(0.0, 1.0).map(lambda p: f"{p:.17g}"),
+    st.floats(0.0, 1.0).map(repr),
+    st.sampled_from(["0", "1", "01", "1.0", "+1", "-0", "1e-400", "1e500", "", " 0.5",
+                     "0.5 ", '"0.5"', "1e", ".", "-", "5e-324", "1_0", "2"]),
+    st.text(alphabet="0123456789.eE+- \"", max_size=6),
+)
+_ROWS = st.lists(st.lists(_FIELDS, min_size=1, max_size=3).map(",".join), max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    header=st.sampled_from(["prob,label", "label,prob", "id,prob,label", "prob,label,"]),
+    body=st.one_of(
+        st.tuples(_ROWS, st.sampled_from(["\n", "\r\n", "\r"]), st.booleans()).map(
+            lambda t: t[1].join(t[0]) + (t[1] if t[2] else "")
+        ),
+        st.text(alphabet="0123456789.eE+-,\n\r \"", max_size=60),
+    ),
+    block_size=st.sampled_from([1, 5, 4 << 20]),
+)
+def test_load_csv_property_same_as_line_parser(header, body, block_size):
+    raw = f"{header}\n{body}".encode()
+    with mock.patch.object(report_io, "_BLOCK_SIZE", block_size):
+        assert _outcome(load_csv, raw) == _lines_outcome(raw)
 
 
 def test_load_csv_from_path(tmp_path):
@@ -111,6 +273,49 @@ def test_path_writes_are_atomic(tmp_path, monkeypatch):
         write_dataset_csv(data, path)
     assert path.read_bytes() == b"old contents\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "new"]
+
+
+def _f_string_csv(probs, labels, true_probs=None) -> str:
+    """The per-row f-string writer that the template writer must match byte for byte."""
+    lines = ["prob,label,true_prob" if true_probs is not None else "prob,label"]
+    if true_probs is not None:
+        for p, y, t in zip(probs, labels, true_probs):
+            lines.append(f"{p:.17g},{int(y)},{t:.17g}")
+    else:
+        for p, y in zip(probs, labels):
+            lines.append(f"{p:.17g},{int(y)}")
+    return "\n".join(lines) + "\n"
+
+
+EDGE_VALUES = [0.0, -0.0, 1.0, 5e-324, 2.2250738585072014e-308 / 3, 0.1 + 0.2, 1 / 3,
+               0.9999999999999999, 1e-5, 0.5]
+
+
+@pytest.mark.parametrize("offset", [None, -1, 0, 1])
+def test_csv_writers_match_f_strings(tmp_path, offset):
+    n = 1 if offset is None else report_io._WRITE_CHUNK_ROWS + offset
+    rng = np.random.default_rng(n)
+    probs = rng.random(n)
+    probs[: len(EDGE_VALUES)] = EDGE_VALUES[:n]
+    labels = rng.integers(0, 2, n)
+    true_probs = np.roll(probs, 1)
+    data = Dataset(probs, labels)
+    expected = _f_string_csv(probs, labels)
+    sink = io.StringIO()
+    write_dataset_csv(data, sink)
+    assert sink.getvalue() == expected
+    write_dataset_csv(data, tmp_path / "d.csv")
+    assert (tmp_path / "d.csv").read_bytes() == expected.encode()
+    assert report_io._dataset_csv_text(probs, labels, true_probs) == _f_string_csv(
+        probs, labels, true_probs
+    )
+
+    sim = simulate(SimulationConfig(seed=n, n=n, noise_sigma=0.5))
+    for include in (False, True):
+        expected = _f_string_csv(sim.estimated_probs, sim.labels,
+                                 sim.true_probs if include else None)
+        write_simulated_csv(sim, tmp_path / "s.csv", include_true_probs=include)
+        assert (tmp_path / "s.csv").read_bytes() == expected.encode()
 
 
 def test_simulated_csv_round_trip_and_true_column(tmp_path):
