@@ -164,15 +164,19 @@ def _load_blocks(fh) -> Optional[Dataset]:
 
 
 def _blocks(fh):
-    """Whole lines of ``fh``, about ``_BLOCK_SIZE`` bytes at a time, each ending in LF."""
-    tail = b""
+    """Whole lines of ``fh``, about ``_BLOCK_SIZE`` bytes at a time, each ending in LF.
+
+    A line longer than a block is gathered piece by piece, so the work stays
+    linear in its length.
+    """
+    pending = []  # the start of a line that no block has ended yet
     while chunk := fh.read(_BLOCK_SIZE):
-        buf = tail + chunk
-        cut = buf.rfind(b"\n") + 1
+        cut = chunk.rfind(b"\n") + 1
         if cut:
-            yield buf[:cut]
-        tail = buf[cut:]
-    if tail:  # a last line without its newline
+            yield b"".join([*pending, chunk[:cut]])
+            pending = []
+        pending.append(chunk[cut:])
+    if tail := b"".join(pending):  # a last line without its newline
         yield tail + b"\n"
 
 
