@@ -12,8 +12,8 @@ float64 bit-for-bit. Every file written by path is written atomically: a
 temporary file in the destination directory (created if missing), then a
 rename over the destination, so a failed write leaves the old file intact.
 
-Loading runs in two tiers with one contract. A path or a seekable binary
-stream first goes to the block parser, which reads about 4 MiB at a time and
+Loading runs in two tiers with one contract. A seekable source (a regular
+file's path or a seekable binary stream) first goes to the block parser, which reads about 4 MiB at a time and
 checks each block with array operations: only digits, ``.``, ``,``, ``e``,
 ``E``, ``+``, ``-`` and LF; the header's field count on every line, labels
 exactly ``0`` or ``1``, and probabilities (parsed by
@@ -23,9 +23,9 @@ or an error of any kind, makes it decline, and the line parser reads the
 input again from the start, a row at a time with ``float``. The block parser
 accepts a strict subset of what the line parser accepts and gives the same
 bits, so which tier ran shows only in the time taken; every error comes from
-the line parser, with its row number and text. A text stream or an
-unseekable binary stream goes to the line parser directly. A caller's stream
-is left open.
+the line parser, with its row number and text. A text stream, a pipe or
+another unseekable source goes to the line parser directly, so it is read
+once. A caller's stream is left open.
 
 Rows are written through one ``%`` template per chunk of rows, which gives
 the same bytes as formatting each value with ``.17g``.
@@ -85,15 +85,6 @@ Source = Union[str, Path, TextIO, io.BufferedIOBase]
 # ---------------------------------------------------------------------------
 
 
-def _open_text(source: Source):
-    """Return (text stream, should_close)."""
-    if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8", newline=""), True
-    if isinstance(source, (io.RawIOBase, io.BufferedIOBase)):
-        return io.TextIOWrapper(source, encoding="utf-8", newline=""), False
-    return source, False
-
-
 def load_csv(source: Source) -> Dataset:
     """Load a prediction CSV into a :class:`Dataset`, preserving file order.
 
@@ -103,15 +94,21 @@ def load_csv(source: Source) -> Dataset:
     """
     if isinstance(source, (str, Path)):
         with open(source, "rb") as fh:
-            data = _load_blocks(fh)
-    elif isinstance(source, (io.RawIOBase, io.BufferedIOBase)) and source.seekable():
-        start = source.tell()
-        data = _load_blocks(source)
-        if data is None:
-            source.seek(start)
-    else:
-        data = None
-    return _load_lines(source) if data is None else data
+            return _load_binary(fh)
+    if isinstance(source, (io.RawIOBase, io.BufferedIOBase)):
+        return _load_binary(source)
+    return _load_lines(source)
+
+
+def _load_binary(fh) -> Dataset:
+    """Block parser first when ``fh`` can be rewound for the line parser, else lines."""
+    if fh.seekable():
+        start = fh.tell()
+        data = _load_blocks(fh)
+        if data is not None:
+            return data
+        fh.seek(start)
+    return _load_lines(fh)
 
 
 def _columns(header_line: str) -> tuple[int, int, int]:
@@ -212,9 +209,12 @@ def _parse_block(block: bytes, k: int, prob_col: int, label_col: int):
     return probs, label_bytes - ord("0")
 
 
-def _load_lines(source: Source) -> Dataset:
+def _load_lines(source: Union[TextIO, io.RawIOBase, io.BufferedIOBase]) -> Dataset:
     """The line parser: ``float`` per field, a located error for the first bad row."""
-    stream, should_close = _open_text(source)
+    if isinstance(source, (io.RawIOBase, io.BufferedIOBase)):
+        stream = io.TextIOWrapper(source, encoding="utf-8", newline="")
+    else:
+        stream = source
     try:
         header_line = stream.readline()
         if not header_line:
@@ -247,10 +247,8 @@ def _load_lines(source: Source) -> Dataset:
             labels.append(y)
         return Dataset(probs, labels)
     finally:
-        if should_close:
-            stream.close()
-        elif stream is not source:
-            stream.detach()  # the caller's binary stream stays open
+        if stream is not source:
+            stream.detach()  # the binary stream stays open for its owner
 
 
 #: Rows formatted per ``%`` template in :func:`_dataset_csv_text`.

@@ -211,6 +211,20 @@ def test_load_csv_reads_from_the_stream_position_and_leaves_it_open():
     assert not stream.closed
 
 
+@pytest.mark.parametrize("body", [b"prob,label\n0.5,1\n0.25,0\n",
+                                  b"prob,label\r\n0.5,1\r\n0.25,0\r\n"])
+def test_load_csv_reads_a_pipe_once(body):
+    # A pipe cannot be rewound, so the line parser reads it directly; opening
+    # its path a second time would find it drained.
+    read_end, write_end = os.pipe()
+    with os.fdopen(write_end, "wb") as fh:
+        fh.write(body)
+    try:
+        assert load_csv(f"/dev/fd/{read_end}") == Dataset([0.5, 0.25], [1, 0])
+    finally:
+        os.close(read_end)
+
+
 _FIELDS = st.one_of(
     st.floats(0.0, 1.0).map(lambda p: f"{p:.17g}"),
     st.floats(0.0, 1.0).map(repr),
