@@ -13,19 +13,19 @@ temporary file in the destination directory (created if missing), then a
 rename over the destination, so a failed write leaves the old file intact.
 
 Loading runs in two tiers with one contract. A seekable source (a regular
-file's path or a seekable binary stream) first goes to the block parser, which reads about 4 MiB at a time and
-checks each block with array operations: only digits, ``.``, ``,``, ``e``,
-``E``, ``+``, ``-`` and LF; the header's field count on every line, labels
-exactly ``0`` or ``1``, and probabilities (parsed by
-``np.loadtxt``, which uses the same conversion as ``float``) finite and in
-[0, 1]. Anything else, such as CRLF, whitespace, quotes, blank lines, ``nan``
-or an error of any kind, makes it decline, and the line parser reads the
-input again from the start, a row at a time with ``float``. The block parser
-accepts a strict subset of what the line parser accepts and gives the same
-bits, so which tier ran shows only in the time taken; every error comes from
-the line parser, with its row number and text. A text stream, a pipe or
-another unseekable source goes to the line parser directly, so it is read
-once. A caller's stream is left open.
+file's path or a seekable binary stream) first goes to the block parser,
+which reads about 4 MiB at a time and checks each block with array
+operations: only digits, ``.``, ``,``, ``e``, ``E``, ``+``, ``-`` and LF;
+the header's field count on every line; labels exactly ``0`` or ``1``;
+probabilities (parsed by ``np.loadtxt``, which uses the same conversion as
+``float``) finite and in [0, 1]. Anything else, such as CRLF, whitespace,
+quotes, blank lines, ``nan`` or an error of any kind, makes it decline, and
+the line parser reads the input again from the start, a row at a time with
+``float``. The block parser accepts a strict subset of what the line parser
+accepts and gives the same bits, so which tier ran shows only in the time
+taken; every error comes from the line parser, with its row number and text.
+A text stream, a pipe or another unseekable source goes to the line parser
+directly, so it is read once. A caller's stream is left open.
 
 Rows are written through one ``%`` template per chunk of rows, which gives
 the same bytes as formatting each value with ``.17g``.
