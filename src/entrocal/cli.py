@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import secrets
 import sys
@@ -135,22 +136,33 @@ def _cmd_simulate(args) -> int:
         noise_mean=args.noise_mean,
         noise_sigma=args.noise_sigma,
     )
-    sim = simulate(config)
+    sim = _from_flags(simulate, config)  # log-odds that overflow are a ValueError
     with _writing(args.output):
         write_simulated_csv(sim, args.output, include_true_probs=args.include_true)
     print(f"wrote {args.output} (n={config.n}, seed={seed})", file=sys.stderr)
     return 0
 
 
+def _run_dir(sigma: float) -> str:
+    return f"sigma-{sigma:g}"
+
+
 def _parse_sigmas(raw: str) -> list[float]:
+    parts = [part.strip() for part in raw.split(",") if part.strip()]
     try:
-        sigmas = [float(part) for part in raw.split(",") if part.strip() != ""]
+        sigmas = [float(part) for part in parts]
     except ValueError:
         raise UsageError(f"invalid --sigmas value '{raw}'") from None
     if not sigmas:
         raise UsageError("--sigmas must list at least one value")
-    if any(s < 0 for s in sigmas):
-        raise UsageError("sigma values must be >= 0")
+    if not all(math.isfinite(s) and s >= 0 for s in sigmas):
+        raise UsageError("sigma values must be finite and >= 0")
+    dirs = [_run_dir(s) for s in sigmas]
+    for i, name in enumerate(dirs):
+        first = dirs.index(name)
+        if first != i:
+            raise UsageError(f"--sigmas values '{parts[first]}' and '{parts[i]}' "
+                             f"would both write {name}/")
     return sigmas
 
 
@@ -167,14 +179,14 @@ def _cmd_suite(args) -> int:
         seed=seed, n=args.n, logodds_halfwidth=args.halfwidth, weight=args.weight,
     )
 
-    runs = run_noise_suite(base, sigmas, spec, policy)
+    runs = _from_flags(run_noise_suite, base, sigmas, spec, policy)
     root = Path(out_dir)
     comparison = [
         "| Sigma | Seed | ECE | ESCE | ECD | Brier | NLL |",
         "|-------|------|-----|------|-----|-------|-----|",
     ]
     for run in runs:
-        sub = root / f"sigma-{run.sigma:g}"
+        sub = root / _run_dir(run.sigma)
         dataset_csv = sub / "dataset.csv"
         with _writing(dataset_csv):
             write_simulated_csv(run.data, dataset_csv, include_true_probs=True)

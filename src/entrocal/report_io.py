@@ -12,20 +12,20 @@ float64 bit-for-bit. Every file written by path is written atomically: a
 temporary file in the destination directory (created if missing), then a
 rename over the destination, so a failed write leaves the old file intact.
 
-Loading runs in two tiers with one contract. A seekable source (a regular
-file's path or a seekable binary stream) first goes to the block parser,
-which reads about 4 MiB at a time and checks each block with array
-operations: only digits, ``.``, ``,``, ``e``, ``E``, ``+``, ``-`` and LF;
-the header's field count on every line; labels exactly ``0`` or ``1``;
-probabilities (parsed by ``np.loadtxt``, which uses the same conversion as
-``float``) finite and in [0, 1]. Anything else, such as CRLF, whitespace,
-quotes, blank lines, ``nan`` or an error of any kind, makes it decline, and
-the line parser reads the input again from the start, a row at a time with
-``float``. The block parser accepts a strict subset of what the line parser
-accepts and gives the same bits, so which tier ran shows only in the time
-taken; every error comes from the line parser, with its row number and text.
-A text stream, a pipe or another unseekable source goes to the line parser
-directly, so it is read once. A caller's stream is left open.
+Every source is read once. A path, a binary stream or a pipe is read about
+4 MiB at a time, cut after the last LF, and each block is parsed by arrays
+or by rows. The array parser takes a block of only digits, ``.``, ``,``,
+``e``, ``E``, ``+``, ``-`` and LF, with the header's field count on every
+line, labels exactly ``0`` or ``1`` and probabilities (parsed by
+``np.loadtxt``, which uses the same conversion as ``float``) finite and in
+[0, 1]. Any other block (CRLF, whitespace, quotes, blank lines, ``nan``, a
+bad row) goes to the row parser, which reads it a line at a time with
+``float``, counting rows on from the blocks before it, so every error
+carries its row number; invalid UTF-8 is an error of its row too. The two
+parsers give the same bits, so which one ran shows only in the time taken.
+The header line ends at LF, CRLF or a bare CR, as body lines do in the row
+parser. A text stream goes to the row parser whole. A caller's stream is
+left open.
 
 Rows are written through one ``%`` template per chunk of rows, which gives
 the same bytes as formatting each value with ``.17g``.
@@ -90,7 +90,7 @@ def load_csv(source: Source) -> Dataset:
 
     Raises ``ValueError`` identifying the 1-based row and reason for the
     first malformed value (missing column, unparsable number, probability
-    out of range, non-binary label).
+    out of range, non-binary label, invalid UTF-8).
     """
     if isinstance(source, (str, Path)):
         with open(source, "rb") as fh:
@@ -101,14 +101,31 @@ def load_csv(source: Source) -> Dataset:
 
 
 def _load_binary(fh) -> Dataset:
-    """Block parser first when ``fh`` can be rewound for the line parser, else lines."""
-    if fh.seekable():
-        start = fh.tell()
-        data = _load_blocks(fh)
-        if data is not None:
-            return data
-        fh.seek(start)
-    return _load_lines(fh)
+    """Read ``fh`` once: each block by :func:`_parse_block`, or else by the row parser."""
+    columns, rest = _header(fh)
+    parts, rownum = [], 2
+    for block in _blocks(fh, rest):
+        part = _parse_block(block, *columns)
+        if part is None:
+            *part, rownum = _row_block(block, rownum, columns)
+        else:
+            rownum += block.count(b"\n")
+        parts.append(part)
+    if not parts:
+        return Dataset([], [])
+    probs, labels = zip(*parts)
+    return Dataset(np.concatenate(probs), np.concatenate(labels))
+
+
+def _load_lines(source: Union[TextIO, io.RawIOBase, io.BufferedIOBase]) -> Dataset:
+    """The row parser alone over a whole stream, text or binary."""
+    if isinstance(source, (io.RawIOBase, io.BufferedIOBase)):
+        columns, rest = _header(source)
+        return Dataset(*_row_block(rest + source.read(), 2, columns)[:2])
+    header_line = source.readline()
+    if not header_line:
+        raise ValueError("row 1: missing header")
+    return Dataset(*_parse_rows(source, 2, *_columns(header_line.rstrip("\r\n")))[:2])
 
 
 def _columns(header_line: str) -> tuple[int, int, int]:
@@ -120,53 +137,30 @@ def _columns(header_line: str) -> tuple[int, int, int]:
     return len(header), header.index("prob"), header.index("label")
 
 
-#: Bytes read per block by the block parser; each block is cut after its
-#: last newline and the rest carried into the next.
+def _header(fh) -> tuple[tuple[int, int, int], bytes]:
+    """Columns of the header line (ended by LF, CRLF or a bare CR), and any bytes after a CR."""
+    line = fh.readline()
+    if not line:
+        raise ValueError("row 1: missing header")
+    head, _, rest = line.partition(b"\r")
+    try:
+        text = head.removesuffix(b"\n").decode("utf-8")
+    except UnicodeDecodeError:
+        raise ValueError("row 1: invalid UTF-8") from None
+    return _columns(text), rest.removeprefix(b"\n")
+
+
+#: Bytes read per block; a block ends at its last LF and the rest opens the next.
 _BLOCK_SIZE = 4 << 20
 _BLOCK_BYTES = b"0123456789.,eE+-\n"
 
 
-def _load_blocks(fh) -> Optional[Dataset]:
-    """Parse the common case of ``load_csv`` a block at a time, or return None.
+def _blocks(fh, head: bytes):
+    """Whole lines of ``head`` then ``fh``, each ending in LF, a block at a time.
 
-    Accepts a strict subset of what :func:`_load_lines` accepts: an ASCII
-    header, then a body of only the bytes in ``_BLOCK_BYTES``, with k - 1
-    commas on every line, every label exactly ``0`` or ``1`` and every
-    probability a number that is finite and in [0, 1]. (Other columns are
-    not read, by either parser, so they may be empty.) Such a file gives the
-    same ``Dataset`` as the line parser, which uses the same ``float`` parse.
-    For anything else it returns None, and the caller re-runs the line
-    parser from the start, so every error keeps its row number and its text.
+    A line longer than a block is gathered piece by piece, so the work stays linear.
     """
-    line = fh.readline()
-    if not line.isascii():
-        return None
-    text = line.decode("ascii").removesuffix("\n").removesuffix("\r")
-    if "\r" in text:  # the line parser also ends a line at a bare CR
-        return None
-    try:
-        k, prob_col, label_col = _columns(text)
-    except ValueError:
-        return None
-    parsed = []
-    for block in _blocks(fh):
-        part = _parse_block(block, k, prob_col, label_col)
-        if part is None:
-            return None
-        parsed.append(part)
-    if not parsed:
-        return Dataset([], [])
-    probs, labels = zip(*parsed)
-    return Dataset(np.concatenate(probs), np.concatenate(labels))
-
-
-def _blocks(fh):
-    """Whole lines of ``fh``, about ``_BLOCK_SIZE`` bytes at a time, each ending in LF.
-
-    A line longer than a block is gathered piece by piece, so the work stays
-    linear in its length.
-    """
-    pending = []  # the start of a line that no block has ended yet
+    pending = [head]  # the start of a line that no block has ended yet
     while chunk := fh.read(_BLOCK_SIZE):
         cut = chunk.rfind(b"\n") + 1
         if cut:
@@ -178,7 +172,11 @@ def _blocks(fh):
 
 
 def _parse_block(block: bytes, k: int, prob_col: int, label_col: int):
-    """(probs, labels) of whole lines ending in a newline, or None to decline."""
+    """(probs, labels) of a block by array operations, or None to decline it.
+
+    Takes a subset of the row parser's input (``_BLOCK_BYTES`` only, k - 1 commas
+    a line, labels ``0``/``1``, probabilities finite in [0, 1]) with its bits.
+    """
     if block.translate(None, _BLOCK_BYTES):
         return None
     raw = np.frombuffer(block, dtype=np.uint8)
@@ -209,46 +207,46 @@ def _parse_block(block: bytes, k: int, prob_col: int, label_col: int):
     return probs, label_bytes - ord("0")
 
 
-def _load_lines(source: Union[TextIO, io.RawIOBase, io.BufferedIOBase]) -> Dataset:
-    """The line parser: ``float`` per field, a located error for the first bad row."""
-    if isinstance(source, (io.RawIOBase, io.BufferedIOBase)):
-        stream = io.TextIOWrapper(source, encoding="utf-8", newline="")
-    else:
-        stream = source
+def _row_block(block: bytes, rownum: int, columns: tuple[int, int, int]):
+    """(probs, labels, next row) of a block by the row parser, which splits at LF, CRLF or CR.
+
+    Invalid UTF-8 is reported at its row, once the rows before it have passed.
+    """
     try:
-        header_line = stream.readline()
-        if not header_line:
-            raise ValueError("row 1: missing header")
-        k, prob_col, label_col = _columns(header_line.rstrip("\r\n"))
-        probs: list[float] = []
-        labels: list[int] = []
-        for rownum, line in enumerate(stream, start=2):
-            line = line.rstrip("\r\n")
-            if not line:
-                continue
-            fields = line.split(",")
-            if len(fields) != k:
-                raise ValueError(f"row {rownum}: expected {k} fields, got {len(fields)}")
-            raw_prob = fields[prob_col].strip()
-            raw_label = fields[label_col].strip()
-            try:
-                p = float(raw_prob)
-            except ValueError:
-                raise ValueError(f"row {rownum}: invalid prob value '{raw_prob}'") from None
-            if not math.isfinite(p) or not (0.0 <= p <= 1.0):
-                raise ValueError(f"row {rownum}: prob out of range: {raw_prob}")
-            if raw_label == "0":
-                y = 0
-            elif raw_label == "1":
-                y = 1
-            else:
-                raise ValueError(f"row {rownum}: label must be 0 or 1, got '{raw_label}'")
-            probs.append(p)
-            labels.append(y)
-        return Dataset(probs, labels)
-    finally:
-        if stream is not source:
-            stream.detach()  # the binary stream stays open for its owner
+        text, bad = block.decode("utf-8"), False
+    except UnicodeDecodeError as exc:
+        text, bad = block[: exc.start].decode("utf-8"), True
+        text = text[: max(text.rfind("\n"), text.rfind("\r")) + 1]
+    probs, labels, rownum = _parse_rows(io.StringIO(text, newline=""), rownum, *columns)
+    if bad:
+        raise ValueError(f"row {rownum}: invalid UTF-8")
+    return probs, labels, rownum
+
+
+def _parse_rows(lines, first: int, k: int, prob_col: int, label_col: int):
+    """The row parser: (probs, labels, next row number), the first bad row located."""
+    probs, labels, rownum = [], [], first - 1
+    for rownum, line in enumerate(lines, start=first):
+        line = line.rstrip("\r\n")
+        if not line:
+            continue
+        fields = line.split(",")
+        if len(fields) != k:
+            raise ValueError(f"row {rownum}: expected {k} fields, got {len(fields)}")
+        raw_prob = fields[prob_col].strip()
+        raw_label = fields[label_col].strip()
+        try:
+            p = float(raw_prob)
+        except ValueError:
+            raise ValueError(f"row {rownum}: invalid prob value '{raw_prob}'") from None
+        if not math.isfinite(p) or not (0.0 <= p <= 1.0):
+            raise ValueError(f"row {rownum}: prob out of range: {raw_prob}")
+        y = raw_label == "1"
+        if not y and raw_label != "0":
+            raise ValueError(f"row {rownum}: label must be 0 or 1, got '{raw_label}'")
+        probs.append(p)
+        labels.append(y)
+    return np.array(probs, dtype=np.float64), np.array(labels, dtype=np.int64), rownum + 1
 
 
 #: Rows formatted per ``%`` template in :func:`_dataset_csv_text`.
@@ -471,12 +469,17 @@ def render_report(report: CalibrationReport, format: str = "markdown") -> Report
 _SVG_FONT = 'font-family="Helvetica,Arial,sans-serif"'
 
 
-def _svg_header(width: int, height: int) -> list[str]:
-    return [
+def _svg_header(width: int, height: int, title: str):
+    """Opening tags and title of a document, and its plot area (x0, y0, x1, y1) in px."""
+    x0, y0, x1, y1 = 60, height - 50, width - 20, 30
+    parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}" version="1.1">',
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>',
+        f'<text x="{(x0 + x1) / 2:.2f}" y="18" text-anchor="middle" font-size="13" '
+        f"{_SVG_FONT}>{title}</text>",
     ]
+    return parts, (x0, y0, x1, y1)
 
 
 def _axis_frame(x0, y0, x1, y1, xlab, ylab, ticks_x, ticks_y, tick_fmt="{:.1f}"):
@@ -519,9 +522,6 @@ def _axis_frame(x0, y0, x1, y1, xlab, ylab, ticks_x, ticks_y, tick_fmt="{:.1f}")
 def render_reliability_svg(
     points: Sequence[tuple[float, float, int]],
     *,
-    width: int = 420,
-    height: int = 420,
-    show_bin_labels: bool = True,
     title: str = "Reliability diagram",
 ) -> str:
     """Reliability diagram: identity reference line plus one marker per bin.
@@ -531,16 +531,12 @@ def render_reliability_svg(
     diagonal are under-confident bins, below are over-confident. Empty input
     yields just the axes and the reference line.
     """
-    x0, y0, x1, y1 = 60, height - 50, width - 20, 30
+    parts, (x0, y0, x1, y1) = _svg_header(420, 420, title)
+
     def to_px(cx: float, cy: float) -> tuple[float, float]:
         return x0 + cx * (x1 - x0), y0 - cy * (y0 - y1)
 
     ticks = [(v / 5, v / 5) for v in range(6)]
-    parts = _svg_header(width, height)
-    parts.append(
-        f'<text x="{(x0 + x1) / 2:.2f}" y="18" text-anchor="middle" font-size="13" '
-        f"{_SVG_FONT}>{title}</text>"
-    )
     parts.extend(_axis_frame(x0, y0, x1, y1, "mean predicted probability",
                              "fraction of positives", ticks, ticks))
     dx0, dy0 = to_px(0.0, 0.0)
@@ -555,11 +551,10 @@ def render_reliability_svg(
             f'<circle cx="{px:.2f}" cy="{py:.2f}" r="4" fill="#d62728" '
             f'data-conf="{conf:.17g}" data-frac="{frac:.17g}" data-count="{count}"/>'
         )
-        if show_bin_labels:
-            parts.append(
-                f'<text x="{px + 6:.2f}" y="{py - 6:.2f}" font-size="10" '
-                f"{_SVG_FONT}>{i + 1}</text>"
-            )
+        parts.append(
+            f'<text x="{px + 6:.2f}" y="{py - 6:.2f}" font-size="10" '
+            f"{_SVG_FONT}>{i + 1}</text>"
+        )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
@@ -568,8 +563,6 @@ def render_histogram_svg(
     data: Dataset,
     bins: int = 10,
     *,
-    width: int = 420,
-    height: int = 320,
     title: str = "Estimated probability histogram",
 ) -> str:
     """Bar chart of estimated-probability counts per equal-width bin."""
@@ -579,14 +572,9 @@ def render_histogram_svg(
         raise ValueError("empty dataset")
     counts = np.bincount(bin_indices(data.probs, BinSpec(bins)), minlength=bins).tolist()
     top = max(counts)
-    x0, y0, x1, y1 = 60, height - 50, width - 20, 30
+    parts, (x0, y0, x1, y1) = _svg_header(420, 320, title)
     ticks_x = [(v / 5, v / 5) for v in range(6)]
     ticks_y = [(v / 4, round(top * v / 4)) for v in range(5)]
-    parts = _svg_header(width, height)
-    parts.append(
-        f'<text x="{(x0 + x1) / 2:.2f}" y="18" text-anchor="middle" font-size="13" '
-        f"{_SVG_FONT}>{title}</text>"
-    )
     parts.extend(
         _axis_frame(x0, y0, x1, y1, "estimated probability", "count",
                     ticks_x, ticks_y, tick_fmt="{}")
@@ -606,8 +594,6 @@ def render_histogram_svg(
 def render_ecd_curve_svg(
     curve: Sequence[tuple[float, float, float]],
     *,
-    width: int = 480,
-    height: int = 360,
     title: str = "Per-datum ECD score vs estimated probability",
 ) -> str:
     """Score curve for both labels with a zero line and a minimum annotation.
@@ -618,24 +604,18 @@ def render_ecd_curve_svg(
     """
     if len(curve) < 1:
         raise ValueError("empty curve")
-    probs = [c[0] for c in curve]
     smin = min(min(c[1], c[2]) for c in curve)
     smax = max(max(c[1], c[2]) for c in curve)
     lo = min(smin, 0.0)
     hi = max(smax, 0.0)
     span = hi - lo or 1.0
-    x0, y0, x1, y1 = 60, height - 50, width - 20, 30
+    parts, (x0, y0, x1, y1) = _svg_header(480, 360, title)
 
     def to_px(p: float, s: float) -> tuple[float, float]:
         return x0 + p * (x1 - x0), y0 - (s - lo) / span * (y0 - y1)
 
     ticks_x = [(v / 5, v / 5) for v in range(6)]
     ticks_y = [(v / 4, lo + span * v / 4) for v in range(5)]
-    parts = _svg_header(width, height)
-    parts.append(
-        f'<text x="{(x0 + x1) / 2:.2f}" y="18" text-anchor="middle" font-size="13" '
-        f"{_SVG_FONT}>{title}</text>"
-    )
     parts.extend(
         _axis_frame(x0, y0, x1, y1, "estimated probability", "per-datum ECD",
                     ticks_x, ticks_y, tick_fmt="{:.2f}")

@@ -80,6 +80,9 @@ class SimulationConfig:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
+        for name in ("logodds_halfwidth", "weight", "noise_mean", "noise_sigma"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.logodds_halfwidth > 0:
             raise ValueError(f"logodds_halfwidth must be > 0, got {self.logodds_halfwidth}")
         if not self.weight > 0:
@@ -121,17 +124,20 @@ def simulate(config: SimulationConfig) -> SimulatedDataset:
     """Run the generator; fully deterministic given ``config.seed``."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(config.seed)))
     n = config.n
-    u = config.weight * (config.logodds_halfwidth * (2.0 * rng.random(n) - 1.0))
-    true_probs = logistic(u)
-    labels = (rng.random(n) < true_probs).astype(np.int64)
-    if config.noise_sigma > 0:
-        from scipy.special import ndtri  # about 0.3 s to import; only noisy runs need it
+    # Log-odds that overflow to +-inf give true probabilities of exactly 0 or 1
+    # (and possibly NaN estimates from inf - inf), which SimulatedDataset rejects.
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = config.weight * (config.logodds_halfwidth * (2.0 * rng.random(n) - 1.0))
+        true_probs = logistic(u)
+        labels = (rng.random(n) < true_probs).astype(np.int64)
+        if config.noise_sigma > 0:
+            from scipy.special import ndtri  # about 0.3 s to import; only noisy runs need it
 
-        v = np.maximum(rng.random(n), 2.0 ** -53)
-        eps = config.noise_mean + config.noise_sigma * ndtri(v)
-    else:
-        eps = np.full(n, config.noise_mean)
-    estimated = logistic(u + eps)
+            v = np.maximum(rng.random(n), 2.0 ** -53)
+            eps = config.noise_mean + config.noise_sigma * ndtri(v)
+        else:
+            eps = np.full(n, config.noise_mean)
+        estimated = logistic(u + eps)
     return SimulatedDataset(
         config=config,
         true_logodds=u,

@@ -94,6 +94,16 @@ def test_evaluate_malformed_csv_exit_2(tmp_path, capsys):
     assert "row 2" in err and "out of range" in err
 
 
+@pytest.mark.parametrize("body,row", [(b"prob,label\n0.5,1\n0.2,\xff0\n", 3),
+                                      (b"pr\xffob,label\n0.5,1\n", 1)])
+def test_evaluate_invalid_utf8_exit_2_with_row(tmp_path, capsys, body, row):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(body)
+    code, out, err = run_cli(capsys, "evaluate", "--input", str(bad))
+    assert code == 2 and out == ""
+    assert err == f"entrocal: error: {bad}: row {row}: invalid UTF-8\n"
+
+
 def test_evaluate_missing_file_exit_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "evaluate", "--input", str(tmp_path / "nope.csv"))
     assert code == 2
@@ -191,6 +201,15 @@ def test_simulate_invalid_params_exit_1(tmp_path, capsys):
         "--output", str(tmp_path / "x.csv"),
     )
     assert code == 1
+    # Non-finite parameters, and finite ones whose log-odds overflow.
+    for flags in (["--noise-mean", "nan"], ["--noise-sigma", "nan"], ["--halfwidth", "inf"],
+                  ["--weight", "nan"], ["--halfwidth", "1e308", "--weight", "10"],
+                  ["--noise-sigma", "1e308"]):
+        code, out, err = run_cli(capsys, "simulate", *flags, "--seed", "1", "--n", "50",
+                                 "--output", str(tmp_path / "x.csv"))
+        assert code == 1 and out == ""
+        assert err.startswith("entrocal: error: ") and err.count("\n") == 1
+    assert not (tmp_path / "x.csv").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -252,10 +271,30 @@ def test_suite_requires_out_dir(tmp_path, capsys, monkeypatch):
 
 
 def test_suite_bad_sigmas_exit_1(tmp_path, capsys):
-    for sigmas in ("", "a,b", "-1"):
+    for sigmas in ("", "a,b", "-1", "nan,0", "inf", "0,-inf"):
         code, _, _ = run_cli(capsys, "suite", "--sigmas", sigmas, "--seed", "1",
                              "--n", "50", "--out-dir", str(tmp_path / "x"))
         assert code == 1
+    code, _, err = run_cli(capsys, "suite", "--sigmas", "0,0.5", "--halfwidth", "1e308",
+                           "--weight", "10", "--seed", "1", "--n", "50",
+                           "--out-dir", str(tmp_path / "x"))
+    assert code == 1 and err.startswith("entrocal: error: ")
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("sigmas,first,second,name", [
+    ("0,0", "0", "0", "sigma-0"),
+    ("0.5,2,0.50", "0.5", "0.50", "sigma-0.5"),
+    ("0.1234567,0.1234568", "0.1234567", "0.1234568", "sigma-0.123457"),
+])
+def test_suite_sigmas_sharing_a_directory_exit_1(tmp_path, capsys, sigmas, first, second, name):
+    out = tmp_path / "x"
+    code, _, err = run_cli(capsys, "suite", "--sigmas", sigmas, "--seed", "1",
+                           "--n", "50", "--out-dir", str(out))
+    assert code == 1
+    assert err == (f"entrocal: error: --sigmas values '{first}' and '{second}' "
+                   f"would both write {name}/\n")
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

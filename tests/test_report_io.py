@@ -113,8 +113,9 @@ def _pinned(p_bits, labels):
     return ("data", np.array(p_bits, dtype=np.float64).view(np.int64).tolist(), labels)
 
 
-# Inputs on which the block parser must decline and the line parser decides:
-# each pinned to the line parser's result or its exact error text.
+# Inputs decided by the header rule, or by the row parser after the block
+# parser declines the body: each pinned to the row parser's result or its
+# exact error text.
 FALLBACK_CASES = [
     (b"prob,label\n1_0,1\n", ("error", "row 2: prob out of range: 1_0")),
     (b"prob,label\n0.2_5,1\n", _pinned([0.25], [1])),
@@ -146,10 +147,11 @@ FALLBACK_CASES = [
     (b"prob,label\n1e500,1\n", ("error", "row 2: prob out of range: 1e500")),
     (b"prob,label\n0.5,1\n1e,0\n", ("error", "row 3: invalid prob value '1e'")),
     (b"prob,label\n0.5,1\n-0.5,0\n", ("error", "row 3: prob out of range: -0.5")),
-    (b"prob,label\n0.5,1\n\xff,0\n", None),  # invalid UTF-8: a UnicodeDecodeError
+    pytest.param(b"prob,label\n0.5,1\n\xff,0\n", ("error", "row 3: invalid UTF-8"),
+                 id="invalid-utf8"),
 ]
 
-# Inputs the block parser takes itself, with the line parser's bits.
+# Inputs the block parser takes itself, with the row parser's bits.
 BLOCK_CASES = [
     (b"prob,label\n1e-400,1\n", _pinned([0.0], [1])),
     (b"prob,label\n-0,0\n", _pinned([-0.0], [0])),
@@ -163,25 +165,50 @@ BLOCK_CASES = [
 ]
 
 
-@pytest.mark.parametrize("body,expected", FALLBACK_CASES + BLOCK_CASES)
+# Invalid UTF-8 in a block's first row, and after a bad row of the same block.
+UTF8_CASES = [
+    pytest.param(b"prob,label\n\xff,0\n0.5,1\n", ("error", "row 2: invalid UTF-8"),
+                 id="invalid-utf8-first-row"),
+    pytest.param(b"prob,label\n0.5,7\n\xff,0\n",
+                 ("error", "row 2: label must be 0 or 1, got '7'"), id="invalid-utf8-late"),
+]
+
+
+@pytest.mark.parametrize("body,expected", FALLBACK_CASES + BLOCK_CASES + UTF8_CASES)
 def test_load_csv_matches_line_parser(as_source, body, expected):
     lines = _lines_outcome(body)
-    if expected is not None:
-        assert lines == expected
+    assert lines == expected
     assert _outcome(lambda _: load_csv(as_source(body)), body) == lines
 
 
-@pytest.mark.parametrize("body,expected", FALLBACK_CASES)
+@pytest.mark.parametrize("body,expected", FALLBACK_CASES + UTF8_CASES)
 def test_block_parser_declines_what_it_does_not_take(body, expected):
-    assert report_io._load_blocks(io.BytesIO(body)) is None
+    # After a plain header the block parser must decline the body; a BOM,
+    # quotes or a bare CR in the header line are decided by the header rule.
+    fh = io.BytesIO(body)
+    header, ending = re.match(rb"([^\r\n]*)(\r\n|\r|\n|)", body).groups()
+    if not re.fullmatch(rb"[a-z,]+", header):
+        with pytest.raises(ValueError) as excinfo:
+            report_io._header(fh)
+        assert ("error", str(excinfo.value)) == expected
+        return
+    columns, rest = report_io._header(fh)
+    assert columns == report_io._columns(header.decode())
+    if ending == b"\r":  # the header ends at the bare CR, and row 2 follows it
+        assert rest == body[len(header) + 1:]
+    else:
+        assert rest == b""
+        blocks = list(report_io._blocks(fh, rest))
+        assert [report_io._parse_block(b, *columns) for b in blocks] == [None]
+
+
+def _no_row_parser(*args):
+    raise AssertionError("the row parser ran")
 
 
 @pytest.mark.parametrize("body,expected", BLOCK_CASES)
 def test_block_parser_takes_the_common_case(as_source, monkeypatch, body, expected):
-    def no_fallback(source):
-        raise AssertionError("the line parser ran")
-
-    monkeypatch.setattr(report_io, "_load_lines", no_fallback)
+    monkeypatch.setattr(report_io, "_parse_rows", _no_row_parser)
     data = load_csv(as_source(body))
     assert ("data", data.probs.view(np.int64).tolist(), data.labels.tolist()) == expected
 
@@ -207,22 +234,58 @@ def test_load_csv_reads_from_the_stream_position_and_leaves_it_open():
     assert not stream.closed
     stream = io.BytesIO(b"junk\nprob,label\r\n0.5,1\r\n")
     stream.readline()
-    assert load_csv(stream) == Dataset([0.5], [1])  # the line parser reads from 'prob'
+    assert load_csv(stream) == Dataset([0.5], [1])  # the header is read from 'prob'
     assert not stream.closed
+
+
+def _pipe_path(body: bytes) -> tuple[str, int]:
+    """A ``/dev/fd`` path to a pipe holding ``body``, and its read end to close."""
+    read_end, write_end = os.pipe()
+    with os.fdopen(write_end, "wb") as fh:
+        fh.write(body)
+    return f"/dev/fd/{read_end}", read_end
 
 
 @pytest.mark.parametrize("body", [b"prob,label\n0.5,1\n0.25,0\n",
                                   b"prob,label\r\n0.5,1\r\n0.25,0\r\n"])
 def test_load_csv_reads_a_pipe_once(body):
-    # A pipe cannot be rewound, so the line parser reads it directly; opening
-    # its path a second time would find it drained.
-    read_end, write_end = os.pipe()
-    with os.fdopen(write_end, "wb") as fh:
-        fh.write(body)
+    # A pipe cannot be rewound: each block is parsed as it is read, by arrays
+    # (LF) or by rows (CRLF), and a second read would find the pipe drained.
+    path, read_end = _pipe_path(body)
     try:
-        assert load_csv(f"/dev/fd/{read_end}") == Dataset([0.5, 0.25], [1, 0])
+        assert load_csv(path) == Dataset([0.5, 0.25], [1, 0])
     finally:
         os.close(read_end)
+
+
+def test_plain_pipe_is_parsed_by_arrays(monkeypatch):
+    monkeypatch.setattr(report_io, "_parse_rows", _no_row_parser)
+    path, read_end = _pipe_path(b"prob,label\n0.5,1\n0.25,0\n")
+    try:
+        assert load_csv(path) == Dataset([0.5, 0.25], [1, 0])
+    finally:
+        os.close(read_end)
+
+
+def test_bad_last_row_is_row_parsed_from_its_own_block(monkeypatch):
+    rng = np.random.default_rng(5)
+    rows = "".join(f"{p:.17g},{y}\n" for p, y in zip(rng.random(40), rng.integers(0, 2, 40)))
+    body = f"prob,label\n{rows}0.5,2\n".encode()
+    monkeypatch.setattr(report_io, "_BLOCK_SIZE", 64)
+    calls = []
+    row_block = report_io._row_block
+
+    def spy(block, rownum, columns):
+        calls.append((block, rownum))
+        return row_block(block, rownum, columns)
+
+    monkeypatch.setattr(report_io, "_row_block", spy)
+    with pytest.raises(ValueError) as excinfo:
+        load_csv(io.BytesIO(body))
+    assert str(excinfo.value) == "row 42: label must be 0 or 1, got '2'"
+    [(block, rownum)] = calls  # every earlier block was parsed by arrays
+    assert block.endswith(b"\n0.5,2\n") and block.count(b"\n") < 10
+    assert rownum + block.count(b"\n") - 1 == 42
 
 
 _FIELDS = st.one_of(

@@ -51,6 +51,15 @@ def test_logistic_monotone_and_stable():
         {"logodds_halfwidth": -1.0},
         {"weight": 0.0},
         {"noise_sigma": -0.5},
+        {"logodds_halfwidth": float("nan")},
+        {"logodds_halfwidth": float("inf")},
+        {"weight": float("nan")},
+        {"weight": float("inf")},
+        {"noise_mean": float("nan")},
+        {"noise_mean": float("inf")},
+        {"noise_mean": float("-inf")},
+        {"noise_sigma": float("nan")},
+        {"noise_sigma": float("inf")},
     ],
 )
 def test_config_validation(kwargs):
