@@ -17,6 +17,7 @@ OS and announce it on stderr.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -150,7 +151,7 @@ def _run_dir(sigma: float) -> str:
 def _parse_sigmas(raw: str) -> list[float]:
     parts = [part.strip() for part in raw.split(",") if part.strip()]
     try:
-        sigmas = [float(part) for part in parts]
+        sigmas = [float(part) + 0.0 for part in parts]  # + 0.0 turns -0.0 into 0.0
     except ValueError:
         raise UsageError(f"invalid --sigmas value '{raw}'") from None
     if not sigmas:
@@ -219,6 +220,24 @@ def _cmd_suite(args) -> int:
     return 0
 
 
+#: Each field of a Gaussian record: whether it may be a list of lists, and what it must be.
+_GAUSSIAN_FIELDS = {
+    "mean": (False, "a number or a list of numbers"),
+    "covariance": (True, "a number or a list of lists of numbers"),
+    "truth": (False, "a number or a list of numbers"),
+}
+_JSON_NUMBERS = {int, float}  # not bool, a subclass of int
+
+
+def _json_numbers(value, nested: bool) -> bool:
+    """Whether ``value`` is a JSON number or a list of them (with ``nested``, or of such lists)."""
+    if type(value) is not list:
+        return type(value) in _JSON_NUMBERS
+    if nested and {list}.issuperset(map(type, value)):
+        value = itertools.chain.from_iterable(value)
+    return _JSON_NUMBERS.issuperset(map(type, value))
+
+
 def _as_matrix(value, index: int) -> np.ndarray:
     arr = np.asarray(value, dtype=np.float64)
     if arr.ndim < 2 and arr.size == 1:
@@ -244,13 +263,16 @@ def _cmd_gaussian(args) -> int:
     for i, rec in enumerate(payload):
         if not isinstance(rec, dict):
             raise DataError(f"record {i}: expected an object")
-        missing = [k for k in ("mean", "covariance", "truth") if k not in rec]
+        missing = [k for k in _GAUSSIAN_FIELDS if k not in rec]
         if missing:
             raise DataError(f"record {i}: missing key(s) {', '.join(missing)}")
+        for key, (nested, kind) in _GAUSSIAN_FIELDS.items():
+            if not _json_numbers(rec[key], nested):
+                raise DataError(f"record {i}: {key} must be {kind}")
         try:
             cov = _as_matrix(rec["covariance"], i)
             preds.append(GaussianPrediction(mean=rec["mean"], covariance=cov, truth=rec["truth"]))
-        except (TypeError, ValueError) as exc:  # TypeError: an object where a number goes
+        except (OverflowError, ValueError) as exc:  # OverflowError: an int beyond float64
             raise DataError(f"record {i}: {exc}") from None
     try:
         nees_value = nees(preds)

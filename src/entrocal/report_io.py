@@ -12,20 +12,20 @@ float64 bit-for-bit. Every file written by path is written atomically: a
 temporary file in the destination directory (created if missing), then a
 rename over the destination, so a failed write leaves the old file intact.
 
-Every source is read once. A path, a binary stream or a pipe is read about
-4 MiB at a time, cut after the last LF, and each block is parsed by arrays
-or by rows. The array parser takes a block of only digits, ``.``, ``,``,
-``e``, ``E``, ``+``, ``-`` and LF, with the header's field count on every
-line, labels exactly ``0`` or ``1`` and probabilities (parsed by
-``np.loadtxt``, which uses the same conversion as ``float``) finite and in
-[0, 1]. Any other block (CRLF, whitespace, quotes, blank lines, ``nan``, a
-bad row) goes to the row parser, which reads it a line at a time with
-``float``, counting rows on from the blocks before it, so every error
-carries its row number; invalid UTF-8 is an error of its row too. The two
-parsers give the same bits, so which one ran shows only in the time taken.
-The header line ends at LF, CRLF or a bare CR, as body lines do in the row
-parser. A text stream goes to the row parser whole. A caller's stream is
-left open.
+Every source is read once. A path, a binary stream, a pipe or a text stream
+(encoded to UTF-8 whole, a lone surrogate included as invalid UTF-8) is read
+about 4 MiB at a time, cut after the last LF, and each block is parsed by
+arrays or by rows. The array parser takes a block of only digits, ``.``,
+``,``, ``e``, ``E``, ``+``, ``-`` and LF or CRLF line ends, with the header's
+field count on every line, labels exactly ``0`` or ``1`` and probabilities
+(parsed by ``np.loadtxt``, which uses the same conversion as ``float``)
+finite and in [0, 1]. Any other block (a bare CR, whitespace, quotes, blank
+lines, ``nan``, a bad row) goes to the row parser, which reads it a line at
+a time with ``float``, counting rows on from the blocks before it, so every
+error carries its row number; invalid UTF-8 is an error of its row too. The
+two parsers give the same bits, so which one ran shows only in the time
+taken. The header line ends at LF, CRLF or a bare CR, as body lines do in
+the row parser. A caller's stream is left open.
 
 Rows are written through one ``%`` template per chunk of rows, which gives
 the same bytes as formatting each value with ``.17g``.
@@ -88,16 +88,17 @@ Source = Union[str, Path, TextIO, io.BufferedIOBase]
 def load_csv(source: Source) -> Dataset:
     """Load a prediction CSV into a :class:`Dataset`, preserving file order.
 
-    Raises ``ValueError`` identifying the 1-based row and reason for the
-    first malformed value (missing column, unparsable number, probability
-    out of range, non-binary label, invalid UTF-8).
+    ``source`` is a path, a binary stream or a text stream (read whole and
+    encoded to UTF-8). Raises ``ValueError`` identifying the 1-based row and
+    reason for the first malformed value (missing column, unparsable number,
+    probability out of range, non-binary label, invalid UTF-8).
     """
     if isinstance(source, (str, Path)):
         with open(source, "rb") as fh:
             return _load_binary(fh)
-    if isinstance(source, (io.RawIOBase, io.BufferedIOBase)):
-        return _load_binary(source)
-    return _load_lines(source)
+    if not isinstance(source, (io.RawIOBase, io.BufferedIOBase)):
+        source = io.BytesIO(source.read().encode("utf-8", "surrogatepass"))
+    return _load_binary(source)
 
 
 def _load_binary(fh) -> Dataset:
@@ -117,37 +118,29 @@ def _load_binary(fh) -> Dataset:
     return Dataset(np.concatenate(probs), np.concatenate(labels))
 
 
-def _load_lines(source: Union[TextIO, io.RawIOBase, io.BufferedIOBase]) -> Dataset:
-    """The row parser alone over a whole stream, text or binary."""
-    if isinstance(source, (io.RawIOBase, io.BufferedIOBase)):
-        columns, rest = _header(source)
-        return Dataset(*_row_block(rest + source.read(), 2, columns)[:2])
-    header_line = source.readline()
-    if not header_line:
-        raise ValueError("row 1: missing header")
-    return Dataset(*_parse_rows(source, 2, *_columns(header_line.rstrip("\r\n")))[:2])
-
-
-def _columns(header_line: str) -> tuple[int, int, int]:
-    """(field count, prob column, label column) of a header line without its newline."""
-    header = [h.strip() for h in header_line.split(",")]
-    for required in ("prob", "label"):
-        if required not in header:
-            raise ValueError(f"row 1: missing required column '{required}'")
-    return len(header), header.index("prob"), header.index("label")
+def _load_lines(source: Union[io.RawIOBase, io.BufferedIOBase]) -> Dataset:
+    """The row parser alone over a whole binary stream: the reference for the block reader."""
+    columns, rest = _header(source)
+    return Dataset(*_row_block(rest + source.read(), 2, columns)[:2])
 
 
 def _header(fh) -> tuple[tuple[int, int, int], bytes]:
-    """Columns of the header line (ended by LF, CRLF or a bare CR), and any bytes after a CR."""
+    """(field count, prob column, label column) of the header line, and any bytes after a CR.
+
+    The header line ends at LF, CRLF or a bare CR.
+    """
     line = fh.readline()
     if not line:
         raise ValueError("row 1: missing header")
     head, _, rest = line.partition(b"\r")
     try:
-        text = head.removesuffix(b"\n").decode("utf-8")
+        header = [h.strip() for h in head.removesuffix(b"\n").decode("utf-8").split(",")]
     except UnicodeDecodeError:
         raise ValueError("row 1: invalid UTF-8") from None
-    return _columns(text), rest.removeprefix(b"\n")
+    for required in ("prob", "label"):
+        if required not in header:
+            raise ValueError(f"row 1: missing required column '{required}'")
+    return (len(header), header.index("prob"), header.index("label")), rest.removeprefix(b"\n")
 
 
 #: Bytes read per block; a block ends at its last LF and the rest opens the next.
@@ -175,8 +168,11 @@ def _parse_block(block: bytes, k: int, prob_col: int, label_col: int):
     """(probs, labels) of a block by array operations, or None to decline it.
 
     Takes a subset of the row parser's input (``_BLOCK_BYTES`` only, k - 1 commas
-    a line, labels ``0``/``1``, probabilities finite in [0, 1]) with its bits.
+    a line, labels ``0``/``1``, probabilities finite in [0, 1]) with its bits. A
+    CRLF ends a line as LF does; a bare CR declines the block.
     """
+    if b"\r" in block:
+        block = block.replace(b"\r\n", b"\n")
     if block.translate(None, _BLOCK_BYTES):
         return None
     raw = np.frombuffer(block, dtype=np.uint8)

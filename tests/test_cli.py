@@ -282,14 +282,26 @@ def test_suite_bad_sigmas_exit_1(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+def test_suite_negative_zero_sigma_is_the_noiseless_run(tmp_path, capsys):
+    args = ["suite", "--seed", "1", "--n", "50", "--out-dir"]
+    assert run_cli(capsys, *args, str(tmp_path / "a"), "--sigmas=-0,0.5")[0] == 0
+    assert run_cli(capsys, *args, str(tmp_path / "b"), "--sigmas=0,0.5")[0] == 0
+    assert sorted(p.name for p in (tmp_path / "a").iterdir()) == [
+        "comparison.md", "sigma-0", "sigma-0.5"]
+    for name in ("comparison.md", "sigma-0/dataset.csv", "sigma-0/report.json"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    assert "| 0 |" in (tmp_path / "a" / "comparison.md").read_text()
+
+
 @pytest.mark.parametrize("sigmas,first,second,name", [
     ("0,0", "0", "0", "sigma-0"),
+    ("-0,0", "-0", "0", "sigma-0"),
     ("0.5,2,0.50", "0.5", "0.50", "sigma-0.5"),
     ("0.1234567,0.1234568", "0.1234567", "0.1234568", "sigma-0.123457"),
 ])
 def test_suite_sigmas_sharing_a_directory_exit_1(tmp_path, capsys, sigmas, first, second, name):
     out = tmp_path / "x"
-    code, _, err = run_cli(capsys, "suite", "--sigmas", sigmas, "--seed", "1",
+    code, _, err = run_cli(capsys, "suite", f"--sigmas={sigmas}", "--seed", "1",
                            "--n", "50", "--out-dir", str(out))
     assert code == 1
     assert err == (f"entrocal: error: --sigmas values '{first}' and '{second}' "
@@ -390,6 +402,43 @@ def test_gaussian_malformed_inputs_exit_2(tmp_path, capsys):
     code, out, err = run_cli(capsys, "gaussian", "--input", str(path))
     assert (code, out) == (2, "")
     assert err == "entrocal: error: record 1: truth - mean overflows\n"
+
+
+VECTOR = "a number or a list of numbers"
+MATRIX = "a number or a list of lists of numbers"
+
+
+@pytest.mark.parametrize(
+    "key,value,kind",
+    [
+        ("mean", ["1.5", 0.0], VECTOR),
+        ("mean", [True, False], VECTOR),
+        ("truth", [0.5, True], VECTOR),  # a boolean among numbers
+        ("truth", None, VECTOR),
+        ("mean", [[0.0, 0.0]], VECTOR),
+        ("truth", [[0.0, 0.0]], VECTOR),
+        ("covariance", "2", MATRIX),
+        ("covariance", [[1.0, 0.0], [0.0, True]], MATRIX),
+        ("covariance", [[[1.0, 0.0], [0.0, 1.0]]], MATRIX),
+    ],
+    ids=["string", "booleans", "boolean-among-numbers", "null", "nested-mean",
+         "nested-truth", "string-covariance", "boolean-in-covariance", "nested-covariance"],
+)
+def test_gaussian_non_numbers_exit_2_with_index(tmp_path, capsys, key, value, kind):
+    good = {"mean": [0.0, 0.0], "covariance": [[1.0, 0.0], [0.0, 1.0]], "truth": [0.5, 0.5]}
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps([good, {**good, key: value}]))
+    code, out, err = run_cli(capsys, "gaussian", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"entrocal: error: record 1: {key} must be {kind}\n"
+
+
+def test_gaussian_int_beyond_float64_exit_2(tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps([{"mean": [10**400], "covariance": [[1]], "truth": [0]}]))
+    code, out, err = run_cli(capsys, "gaussian", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err == "entrocal: error: record 0: int too large to convert to float\n"
 
 
 NAN, INF = float("nan"), float("inf")

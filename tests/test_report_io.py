@@ -45,11 +45,18 @@ def _write(tmp_path, body: bytes):
     return path
 
 
-@pytest.fixture(params=["stream", "path"])
+def _text(body: bytes) -> io.StringIO:
+    """A text stream of ``body``: its line ends kept, each invalid byte a lone surrogate."""
+    return io.StringIO(body.decode("utf-8", "surrogateescape"), newline="")
+
+
+@pytest.fixture(params=["stream", "path", "text"])
 def as_source(request, tmp_path):
-    """Turn CSV bytes into a binary stream or a file path, the two block-parsed sources."""
+    """Turn CSV bytes into a binary stream, a file path or a text stream."""
     if request.param == "stream":
         return io.BytesIO
+    if request.param == "text":
+        return _text
     return lambda body: _write(tmp_path, body)
 
 
@@ -126,7 +133,8 @@ FALLBACK_CASES = [
      ("error", "row 1: missing required column 'prob'")),
     ("prob,label\n\ufeff0.5,1\n".encode(),
      ("error", "row 2: invalid prob value '\ufeff0.5'")),
-    (b"prob,label\r\n0.5,1\r\n0.25,0\r\n", _pinned([0.5, 0.25], [1, 0])),
+    # CRLF blocks are parsed by arrays (BLOCK_CASES), but a bare CR among them is not.
+    (b"prob,label\r\n0.5,1\r\n0.25,0\r0.75,1\r\n", _pinned([0.5, 0.25, 0.75], [1, 0, 1])),
     (b"prob,label\r0.5,1\r0.25,0\r", _pinned([0.5, 0.25], [1, 0])),
     (b'prob,label\n"0.5",1\n', ("error", "row 2: invalid prob value '\"0.5\"'")),
     (b'"prob","label"\n0.5,1\n', ("error", "row 1: missing required column 'prob'")),
@@ -162,6 +170,7 @@ BLOCK_CASES = [
     (b"label,x,prob\n1,7,1\n0,-2e5,5e-324\n", _pinned([1.0, 5e-324], [1, 0])),
     (b"prob,label\n.5,1\n1.,0\n+0.125,1\n1E-1,0\n", _pinned([0.5, 1.0, 0.125, 0.1],
                                                            [1, 0, 1, 0])),
+    (b"prob,label\r\n0.5,1\r\n0.25,0\r\n", _pinned([0.5, 0.25], [1, 0])),
 ]
 
 
@@ -193,7 +202,8 @@ def test_block_parser_declines_what_it_does_not_take(body, expected):
         assert ("error", str(excinfo.value)) == expected
         return
     columns, rest = report_io._header(fh)
-    assert columns == report_io._columns(header.decode())
+    names = header.decode().split(",")
+    assert columns == (len(names), names.index("prob"), names.index("label"))
     if ending == b"\r":  # the header ends at the bare CR, and row 2 follows it
         assert rest == body[len(header) + 1:]
     else:
@@ -250,7 +260,7 @@ def _pipe_path(body: bytes) -> tuple[str, int]:
                                   b"prob,label\r\n0.5,1\r\n0.25,0\r\n"])
 def test_load_csv_reads_a_pipe_once(body):
     # A pipe cannot be rewound: each block is parsed as it is read, by arrays
-    # (LF) or by rows (CRLF), and a second read would find the pipe drained.
+    # (LF or CRLF), and a second read would find the pipe drained.
     path, read_end = _pipe_path(body)
     try:
         assert load_csv(path) == Dataset([0.5, 0.25], [1, 0])
@@ -260,11 +270,35 @@ def test_load_csv_reads_a_pipe_once(body):
 
 def test_plain_pipe_is_parsed_by_arrays(monkeypatch):
     monkeypatch.setattr(report_io, "_parse_rows", _no_row_parser)
-    path, read_end = _pipe_path(b"prob,label\n0.5,1\n0.25,0\n")
-    try:
-        assert load_csv(path) == Dataset([0.5, 0.25], [1, 0])
-    finally:
-        os.close(read_end)
+    for body in (b"prob,label\n0.5,1\n0.25,0\n", b"prob,label\r\n0.5,1\r\n0.25,0\r\n"):
+        path, read_end = _pipe_path(body)
+        try:
+            assert load_csv(path) == Dataset([0.5, 0.25], [1, 0])
+        finally:
+            os.close(read_end)
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_text_handle_is_parsed_by_arrays(tmp_path, monkeypatch, newline):
+    rng = np.random.default_rng(3)
+    probs, labels = rng.random(40), rng.integers(0, 2, 40)
+    rows = "".join(f"{p:.17g},{y}{newline}" for p, y in zip(probs, labels))
+    path = _write(tmp_path, f"prob,label{newline}{rows}".encode())
+    monkeypatch.setattr(report_io, "_BLOCK_SIZE", 64)  # a block of two or three rows
+    monkeypatch.setattr(report_io, "_parse_rows", _no_row_parser)
+    with open(path, encoding="utf-8") as fh:
+        assert load_csv(fh) == Dataset(probs, labels)
+
+
+def test_text_stream_splits_lines_as_bytes_do():
+    # A default StringIO splits only at LF, yet a bare CR ends the row here too.
+    assert load_csv(io.StringIO("prob,label\r0.5,1\r")) == Dataset([0.5], [1])
+    # A lone surrogate cannot be encoded as UTF-8: it is reported at its row.
+    with pytest.raises(ValueError) as excinfo:
+        load_csv(io.StringIO("prob,label\n0.5,1\n\ud800,0\n"))
+    assert str(excinfo.value) == "row 3: invalid UTF-8"
+    with pytest.raises(ValueError, match="^row 1: invalid UTF-8$"):
+        load_csv(io.StringIO("prob,label\ud800\n0.5,1\n"))
 
 
 def test_bad_last_row_is_row_parsed_from_its_own_block(monkeypatch):
@@ -312,7 +346,9 @@ _ROWS = st.lists(st.lists(_FIELDS, min_size=1, max_size=3).map(",".join), max_si
 def test_load_csv_property_same_as_line_parser(header, body, block_size):
     raw = f"{header}\n{body}".encode()
     with mock.patch.object(report_io, "_BLOCK_SIZE", block_size):
-        assert _outcome(load_csv, raw) == _lines_outcome(raw)
+        expected = _lines_outcome(raw)
+        assert _outcome(load_csv, raw) == expected
+        assert _outcome(lambda _: load_csv(_text(raw)), raw) == expected
 
 
 def test_load_csv_from_path(tmp_path):
