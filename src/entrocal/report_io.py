@@ -13,7 +13,8 @@ temporary file in the destination directory (created if missing), then a
 rename over the destination, so a failed write leaves the old file intact.
 
 Every source is read once. A path, a binary stream, a pipe or a text stream
-(encoded to UTF-8 whole, a lone surrogate included as invalid UTF-8) is read
+(one whose ``read`` returns str, whatever its class; encoded to UTF-8 whole,
+a lone surrogate included as invalid UTF-8) is read
 about 4 MiB at a time, cut after the last LF, and each block is parsed by
 arrays or by rows. The array parser takes a block of only digits, ``.``,
 ``,``, ``e``, ``E``, ``+``, ``-`` and LF or CRLF line ends, with the header's
@@ -51,7 +52,7 @@ import os
 import secrets
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence, TextIO, Union
+from typing import BinaryIO, Optional, Sequence, TextIO, Union
 
 import numpy as np
 
@@ -77,7 +78,7 @@ SCHEMA_VERSION = 1
 
 REPORT_FORMATS = ("markdown", "json", "csv")
 
-Source = Union[str, Path, TextIO, io.BufferedIOBase]
+Source = Union[str, Path, TextIO, BinaryIO]
 
 
 # ---------------------------------------------------------------------------
@@ -88,15 +89,16 @@ Source = Union[str, Path, TextIO, io.BufferedIOBase]
 def load_csv(source: Source) -> Dataset:
     """Load a prediction CSV into a :class:`Dataset`, preserving file order.
 
-    ``source`` is a path, a binary stream or a text stream (read whole and
-    encoded to UTF-8). Raises ``ValueError`` identifying the 1-based row and
-    reason for the first malformed value (missing column, unparsable number,
+    ``source`` is a path or a stream: binary or text as its ``read`` returns
+    bytes or str, whatever its class (a text stream is read whole and encoded
+    to UTF-8). Raises ``ValueError`` identifying the 1-based row and reason
+    for the first malformed value (missing column, unparsable number,
     probability out of range, non-binary label, invalid UTF-8).
     """
     if isinstance(source, (str, Path)):
         with open(source, "rb") as fh:
             return _load_binary(fh)
-    if not isinstance(source, (io.RawIOBase, io.BufferedIOBase)):
+    if isinstance(source.read(0), str):
         source = io.BytesIO(source.read().encode("utf-8", "surrogatepass"))
     return _load_binary(source)
 

@@ -466,6 +466,152 @@ def test_gaussian_non_finite_exit_2_with_index(tmp_path, capsys, bad):
     assert "record 2: " in err and "finite" in err
 
 
+def _gaussian_run(tmp_path, capsys, payload):
+    path = tmp_path / "g.json"
+    path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
+    return (path, *run_cli(capsys, "gaussian", "--input", str(path)))
+
+
+G1 = {"mean": [0.0], "covariance": [[1.0]], "truth": [0.5]}
+G2 = {"mean": [0.0, 0.0], "covariance": [[1.0, 0.0], [0.0, 1.0]], "truth": [0.5, 0.5]}
+
+
+@pytest.mark.parametrize(
+    "records,message",
+    [
+        ([G1, {**G1, "covariance": [[NAN]]}], "record 1: covariance must be finite"),
+        ([G1, {**G1, "covariance": [[INF]]}], "record 1: covariance must be finite"),
+        ([G2, {**G2, "covariance": [[1.0, 1e308], [-1e308, 1.0]]}],
+         "record 1: covariance is not symmetric within 1e-09"),
+        ([G2, {**G2, "covariance": [[1.0, 1e200], [1e200, 1e300]]}],
+         "record 1: covariance is not positive-definite"),
+        ([G2, {**G2, "covariance": [[0.0, 0.0], [0.0, 1.0]]}],
+         "record 1: covariance is not positive-definite"),
+    ],
+    ids=["nan-cov-d1", "inf-cov-d1", "asymmetry-overflows", "factor-overflows", "zero-pivot"],
+)
+def test_gaussian_covariance_errors_print_no_warning(tmp_path, capsys, records, message):
+    # One finiteness rule for every d; an overflow inside a check keeps its verdict, silently.
+    _, code, out, err = _gaussian_run(tmp_path, capsys, records)
+    assert (code, out, err) == (2, "", f"entrocal: error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "records,message",
+    [
+        ([G1, G2], "{path}: mixed dimensions: prediction 1 has d=2, expected 1"),
+        ([G1, G2, {**G1, "covariance": [[-1.0]]}], "record 2: covariance is not positive-definite"),
+        ([{**G2, "truth": [0.5]}] * 2,
+         "record 0: dimension mismatch: mean 2, truth 1, covariance (2, 2)"),
+        ([G2, {**G2, "covariance": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]}],
+         "record 1: dimension mismatch: mean 2, truth 2, covariance (2, 3)"),
+        ([{"mean": [], "covariance": [], "truth": []}],
+         "record 0: covariance must be a matrix, got shape (0,)"),
+        ([G1, {"mean": [], "covariance": [[]], "truth": []}],
+         "record 1: state dimension must be >= 1"),
+        ([G2, {**G2, "covariance": [1.0, 2.0]}],
+         "record 1: covariance must be a matrix, got shape (2,)"),
+        ([G2, {**G2, "covariance": [[1.0, 0.0], [0.0]]}],
+         "record 1: covariance rows must all have the same length"),
+        ([G1, G1, {**G1, "covariance": [[10**400]]}],
+         "record 2: int too large to convert to float"),
+    ],
+    ids=["mixed-dimensions", "bad-record-after-mixed", "truth-short", "covariance-not-square",
+         "empty-vectors", "empty-covariance-row", "covariance-vector", "ragged-covariance",
+         "int-beyond-float64-later"],
+)
+def test_gaussian_shape_errors_exit_2_with_index(tmp_path, capsys, records, message):
+    path, code, out, err = _gaussian_run(tmp_path, capsys, records)
+    assert (code, out) == (2, "")
+    assert err == "entrocal: error: " + message.format(path=path) + "\n"
+
+
+def test_gaussian_mixed_scalar_shorthand_and_lists(tmp_path, capsys):
+    records = [{"mean": 0.0, "covariance": 1.0, "truth": 1.0},
+               {"mean": [0.0], "covariance": [[1.0]], "truth": [2.0]},
+               {"mean": 0.0, "covariance": [1.0], "truth": [0.0]}]
+    _, code, out, _ = _gaussian_run(tmp_path, capsys, records[:2])
+    assert (code, json.loads(out)) == (0, {"n": 2, "d": 1, "nees": 2.5, "ecd": 0.75})
+    _, code, out, _ = _gaussian_run(tmp_path, capsys, records)
+    assert (code, json.loads(out)) == (0, {"n": 3, "d": 1, "nees": 5 / 3, "ecd": (5 / 3 - 1) / 2})
+
+
+@pytest.mark.parametrize(
+    "payload,message",
+    [
+        (b"\xff\xfe[1]", "invalid UTF-8 at byte 0"),
+        (b"[" * 100_000, "JSON nested too deeply to read"),
+    ],
+    ids=["not-utf8", "nested-past-recursion-limit"],
+)
+def test_gaussian_unreadable_json_exit_2(tmp_path, capsys, payload, message):
+    path = tmp_path / "g.json"
+    path.write_bytes(payload)
+    code, out, err = run_cli(capsys, "gaussian", "--input", str(path))
+    assert (code, out, err) == (2, "", f"entrocal: error: {path}: {message}\n")
+
+
+def _seeded_records(seed, n, d):
+    """Seeded records; for d >= 3 small-integer factors, so any LAPACK gives exact bits."""
+    rng = np.random.default_rng(seed)
+    if d <= 2:
+        covs = np.zeros((n, d, d))
+        covs[:, 0, 0] = 0.5 + rng.random(n)
+        if d == 2:
+            covs[:, 1, 1] = 0.5 + rng.random(n)
+            covs[:, 0, 1] = covs[:, 1, 0] = rng.random(n) - 0.5
+    else:
+        low = np.tril(rng.integers(-3, 4, size=(n, d, d)), -1)
+        low = low + np.einsum("ni,ij->nij", 2 ** rng.integers(0, 3, size=(n, d)),
+                              np.eye(d, dtype=np.int64))
+        covs = (low @ low.transpose(0, 2, 1)).astype(np.float64)
+    means = rng.normal(0.0, 10.0, (n, d))
+    truths = means + rng.normal(size=(n, d))
+    return [{"mean": m, "covariance": c, "truth": t}
+            for m, c, t in zip(means.tolist(), covs.tolist(), truths.tolist())]
+
+
+@pytest.mark.parametrize(
+    "d,expected",
+    [
+        (1, '{"n": 300, "d": 1, "nees": 1.2279748990061952, "ecd": 0.11398744950309758}'),
+        (2, '{"n": 300, "d": 2, "nees": 2.6086160286535525, "ecd": 0.30430801432677623}'),
+        (3, '{"n": 300, "d": 3, "nees": 4.460430196701917, "ecd": 0.7302150983509583}'),
+        (5, '{"n": 300, "d": 5, "nees": 28.31179818498207, "ecd": 11.655899092491035}'),
+    ],
+)
+def test_gaussian_stdout_is_pinned(tmp_path, capsys, d, expected):
+    # Bytes printed by the per-record implementation this path replaced.
+    _, code, out, _ = _gaussian_run(tmp_path, capsys, _seeded_records(40 + d, 300, d))
+    assert (code, out) == (0, expected + "\n")
+
+
+def test_gaussian_scalar_shorthand_stdout_is_pinned(tmp_path, capsys):
+    rng = np.random.default_rng(7)
+    records = [{"mean": float(m), "covariance": float(c), "truth": float(t)}
+               for m, c, t in zip(rng.normal(size=50), 0.5 + rng.random(50), rng.normal(size=50))]
+    _, code, out, _ = _gaussian_run(tmp_path, capsys, records)
+    assert (code, out) == (0, '{"n": 50, "d": 1, "nees": 1.7612241939718267, '
+                              '"ecd": 0.38061209698591336}\n')
+
+
+def test_gaussian_scores_the_stack_once(tmp_path, capsys, monkeypatch):
+    # No object per record, one quadratic-form kernel call, ECD from that NEES.
+    import entrocal.cli as cli
+    import entrocal.gaussian as gaussian
+
+    calls = []
+    kernel = gaussian._mahalanobis_sq_rows
+    monkeypatch.setattr(gaussian, "_mahalanobis_sq_rows",
+                        lambda *args: calls.append(1) or kernel(*args))
+    for name in ("GaussianPrediction", "nees", "ecd_gaussian"):
+        monkeypatch.setattr(cli, name, None)
+    _, code, out, _ = _gaussian_run(tmp_path, capsys, _seeded_records(43, 50, 3))
+    assert code == 0 and len(calls) == 1
+    result = json.loads(out)
+    assert result["ecd"] == (result["nees"] - 3) / 2
+
+
 # ---------------------------------------------------------------------------
 # curve
 # ---------------------------------------------------------------------------

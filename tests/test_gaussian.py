@@ -11,7 +11,7 @@ from entrocal import (
     mahalanobis_sq,
     nees,
 )
-from entrocal.gaussian import _mahalanobis_sq_rows
+from entrocal.gaussian import _InvalidPrediction, _mahalanobis_sq_rows, _validate
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -158,7 +158,7 @@ def test_nees_and_mahalanobis_reject_non_finite():
     with pytest.raises(ValueError, match="prediction 1: .*finite"):
         nees([good, pred_1d(0.0, 1.0, math.nan)])
     with pytest.raises(ValueError, match="prediction 2: .*finite"):
-        nees([good, good, pred_1d(0.0, math.inf, 0.5)])
+        nees([good, good, pred_1d(math.inf, 1.0, 0.5)])
     bad_mean = GaussianPrediction(mean=[math.inf, 0.0], covariance=np.eye(2), truth=[0, 0])
     with pytest.raises(ValueError, match="finite"):
         mahalanobis_sq(bad_mean)
@@ -171,6 +171,80 @@ def test_rejects_non_finite_covariance():
             cov[pos] = bad
             with pytest.raises(ValueError, match="finite"):
                 GaussianPrediction(mean=np.zeros(3), covariance=cov, truth=np.zeros(3))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_one_finiteness_rule_for_every_d(d, bad):
+    cov = np.eye(d)
+    cov[d - 1, 0] = bad
+    with pytest.raises(ValueError, match="^covariance must be finite$"):
+        GaussianPrediction(mean=np.zeros(d), covariance=cov, truth=np.zeros(d))
+    with pytest.raises(ValueError, match="^covariance must be finite$"):
+        gaussian_negative_entropy(cov)
+
+
+def spd_stack(rng, n, d):
+    a = rng.normal(size=(n, d, d))
+    covs = a @ a.transpose(0, 2, 1) + (0.1 + rng.random((n, 1, 1))) * np.eye(d)
+    return 0.5 * (covs + covs.transpose(0, 2, 1)) * 10.0 ** rng.integers(-3, 4, (n, 1, 1))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_stacked_factors_match_each_prediction_bit_for_bit(d):
+    rng = np.random.default_rng(20 + d)
+    covs = spd_stack(rng, 300, d)
+    means, truths = rng.normal(size=(300, d)), rng.normal(size=(300, d))
+    chol = _validate(means, covs, truths)
+    for i in range(300):
+        one = GaussianPrediction(mean=means[i], covariance=covs[i], truth=truths[i]).chol
+        assert one.tobytes() == chol[i].tobytes()
+        if d >= 3:  # the stacked LAPACK call gives each matrix's own bits
+            assert np.linalg.cholesky(covs[i]).tobytes() == chol[i].tobytes()
+    if d == 2:  # the scalar closed forms the stacked ones replaced
+        for c, got in zip(covs, chol):
+            a = math.sqrt(c[0, 0])
+            l10 = c[1, 0] / a
+            assert got.tolist() == [[a, 0.0], [l10, math.sqrt(c[1, 1] - l10 * l10)]]
+    if d == 1:
+        assert chol.ravel().tolist() == [math.sqrt(v) for v in covs.ravel()]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_validator_names_the_first_bad_record(d):
+    rng = np.random.default_rng(d)
+    covs = spd_stack(rng, 6, d)
+    means = np.zeros((6, d))
+    bad_finite, bad_spd = covs.copy(), covs.copy()
+    bad_finite[4, -1, -1] = math.nan
+    bad_spd[2] = -np.eye(d)
+    for stack, index, reason in (
+        (bad_finite, 4, "covariance must be finite"),
+        (bad_spd, 2, "covariance is not positive-definite"),
+    ):
+        with pytest.raises(_InvalidPrediction) as excinfo:
+            _validate(means, stack, means)
+        assert (excinfo.value.index, excinfo.value.reason) == (index, reason)
+    # The earlier record wins, whichever check it fails.
+    both = bad_finite.copy()
+    both[2] = -np.eye(d)
+    with pytest.raises(_InvalidPrediction, match="^prediction 2: covariance is not positive"):
+        _validate(means, both, means)
+    both = bad_spd.copy()
+    both[1, 0, 0] = math.inf
+    with pytest.raises(_InvalidPrediction, match="^prediction 1: covariance must be finite$"):
+        _validate(means, both, means)
+    if d > 1:
+        asym = covs.copy()
+        asym[3, 0, 1] += 1.0
+        with pytest.raises(_InvalidPrediction, match="^prediction 3: covariance is not symm"):
+            _validate(means, asym, means)
+        # A gap above 1e-9 but within 1e-9 of a large covariance is accepted.
+        large = covs / np.abs(covs).max(axis=(1, 2), keepdims=True) * 1e6
+        large[5, 0, 1] += 1e-4
+        assert _validate(means, large, means).shape == (6, d, d)
+    with pytest.raises(_InvalidPrediction, match="^prediction 0: dimension mismatch"):
+        _validate(means, covs, means[:, :0])
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +366,8 @@ def test_gaussian_negative_entropy_values():
     )
     with pytest.raises(ValueError, match="positive-definite"):
         gaussian_negative_entropy(np.array([[-1.0]]))
+    with pytest.raises(ValueError, match="^covariance must be finite$"):
+        gaussian_negative_entropy(np.array([[np.inf]]))
 
 
 def test_gaussian_negative_entropy_decreases_with_spread():

@@ -2,6 +2,7 @@ import io
 import math
 import os
 import re
+import tempfile
 from unittest import mock
 
 import numpy as np
@@ -299,6 +300,30 @@ def test_text_stream_splits_lines_as_bytes_do():
     assert str(excinfo.value) == "row 3: invalid UTF-8"
     with pytest.raises(ValueError, match="^row 1: invalid UTF-8$"):
         load_csv(io.StringIO("prob,label\ud800\n0.5,1\n"))
+
+
+class _DuckStream:
+    """Only ``read`` and ``readline``, of no io class, returning what ``inner`` returns."""
+
+    def __init__(self, inner):
+        self.read, self.readline = inner.read, inner.readline
+
+
+@pytest.mark.parametrize("text", [False, True], ids=["binary", "text"])
+def test_stream_kind_is_what_read_returns(text):
+    # Binary or text is decided by what the stream returns, whatever its class.
+    body = "prob,label\n0.5,1\n0.25,0\nbad,1\n"
+    spooled = tempfile.SpooledTemporaryFile(mode="w+" if text else "w+b")
+    duck = _DuckStream(io.StringIO(body) if text else io.BytesIO(body.encode()))
+    with spooled:
+        spooled.write(body if text else body.encode())
+        spooled.seek(0)
+        for source in (spooled, duck):
+            with pytest.raises(ValueError) as excinfo:
+                load_csv(source)
+            assert str(excinfo.value) == "row 4: invalid prob value 'bad'"
+    duck = _DuckStream(io.StringIO(body[:-6]) if text else io.BytesIO(body[:-6].encode()))
+    assert load_csv(duck) == Dataset([0.5, 0.25], [1, 0])
 
 
 def test_bad_last_row_is_row_parsed_from_its_own_block(monkeypatch):
