@@ -94,12 +94,14 @@ def _validate(mean: np.ndarray, cov: np.ndarray, truth: np.ndarray) -> np.ndarra
                 except np.linalg.LinAlgError:
                     break
     last = chol[:, -1, -1]
-    # The whole stack first: a factor exists where its last pivot is > 0 (NaN is
-    # not). NaN or inf makes a gap |C_ij - C_ji| NaN (C_ii - C_ii too), and a gap
-    # within SYMMETRY_TOL is within every record's bound, SYMMETRY_TOL * max(1,
-    # max |C_ij|); for d = 1, sqrt(C) is finite where C is.
-    if last.min() > 0.0 and (np.abs(cov - cov.swapaxes(1, 2)).max() <= SYMMETRY_TOL
-                             if d > 1 else last.max() < math.inf):
+    # Whole-stack checks first. A factor exists where its last pivot is in (0,
+    # inf), which for d = 1, sqrt(C), also says C is finite; Python compares the
+    # N pivots, as one numpy reduction costs more at N = 1, the stack of every
+    # GaussianPrediction. For d >= 2, NaN or inf makes a gap |C_ij - C_ji| NaN
+    # (C_ii - C_ii too), and a gap within SYMMETRY_TOL is within every record's
+    # bound, SYMMETRY_TOL * max(1, max |C_ij|).
+    if all(0.0 < x < math.inf for x in last.tolist()) and (
+            d == 1 or np.abs(cov - cov.swapaxes(1, 2)).max() <= SYMMETRY_TOL):
         return chol
     amax = np.abs(cov).max(axis=(1, 2))
     finite = amax < math.inf  # False for NaN too
