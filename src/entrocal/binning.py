@@ -20,6 +20,7 @@ gives the same bits, as a per-bin mask would.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -53,8 +54,8 @@ class BinSpec:
     num_bins: int = 10
 
     def __post_init__(self) -> None:
-        if self.num_bins < 1:
-            raise ValueError(f"num_bins must be >= 1, got {self.num_bins}")
+        if not isinstance(self.num_bins, numbers.Integral) or self.num_bins < 1:
+            raise ValueError(f"num_bins must be an integer >= 1, got {self.num_bins!r}")
 
     @property
     def interior_edges(self) -> np.ndarray:

@@ -316,9 +316,7 @@ def _cmd_gaussian(args) -> int:
 
 def _cmd_curve(args) -> int:
     policy = _from_flags(ClipPolicy, args.clip)
-    if args.grid < 2:
-        raise UsageError(f"--grid must be >= 2, got {args.grid}")
-    svg = render_ecd_curve_svg(ecd_curve(args.grid, policy))
+    svg = render_ecd_curve_svg(_from_flags(ecd_curve, args.grid, policy))
     _write(args.output, svg)
     print(f"wrote {args.output}", file=sys.stderr)
     return 0

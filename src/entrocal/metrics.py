@@ -23,6 +23,7 @@ reduction from :mod:`entrocal._accumulate`.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -300,8 +301,8 @@ def ecd_curve(
     Returns ``(prob, score_label0, score_label1)`` triples over
     [epsilon, 1 - epsilon]. Feeds the score-curve SVG emitter.
     """
-    if grid_size < 2:
-        raise ValueError(f"grid_size must be >= 2, got {grid_size}")
+    if not isinstance(grid_size, numbers.Integral) or grid_size < 2:
+        raise ValueError(f"grid_size must be an integer >= 2, got {grid_size!r}")
     grid = np.linspace(policy.epsilon, 1.0 - policy.epsilon, grid_size)
     s0 = _binary_scores(grid, np.zeros_like(grid), policy)
     s1 = _binary_scores(grid, np.ones_like(grid), policy)

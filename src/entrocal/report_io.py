@@ -32,7 +32,9 @@ Rows are written through one ``%`` template per chunk of rows, which gives
 the same bytes as formatting each value with ``.17g``.
 
 Report JSON: versioned via ``schema_version`` (currently 1); carries full
-float precision and round-trips to an equal :class:`CalibrationReport`.
+float precision and round-trips to an equal :class:`CalibrationReport`. Its
+keys come from the fields of the report dataclasses, so a new field needs no
+edit to the writer or the reader.
 
 Rendered tables (markdown/csv) follow the column order
 threshold, bin, ECE, ESCE, ECD (a trailing count column is appended),
@@ -45,12 +47,13 @@ documents for equal inputs.
 
 from __future__ import annotations
 
+import html
 import io
 import json
 import math
 import os
 import secrets
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import BinaryIO, Optional, Sequence, TextIO, Union
 
@@ -75,8 +78,6 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
-
-REPORT_FORMATS = ("markdown", "json", "csv")
 
 Source = Union[str, Path, TextIO, BinaryIO]
 
@@ -393,71 +394,66 @@ def _render_csv(report: CalibrationReport) -> str:
 
 
 def report_to_json(report: CalibrationReport) -> str:
-    """Serialize at full float precision; round-trips via report_from_json."""
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "num_bins": report.num_bins,
-        "n_total": report.n_total,
-        "ece": report.ece,
-        "esce": report.esce,
-        "ecd": report.ecd,
-        "brier": report.brier,
-        "nll": report.nll,
-        "bins": [
-            {
-                "index": b.index,
-                "count": b.count,
-                "populated": b.populated,
-                "conf": b.conf,
-                "frac_pos": b.frac_pos,
-                "ece_bin": b.ece_bin,
-                "esce_bin": b.esce_bin,
-                "ecd_bin": b.ecd_bin,
-            }
-            for b in report.bins
-        ],
-    }
+    """Serialize at full float precision; round-trips via report_from_json.
+
+    Keys: ``schema_version``, ``num_bins``, the other report fields, then
+    ``bins``, each keyed by the :class:`BinStats` fields, all in field order.
+    """
+    payload = {"schema_version": SCHEMA_VERSION, "num_bins": report.num_bins}
+    payload.update((k, v) for k, v in vars(report).items() if v is not report.bins)
+    payload.update(bins=[vars(b) for b in report.bins])
     return json.dumps(payload, indent=2) + "\n"
 
 
+def _field_values(cls, obj, place: str, *header: str) -> dict:
+    """The ``cls`` field values of JSON object ``obj``, which holds those and ``header`` only."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{place}: expected a JSON object")
+    names = [f.name for f in fields(cls)]
+    missing = [k for k in (*header, *names) if k not in obj]
+    if missing:
+        raise ValueError(f"{place}: missing key(s) {', '.join(missing)}")
+    if len(obj) > len(header) + len(names):
+        unknown = [k for k in obj if k not in header and k not in names]
+        raise ValueError(f"{place}: unknown key(s) {', '.join(unknown)}")
+    return {k: obj[k] for k in names}
+
+
 def report_from_json(text: str) -> CalibrationReport:
+    """Rebuild the :class:`CalibrationReport` that :func:`report_to_json` wrote.
+
+    A payload or bin that is not an object, a missing or unknown key, or ``bins``
+    that is not a list of ``num_bins`` objects is a ``ValueError`` naming the
+    place (``report`` or ``bins[i]``); so is a ``schema_version`` other than
+    :data:`SCHEMA_VERSION`, without a place. Value types are not checked.
+    """
     payload = json.loads(text)
+    if not isinstance(payload, dict):
+        raise ValueError("report: expected a JSON object")
     version = payload.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ValueError(f"unsupported report schema_version: {version!r}")
-    bins = tuple(
-        BinStats(
-            index=b["index"],
-            count=b["count"],
-            populated=b["populated"],
-            conf=b["conf"],
-            frac_pos=b["frac_pos"],
-            ece_bin=b["ece_bin"],
-            esce_bin=b["esce_bin"],
-            ecd_bin=b["ecd_bin"],
-        )
-        for b in payload["bins"]
-    )
-    return CalibrationReport(
-        bins=bins,
-        n_total=payload["n_total"],
-        ece=payload["ece"],
-        esce=payload["esce"],
-        ecd=payload["ecd"],
-        brier=payload["brier"],
-        nll=payload["nll"],
-    )
+    report = CalibrationReport(
+        **_field_values(CalibrationReport, payload, "report", "schema_version", "num_bins"))
+    if type(report.bins) is not list:
+        raise ValueError("report: bins must be a list of objects")
+    if len(report.bins) != payload["num_bins"]:
+        raise ValueError(f"report: num_bins is {payload['num_bins']!r} "
+                         f"but bins holds {len(report.bins)}")
+    bins = (BinStats(**_field_values(BinStats, b, f"bins[{i}]")) for i, b in enumerate(report.bins))
+    return replace(report, bins=tuple(bins))
+
+
+#: Each report format's renderer; the keys are the CLI's ``--format`` choices.
+_RENDERERS = {"markdown": _render_markdown, "json": report_to_json, "csv": _render_csv}
+REPORT_FORMATS = tuple(_RENDERERS)
 
 
 def render_report(report: CalibrationReport, format: str = "markdown") -> ReportDocument:
-    """Render a report as markdown, csv, or json."""
-    if format == "markdown":
-        return ReportDocument("markdown", _render_markdown(report))
-    if format == "csv":
-        return ReportDocument("csv", _render_csv(report))
-    if format == "json":
-        return ReportDocument("json", report_to_json(report))
-    raise ValueError(f"unknown report format '{format}' (expected one of {REPORT_FORMATS})")
+    """Render a report in one of ``REPORT_FORMATS``: markdown, json or csv."""
+    if format not in _RENDERERS:
+        raise ValueError(f"unknown report format '{format}' (expected one of {REPORT_FORMATS})")
+    return ReportDocument(format, _RENDERERS[format](report))
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +471,7 @@ def _svg_header(width: int, height: int, title: str):
         f'viewBox="0 0 {width} {height}" version="1.1">',
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>',
         f'<text x="{(x0 + x1) / 2:.2f}" y="18" text-anchor="middle" font-size="13" '
-        f"{_SVG_FONT}>{title}</text>",
+        f"{_SVG_FONT}>{html.escape(title, quote=False)}</text>",
     ]
     return parts, (x0, y0, x1, y1)
 
@@ -564,11 +560,10 @@ def render_histogram_svg(
     title: str = "Estimated probability histogram",
 ) -> str:
     """Bar chart of estimated-probability counts per equal-width bin."""
-    if bins < 1:
-        raise ValueError(f"bins must be >= 1, got {bins}")
+    spec = BinSpec(bins)
     if len(data) < 1:
         raise ValueError("empty dataset")
-    counts = np.bincount(bin_indices(data.probs, BinSpec(bins)), minlength=bins).tolist()
+    counts = np.bincount(bin_indices(data.probs, spec), minlength=bins).tolist()
     top = max(counts)
     parts, (x0, y0, x1, y1) = _svg_header(420, 320, title)
     ticks_x = [(v / 5, v / 5) for v in range(6)]

@@ -32,8 +32,9 @@ dataset_st = st.lists(st.tuples(probs_st, labels_st), min_size=1, max_size=80).m
 
 
 def test_bin_spec_validation():
-    with pytest.raises(ValueError):
-        BinSpec(0)
+    for num_bins in (0, float("nan"), 2.5, 10.0, "10"):
+        with pytest.raises(ValueError, match="num_bins must be an integer >= 1, got "):
+            BinSpec(num_bins)
     assert BinSpec(1).interior_edges.size == 0
 
 

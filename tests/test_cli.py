@@ -325,6 +325,21 @@ def test_gaussian_consistent_fixture(tmp_path, capsys):
     assert payload == {"n": 2, "d": 1, "nees": 1.0, "ecd": 0.0}
 
 
+def test_gaussian_reads_records_wrapped_in_predictions(tmp_path, capsys):
+    records = [{"mean": [0.0, 1.0], "covariance": [[2.0, 0.3], [0.3, 1.0]], "truth": [0.5, 0.0]},
+               {"mean": [1.0, -1.0], "covariance": [[1.0, 0.0], [0.0, 4.0]], "truth": [0.0, 1.0]}]
+    bare, wrapped, empty = tmp_path / "bare.json", tmp_path / "wrapped.json", tmp_path / "e.json"
+    bare.write_text(json.dumps(records))
+    wrapped.write_text(json.dumps({"predictions": records}))
+    empty.write_text(json.dumps({"predictions": []}))
+    code, expected, _ = run_cli(capsys, "gaussian", "--input", str(bare))
+    assert code == 0
+    assert run_cli(capsys, "gaussian", "--input", str(wrapped)) == (0, expected, "")
+    code, out, err = run_cli(capsys, "gaussian", "--input", str(empty))
+    assert (code, out) == (2, "")
+    assert err == f"entrocal: error: {empty}: expected a non-empty JSON array of records\n"
+
+
 def test_gaussian_truth_equals_mean(tmp_path, capsys):
     path = tmp_path / "g.json"
     path.write_text(json.dumps([{"mean": [3.0], "covariance": [[2.0]], "truth": [3.0]}]))
@@ -666,5 +681,6 @@ def test_unwritable_destination_exit_2(tmp_path, capsys, argv, dest):
 
 
 def test_curve_grid_too_small_exit_1(tmp_path, capsys):
-    code, _, _ = run_cli(capsys, "curve", "--grid", "1", "--output", str(tmp_path / "x.svg"))
-    assert code == 1
+    code, _, err = run_cli(capsys, "curve", "--grid", "1", "--output", str(tmp_path / "x.svg"))
+    assert (code, err) == (1, "entrocal: error: grid_size must be an integer >= 2, got 1\n")
+    assert not (tmp_path / "x.svg").exists()

@@ -415,8 +415,10 @@ def test_decomposition_identity(pairs):
 
 
 def test_ecd_curve_grid_size_error():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="grid_size must be an integer >= 2, got 1"):
         ecd_curve(1)
+    with pytest.raises(ValueError, match="grid_size must be an integer >= 2, got 2.5"):
+        ecd_curve(2.5)
 
 
 def test_ecd_curve_values():

@@ -1,8 +1,10 @@
 import io
+import json
 import math
 import os
 import re
 import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -532,6 +534,44 @@ def test_report_json_rejects_unknown_schema(sparse_report):
         report_from_json(text)
 
 
+def test_report_json_fixture_round_trips_byte_for_byte():
+    text = (Path(__file__).parent / "data" / "sample_report.json").read_text(encoding="utf-8")
+    assert report_to_json(report_from_json(text)) == text
+
+
+def _malformed(edit):
+    """The sparse report's JSON payload after ``edit`` changes it in place."""
+    payload = json.loads(report_to_json(build_report(Dataset([0.05, 0.95], [0, 1]))))
+    edit(payload)
+    return json.dumps(payload)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        pytest.param("[]", "report: expected a JSON object", id="not-an-object"),
+        pytest.param(_malformed(lambda p: p.pop("nll")),
+                     "report: missing key(s) nll", id="nll-missing"),
+        pytest.param(_malformed(lambda p: p.update(ecd_over=0.1)),
+                     "report: unknown key(s) ecd_over", id="unknown-key"),
+        pytest.param(_malformed(lambda p: p.update(bins=10)),
+                     "report: bins must be a list of objects", id="bins-a-number"),
+        pytest.param(_malformed(lambda p: p["bins"].__setitem__(2, 7)),
+                     "bins[2]: expected a JSON object", id="bin-not-an-object"),
+        pytest.param(_malformed(lambda p: p["bins"][0].pop("count")),
+                     "bins[0]: missing key(s) count", id="bin-count-missing"),
+        pytest.param(_malformed(lambda p: p["bins"][0].update(width=0.1)),
+                     "bins[0]: unknown key(s) width", id="bin-unknown-key"),
+        pytest.param(_malformed(lambda p: p.update(num_bins=9)),
+                     "report: num_bins is 9 but bins holds 10", id="num-bins-mismatch"),
+    ],
+)
+def test_report_json_rejects_malformed_reports_with_their_place(text, message):
+    with pytest.raises(ValueError) as excinfo:
+        report_from_json(text)
+    assert str(excinfo.value) == message
+
+
 def test_rendered_weighted_sum_consistent_with_rendered_bins():
     # Recompute the weighted sums from the rendered 4-decimal per-bin values;
     # they must agree with the rendered weighted sums to one unit in the
@@ -609,8 +649,10 @@ def test_histogram_svg_outer_bins_dominate():
 
 
 def test_histogram_svg_errors():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="num_bins must be an integer >= 1, got 0"):
         render_histogram_svg(Dataset([0.5], [1]), 0)
+    with pytest.raises(ValueError, match="num_bins must be an integer >= 1, got 2.5"):
+        render_histogram_svg(Dataset([0.5], [1]), 2.5)
     with pytest.raises(ValueError, match="empty dataset"):
         render_histogram_svg(Dataset([], []), 10)
 
@@ -651,3 +693,19 @@ def test_all_svg_emitters_are_well_formed_xml():
         root = ET.fromstring(doc)
         assert root.tag.endswith("svg")
         assert root.attrib["viewBox"].startswith("0 0 ")
+
+
+def test_svg_titles_are_escaped():
+    import xml.etree.ElementTree as ET
+
+    title = "P < 0.5 & y = 1 > 0"
+    data = Dataset([0.2, 0.7], [0, 1])
+    documents = [
+        render_reliability_svg(reliability_points(bin_stats(data)), title=title),
+        render_histogram_svg(data, 10, title=title),
+        render_ecd_curve_svg(ecd_curve(11), title=title),
+    ]
+    for doc in documents:
+        assert "P &lt; 0.5 &amp; y = 1 &gt; 0</text>" in doc
+        assert ET.fromstring(doc).find("{http://www.w3.org/2000/svg}text").text == title
+

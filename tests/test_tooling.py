@@ -4,7 +4,9 @@ the README library example."""
 import ast
 import hashlib
 import importlib
+import inspect
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -93,3 +95,24 @@ def test_bench_tracer_targets_resolve():
         assert callable(getattr(importlib.import_module(module), attr, None)), (
             f"{module}.{attr}"
         )
+
+
+def test_public_names_are_documented():
+    # Every name a module exports must exist, and every public function and
+    # class of the package must say what it is.
+    import entrocal
+
+    modules = [entrocal, *(importlib.import_module(f"entrocal.{info.name}")
+                           for info in pkgutil.iter_modules(entrocal.__path__))]
+    for module in modules:
+        missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+        assert not missing, f"{module.__name__}.__all__ names {missing}"
+    undocumented = []
+    for name in entrocal.__all__:
+        obj = getattr(entrocal, name)
+        if not (inspect.isfunction(obj) or inspect.isclass(obj)):
+            continue
+        # A dataclass without a docstring gets its signature as __doc__.
+        if not obj.__doc__ or obj.__doc__.startswith(f"{name}("):
+            undocumented.append(name)
+    assert not undocumented, f"no docstring: {undocumented}"
