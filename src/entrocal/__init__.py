@@ -17,7 +17,6 @@ from .binning import (
     BinSpec,
     BinStats,
     CalibrationReport,
-    assign_bin,
     bin_stats,
     build_report,
     ece,
@@ -37,9 +36,7 @@ from .metrics import (
     ClipPolicy,
     Dataset,
     DiscreteDistribution,
-    PredictionRecord,
     brier,
-    clip_probability,
     ecd_binary,
     ecd_curve,
     ecd_discrete,
@@ -83,16 +80,13 @@ __all__ = [
     "DiscreteDistribution",
     "ECD_BINARY_LOWER_BOUND",
     "GaussianPrediction",
-    "PredictionRecord",
     "ReportDocument",
     "SigmaRun",
     "SimulatedDataset",
     "SimulationConfig",
-    "assign_bin",
     "bin_stats",
     "brier",
     "build_report",
-    "clip_probability",
     "derive_run_seed",
     "ece",
     "ecd_binary",

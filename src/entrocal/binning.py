@@ -33,7 +33,6 @@ __all__ = [
     "BinSpec",
     "BinStats",
     "CalibrationReport",
-    "assign_bin",
     "bin_indices",
     "bin_stats",
     "ece",
@@ -101,15 +100,11 @@ class CalibrationReport:
 
 
 def bin_indices(probs: np.ndarray, spec: BinSpec) -> np.ndarray:
-    """Vectorized bin assignment; probabilities must already be in [0, 1]."""
+    """Index of the bin holding each probability; 1.0 maps to the last bin.
+
+    Probabilities must already be in [0, 1], as a :class:`Dataset` holds them.
+    """
     return np.searchsorted(spec.interior_edges, probs, side="right")
-
-
-def assign_bin(prob: float, spec: BinSpec) -> int:
-    """Index of the bin containing ``prob``; 1.0 maps to the last bin."""
-    if not (0.0 <= prob <= 1.0):
-        raise ValueError(f"probability must be in [0, 1], got {prob}")
-    return int(bin_indices(np.asarray([prob]), spec)[0])
 
 
 def _bin_members(probs: np.ndarray, spec: BinSpec) -> list[np.ndarray]:

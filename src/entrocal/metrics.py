@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -34,11 +34,9 @@ from ._accumulate import pairwise_mean, pairwise_sum_rows
 __all__ = [
     "ClipPolicy",
     "DEFAULT_CLIP",
-    "PredictionRecord",
     "Dataset",
     "DiscreteDistribution",
     "ECD_BINARY_LOWER_BOUND",
-    "clip_probability",
     "ecd_sample_binary",
     "ecd_sample_scores",
     "ecd_binary",
@@ -76,22 +74,8 @@ class ClipPolicy:
 DEFAULT_CLIP = ClipPolicy()
 
 
-@dataclass(frozen=True)
-class PredictionRecord:
-    """One estimated positive-class probability paired with its true label."""
-
-    prob: float
-    label: int
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.prob <= 1.0):
-            raise ValueError(f"prob must be in [0, 1], got {self.prob}")
-        if self.label not in (0, 1):
-            raise ValueError(f"label must be 0 or 1, got {self.label}")
-
-
 class Dataset:
-    """Ordered collection of binary prediction records.
+    """Ordered binary predictions: probabilities (N,) and their labels (N,).
 
     Stored as parallel numpy arrays (float64 probabilities, int64 labels).
     The arrays are frozen after validation so iteration order and therefore
@@ -116,17 +100,8 @@ class Dataset:
         self.probs = p
         self.labels = y
 
-    @classmethod
-    def from_records(cls, records: Iterable[PredictionRecord]) -> "Dataset":
-        recs = list(records)
-        return cls([r.prob for r in recs], [r.label for r in recs])
-
     def __len__(self) -> int:
         return int(self.probs.size)
-
-    def __iter__(self) -> Iterator[PredictionRecord]:
-        for p, y in zip(self.probs, self.labels):
-            yield PredictionRecord(float(p), int(y))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Dataset):
@@ -159,13 +134,6 @@ def _require_nonempty(n: int) -> None:
         raise ValueError("empty dataset")
 
 
-def clip_probability(p: float, policy: ClipPolicy = DEFAULT_CLIP) -> float:
-    """Clamp ``p`` to [epsilon, 1 - epsilon]; identity on interior points."""
-    if not (0.0 <= p <= 1.0):
-        raise ValueError(f"probability must be in [0, 1], got {p}")
-    return float(min(max(p, policy.epsilon), 1.0 - policy.epsilon))
-
-
 def _binary_scores(probs: np.ndarray, labels: np.ndarray, policy: ClipPolicy) -> np.ndarray:
     q = np.clip(probs, policy.epsilon, 1.0 - policy.epsilon)
     return (q - labels) * (np.log(q) - np.log(1.0 - q))
@@ -176,10 +144,10 @@ def ecd_sample_binary(prob: float, label: int, policy: ClipPolicy = DEFAULT_CLIP
 
     Exactly 0 when the clipped probability is 0.5. Positive for probabilities
     on the wrong side of 0.5 relative to the label (over-confidence), negative
-    and bounded below by :data:`ECD_BINARY_LOWER_BOUND` otherwise.
+    and bounded below by :data:`ECD_BINARY_LOWER_BOUND` otherwise. The N = 1
+    view of :func:`ecd_sample_scores`, so :class:`Dataset` validates the pair.
     """
-    rec = PredictionRecord(prob, label)
-    return float(_binary_scores(np.array([rec.prob]), np.array([rec.label]), policy)[0])
+    return float(ecd_sample_scores(Dataset([prob], [label]), policy)[0])
 
 
 def ecd_sample_scores(data: Dataset, policy: ClipPolicy = DEFAULT_CLIP) -> np.ndarray:
@@ -248,35 +216,35 @@ def ecd_discrete(
 ) -> float:
     """General K-class ECD: mean of negative entropy minus log-likelihood.
 
-    ``dists`` is a sequence of :class:`DiscreteDistribution` or an (N, K)
-    array of row distributions, validated the same way. Objects are
-    grouped by class count and each group is scored as one array, so both
-    forms run the same arithmetic. For two-class distributions (1 - p, p)
-    the result reduces algebraically to :func:`ecd_binary` on (p, label);
-    the pair serves as a mutual check.
+    ``dists`` is an (N, K) array of row distributions or a sequence of
+    :class:`DiscreteDistribution`, the validated N = 1 view of such a row.
+    A sequence must share one K; it is stacked into one (N, K) array, so
+    both forms run the same arithmetic and give the same bits. For
+    two-class distributions (1 - p, p) the result reduces algebraically to
+    :func:`ecd_binary` on (p, label); the pair serves as a mutual check.
     """
     y = np.asarray(labels)
-    if isinstance(dists, np.ndarray):
-        rows = _distribution_rows(dists)
-        n, groups = rows.shape[0], [(slice(None), rows)]
-    else:
-        dists = list(dists)
-        if not all(isinstance(d, DiscreteDistribution) for d in dists):
-            raise TypeError("dists must be DiscreteDistribution objects or an (N, K) array")
-        n = len(dists)
-        ks = np.array([d.num_classes for d in dists])
-        groups = [
-            (idx, np.array([dists[i].probs for i in idx]))
-            for idx in (np.flatnonzero(ks == k) for k in np.unique(ks))
-        ]
+    rows = _distribution_rows(dists) if isinstance(dists, np.ndarray) else _stack(dists)
+    n = rows.shape[0]
     if n != y.size:
         raise ValueError(f"length mismatch: {n} distributions, {y.size} labels")
     _require_nonempty(n)
-    scores = np.empty(n)
-    for idx, rows in groups:
-        neg_entropy, log_lik = _discrete_terms(rows, y[idx], policy)
-        scores[idx] = neg_entropy - log_lik
-    return pairwise_mean(scores)
+    neg_entropy, log_lik = _discrete_terms(rows, y, policy)
+    return pairwise_mean(neg_entropy - log_lik)
+
+
+def _stack(dists: Sequence[DiscreteDistribution]) -> np.ndarray:
+    """The (N, K) rows of already validated distributions, which must share K."""
+    dists = list(dists)
+    if not all(isinstance(d, DiscreteDistribution) for d in dists):
+        raise TypeError("dists must be DiscreteDistribution objects or an (N, K) array")
+    k = dists[0].num_classes if dists else 0
+    for i, d in enumerate(dists):
+        if d.num_classes != k:
+            raise ValueError(
+                f"mixed class counts: distribution {i} has K={d.num_classes}, expected {k}"
+            )
+    return np.array([d.probs for d in dists], dtype=np.float64).reshape(len(dists), k)
 
 
 def nll(data: Dataset, policy: ClipPolicy = DEFAULT_CLIP) -> float:

@@ -59,7 +59,7 @@ from typing import BinaryIO, Optional, Sequence, TextIO, Union
 
 import numpy as np
 
-from .binning import BinSpec, BinStats, CalibrationReport, bin_indices
+from .binning import BinSpec, BinStats, CalibrationReport, _check_counts, bin_indices
 from .metrics import Dataset
 from .simulation import SimulatedDataset
 
@@ -119,12 +119,6 @@ def _load_binary(fh) -> Dataset:
         return Dataset([], [])
     probs, labels = zip(*parts)
     return Dataset(np.concatenate(probs), np.concatenate(labels))
-
-
-def _load_lines(source: Union[io.RawIOBase, io.BufferedIOBase]) -> Dataset:
-    """The row parser alone over a whole binary stream: the reference for the block reader."""
-    columns, rest = _header(source)
-    return Dataset(*_row_block(rest + source.read(), 2, columns)[:2])
 
 
 def _header(fh) -> tuple[tuple[int, int, int], bytes]:
@@ -405,8 +399,26 @@ def report_to_json(report: CalibrationReport) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+def _is_number(value) -> bool:
+    return type(value) in (int, float) and math.isfinite(value)
+
+
+#: Per report field type, what its JSON value must be and the test of it. Keyed by the
+#: annotation text, which ``from __future__ import annotations`` in binning.py leaves as is.
+_JSON_VALUES = {
+    "int": ("a non-negative int", lambda v: type(v) is int and v >= 0),
+    "bool": ("true or false", lambda v: type(v) is bool),
+    "float": ("a finite number", _is_number),
+    "Optional[float]": ("a finite number or null", lambda v: v is None or _is_number(v)),
+    "tuple": ("a list of objects", lambda v: type(v) is list),
+}
+
+
 def _field_values(cls, obj, place: str, *header: str) -> dict:
-    """The ``cls`` field values of JSON object ``obj``, which holds those and ``header`` only."""
+    """The ``cls`` field values of JSON object ``obj``, which holds those and ``header`` only.
+
+    Each value must be of its field's type, as :data:`_JSON_VALUES` reads it.
+    """
     if not isinstance(obj, dict):
         raise ValueError(f"{place}: expected a JSON object")
     names = [f.name for f in fields(cls)]
@@ -416,16 +428,40 @@ def _field_values(cls, obj, place: str, *header: str) -> dict:
     if len(obj) > len(header) + len(names):
         unknown = [k for k in obj if k not in header and k not in names]
         raise ValueError(f"{place}: unknown key(s) {', '.join(unknown)}")
+    for f in fields(cls):
+        kind, valid = _JSON_VALUES[f.type]
+        if not valid(obj[f.name]):
+            raise ValueError(f"{place}: {f.name} must be {kind}")
     return {k: obj[k] for k in names}
+
+
+def _bin_from_json(obj, index: int) -> BinStats:
+    """Bin ``index`` of a report: in its place, populated exactly when counted, valued if so."""
+    place = f"bins[{index}]"
+    b = BinStats(**_field_values(BinStats, obj, place))
+    if b.index != index:
+        raise ValueError(f"{place}: index is {b.index}, expected {index}")
+    if b.populated != (b.count > 0):
+        raise ValueError(f"{place}: populated is {json.dumps(b.populated)} but count is {b.count}")
+    expected = "a number in a populated" if b.populated else "null in an empty"
+    for f in fields(BinStats):
+        if f.type == "Optional[float]" and (getattr(b, f.name) is None) == b.populated:
+            raise ValueError(f"{place}: {f.name} must be {expected} bin")
+    return b
 
 
 def report_from_json(text: str) -> CalibrationReport:
     """Rebuild the :class:`CalibrationReport` that :func:`report_to_json` wrote.
 
-    A payload or bin that is not an object, a missing or unknown key, or ``bins``
-    that is not a list of ``num_bins`` objects is a ``ValueError`` naming the
-    place (``report`` or ``bins[i]``); so is a ``schema_version`` other than
-    :data:`SCHEMA_VERSION`, without a place. Value types are not checked.
+    Each of these is a ``ValueError`` naming its place (``report`` or
+    ``bins[i]``): a payload or bin that is not an object; a missing or
+    unknown key; a value not of its field's type (a JSON number for a float,
+    never a bool or a string; a non-negative int for a count or an index);
+    ``bins`` that is not a list of ``num_bins`` objects; a bin whose ``index``
+    is not its position, whose ``populated`` is not ``count > 0``, or whose
+    values are not null exactly when it is empty; counts that do not sum to
+    ``n_total``. A ``schema_version`` other than :data:`SCHEMA_VERSION` is
+    one too, without a place.
     """
     payload = json.loads(text)
     if not isinstance(payload, dict):
@@ -435,13 +471,15 @@ def report_from_json(text: str) -> CalibrationReport:
         raise ValueError(f"unsupported report schema_version: {version!r}")
     report = CalibrationReport(
         **_field_values(CalibrationReport, payload, "report", "schema_version", "num_bins"))
-    if type(report.bins) is not list:
-        raise ValueError("report: bins must be a list of objects")
     if len(report.bins) != payload["num_bins"]:
         raise ValueError(f"report: num_bins is {payload['num_bins']!r} "
                          f"but bins holds {len(report.bins)}")
-    bins = (BinStats(**_field_values(BinStats, b, f"bins[{i}]")) for i, b in enumerate(report.bins))
-    return replace(report, bins=tuple(bins))
+    bins = tuple(_bin_from_json(b, i) for i, b in enumerate(report.bins))
+    try:
+        _check_counts(bins, report.n_total)
+    except ValueError as exc:
+        raise ValueError(f"report: {exc}") from None
+    return replace(report, bins=bins)
 
 
 #: Each report format's renderer; the keys are the CLI's ``--format`` choices.

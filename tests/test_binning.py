@@ -10,7 +10,6 @@ from entrocal import (
     BinSpec,
     BinStats,
     Dataset,
-    assign_bin,
     bin_stats,
     build_report,
     ece,
@@ -38,30 +37,21 @@ def test_bin_spec_validation():
     assert BinSpec(1).interior_edges.size == 0
 
 
-@pytest.mark.parametrize(
-    "prob,expected",
-    [(0.0, 0), (0.05, 0), (0.1, 1), (0.19999999, 1), (0.6, 6), (0.95, 9), (1.0, 9)],
-)
-def test_assign_bin_ten_bins(prob, expected):
-    assert assign_bin(prob, BinSpec(10)) == expected
-
-
-def test_assign_bin_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        assign_bin(-0.01, BinSpec(10))
-    with pytest.raises(ValueError):
-        assign_bin(1.01, BinSpec(10))
+def test_bin_indices_ten_bins():
+    probs = np.array([0.0, 0.05, 0.1, 0.19999999, 0.6, 0.95, 1.0])
+    assert bin_indices(probs, BinSpec(10)).tolist() == [0, 0, 1, 1, 6, 9, 9]
 
 
 @settings(max_examples=200)
-@given(prob=probs_st, num_bins=st.integers(min_value=1, max_value=30))
-def test_assign_bin_partition(prob, num_bins):
+@given(probs=st.lists(probs_st, min_size=1, max_size=20),
+       num_bins=st.integers(min_value=1, max_value=30))
+def test_bin_indices_partition(probs, num_bins):
     spec = BinSpec(num_bins)
-    idx = assign_bin(prob, spec)
-    lo, hi = spec.interval(idx)
-    assert 0 <= idx < num_bins
-    assert lo <= prob
-    assert prob < hi or (idx == num_bins - 1 and prob <= 1.0)
+    for prob, idx in zip(probs, bin_indices(np.array(probs), spec).tolist()):
+        lo, hi = spec.interval(idx)
+        assert 0 <= idx < num_bins
+        assert lo <= prob
+        assert prob < hi or (idx == num_bins - 1 and prob <= 1.0)
 
 
 def test_bin_stats_always_correct_mid_confidence():
@@ -225,7 +215,8 @@ def test_bin_indices_vectorized_matches_scalar():
     spec = BinSpec(7)
     idx = bin_indices(probs, spec)
     for p, i in zip(probs, idx):
-        assert assign_bin(float(p), spec) == i
+        # The first bin whose upper edge lies above p; 1.0 would go to the last.
+        assert i == next(m for m in range(7) if p < (m + 1) / 7)
 
 
 def _reference_bin_stats(data, spec):

@@ -10,9 +10,7 @@ from entrocal import (
     ClipPolicy,
     Dataset,
     DiscreteDistribution,
-    PredictionRecord,
     brier,
-    clip_probability,
     ecd_binary,
     ecd_curve,
     ecd_discrete,
@@ -88,23 +86,6 @@ def test_pairwise_mean_empty_raises():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("prob", [-0.1, 1.1, float("nan")])
-def test_prediction_record_rejects_bad_prob(prob):
-    with pytest.raises(ValueError):
-        PredictionRecord(prob, 0)
-
-
-@pytest.mark.parametrize("label", [-1, 2, 0.5])
-def test_prediction_record_rejects_bad_label(label):
-    with pytest.raises(ValueError):
-        PredictionRecord(0.5, label)
-
-
-def test_prediction_record_accepts_saturated_probs():
-    assert PredictionRecord(0.0, 0).prob == 0.0
-    assert PredictionRecord(1.0, 1).prob == 1.0
-
-
 def test_dataset_validation():
     with pytest.raises(ValueError):
         Dataset([0.5], [0, 1])
@@ -115,11 +96,12 @@ def test_dataset_validation():
 
 
 def test_dataset_round_trip_and_order():
-    records = [PredictionRecord(0.2, 1), PredictionRecord(0.9, 0)]
-    data = Dataset.from_records(records)
-    assert list(data) == records
+    data = Dataset([0.2, 0.9], [1, 0])
+    assert data.probs.tolist() == [0.2, 0.9]
+    assert data.labels.tolist() == [1, 0]
     assert len(data) == 2
-    assert data == Dataset([0.2, 0.9], [1, 0])
+    assert data == Dataset(data.probs, data.labels)
+    assert data != Dataset([0.9, 0.2], [0, 1])
 
 
 def test_dataset_arrays_are_frozen():
@@ -144,22 +126,27 @@ def test_discrete_distribution_rejects(probs):
 
 
 # ---------------------------------------------------------------------------
-# clip_probability
-# ---------------------------------------------------------------------------
-
-
-def test_clip_probability_examples():
-    policy = ClipPolicy(1e-4)
-    assert clip_probability(0.5, policy) == 0.5
-    assert clip_probability(0.0, policy) == 0.0001
-    assert clip_probability(0.99995, policy) == 0.9999
-    with pytest.raises(ValueError):
-        clip_probability(1.2, policy)
-
-
-# ---------------------------------------------------------------------------
 # Per-datum binary score
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("prob", [-0.1, 1.1, float("nan")])
+def test_ecd_sample_binary_rejects_bad_prob(prob):
+    with pytest.raises(ValueError, match=r"probs must be finite and within \[0, 1\]"):
+        ecd_sample_binary(prob, 0)
+
+
+@pytest.mark.parametrize("label", [-1, 2, 0.5])
+def test_ecd_sample_binary_rejects_bad_label(label):
+    with pytest.raises(ValueError, match="labels must be 0 or 1"):
+        ecd_sample_binary(0.5, label)
+
+
+def test_ecd_sample_binary_accepts_saturated_probs():
+    # 0 and 1 are valid probabilities; the score clips them to epsilon.
+    assert ecd_sample_binary(0.0, 0) == ecd_sample_binary(1e-4, 0)
+    assert ecd_sample_binary(1.0, 1) == ecd_sample_binary(1.0 - 1e-4, 1)
+    assert ecd_sample_binary(0.99995, 1) == ecd_sample_binary(0.9999, 1)
 
 
 def test_ecd_sample_binary_examples():
@@ -249,8 +236,8 @@ def test_ecd_binary_empty_dataset():
 def test_ecd_sample_scores_matches_scalar():
     data = Dataset([0.1, 0.5, 0.93, 1.0, 0.0], [1, 0, 1, 0, 1])
     scores = ecd_sample_scores(data)
-    for got, rec in zip(scores, data):
-        assert got == ecd_sample_binary(rec.prob, rec.label)
+    for got, prob, label in zip(scores, data.probs, data.labels):
+        assert got == ecd_sample_binary(prob, label)
 
 
 def test_negative_entropy_examples():
@@ -284,9 +271,7 @@ def test_ecd_discrete_examples():
     uniform = [DiscreteDistribution([0.5, 0.5])] * 4
     assert ecd_discrete(uniform, [0, 1, 1, 0]) == pytest.approx(0.0, abs=1e-15)
     single = ecd_discrete([DiscreteDistribution([0.1, 0.9])], [0])
-    brute = negative_entropy(DiscreteDistribution([0.1, 0.9])) - math.log(
-        clip_probability(0.1)
-    )
+    brute = negative_entropy(DiscreteDistribution([0.1, 0.9])) - math.log(0.1)
     assert single == pytest.approx(brute, abs=1e-12)
     assert single == pytest.approx(ecd_sample_binary(0.9, 0), abs=1e-12)
 
@@ -304,22 +289,23 @@ def test_ecd_discrete_errors():
 
 
 def test_ecd_discrete_mixed_class_counts():
-    # Interleaved class counts: grouped scoring must put scores back in order.
-    rng = np.random.default_rng(8)
-    dists, labels = [], []
-    for k in rng.choice([2, 3, 5], size=41):
-        raw = rng.random(k)
-        dists.append(DiscreteDistribution(raw / pairwise_sum(raw)))
-        labels.append(int(rng.integers(0, k)))
+    # A list is one (N, K) stack, so the first distribution of another K is named.
+    dists = [DiscreteDistribution([0.2, 0.3, 0.5])] * 2 + [DiscreteDistribution([0.4, 0.6])]
+    with pytest.raises(ValueError) as excinfo:
+        ecd_discrete(dists, [2, 0, 1])
+    assert str(excinfo.value) == "mixed class counts: distribution 2 has K=2, expected 3"
+
+
+@pytest.mark.parametrize("k", [2, 3, 7])
+def test_ecd_discrete_object_list_matches_per_object_terms(k):
+    rng = np.random.default_rng(8 + k)
+    raw = rng.random((41, k))
+    dists = [DiscreteDistribution(row / pairwise_sum(row)) for row in raw]
+    labels = rng.integers(0, k, 41).tolist()
     expected = pairwise_mean(
         [negative_entropy(d) - log_likelihood(d, y) for d, y in zip(dists, labels)]
     )
     assert ecd_discrete(dists, labels) == expected
-    two = [DiscreteDistribution([0.2, 0.3, 0.5]), DiscreteDistribution([0.4, 0.6])]
-    expected = pairwise_mean(
-        [negative_entropy(d) - log_likelihood(d, y) for d, y in zip(two, [2, 0])]
-    )
-    assert ecd_discrete(two, [2, 0]) == expected
 
 
 # Rows whose sum is within rounding of the 1e-9 tolerance, where a plain
@@ -355,9 +341,7 @@ def test_ecd_discrete_array_path_matches_object_path():
     rows = raw / raw.sum(axis=1, keepdims=True)
     labels = rng.integers(0, 3, 50)
     objs = [DiscreteDistribution(row) for row in rows]
-    assert ecd_discrete(rows, labels) == pytest.approx(
-        ecd_discrete(objs, labels), abs=1e-13
-    )
+    assert ecd_discrete(rows, labels) == ecd_discrete(objs, labels)
 
 
 @settings(max_examples=200)

@@ -35,6 +35,7 @@ from entrocal import (
 
 CIRCLE_RE = re.compile(r'<circle cx="([-\d.]+)" cy="([-\d.]+)" r="4"[^>]*'
                        r'data-conf="([^"]+)" data-frac="([^"]+)" data-count="(\d+)"')
+SAMPLE_REPORT = Path(__file__).parent / "data" / "sample_report.json"
 
 
 # ---------------------------------------------------------------------------
@@ -115,8 +116,14 @@ def _outcome(load, body: bytes):
     return ("data", data.probs.view(np.int64).tolist(), data.labels.tolist())
 
 
+def _load_lines(source) -> Dataset:
+    """The row parser alone over a whole binary stream: the reference for the block reader."""
+    columns, rest = report_io._header(source)
+    return Dataset(*report_io._row_block(rest + source.read(), 2, columns)[:2])
+
+
 def _lines_outcome(body: bytes):
-    return _outcome(report_io._load_lines, body)
+    return _outcome(_load_lines, body)
 
 
 def _pinned(p_bits, labels):
@@ -232,7 +239,7 @@ def test_rows_spanning_block_boundaries(as_source, monkeypatch, block_size):
     rows = [f"{p:.17g},{y}" for p, y in zip(rng.random(40), rng.integers(0, 2, 40))]
     body = ("prob,label\n" + "\n".join(rows) + "\n").encode()
     monkeypatch.setattr(report_io, "_BLOCK_SIZE", block_size)
-    assert load_csv(as_source(body)) == report_io._load_lines(io.BytesIO(body))
+    assert load_csv(as_source(body)) == _load_lines(io.BytesIO(body))
     # An error in the last row keeps its row number after earlier blocks parsed.
     bad = body + b"0.5,2\n"
     with pytest.raises(ValueError) as excinfo:
@@ -535,15 +542,19 @@ def test_report_json_rejects_unknown_schema(sparse_report):
 
 
 def test_report_json_fixture_round_trips_byte_for_byte():
-    text = (Path(__file__).parent / "data" / "sample_report.json").read_text(encoding="utf-8")
+    text = SAMPLE_REPORT.read_text(encoding="utf-8")
     assert report_to_json(report_from_json(text)) == text
 
 
-def _malformed(edit):
-    """The sparse report's JSON payload after ``edit`` changes it in place."""
-    payload = json.loads(report_to_json(build_report(Dataset([0.05, 0.95], [0, 1]))))
+def _malformed(edit, text=None):
+    """The JSON payload ``text`` (the sparse report's by default) after ``edit`` changes it."""
+    payload = json.loads(text or report_to_json(build_report(Dataset([0.05, 0.95], [0, 1]))))
     edit(payload)
     return json.dumps(payload)
+
+
+def _malformed_sample(edit):
+    return _malformed(edit, SAMPLE_REPORT.read_text(encoding="utf-8"))
 
 
 @pytest.mark.parametrize(
@@ -564,6 +575,31 @@ def _malformed(edit):
                      "bins[0]: unknown key(s) width", id="bin-unknown-key"),
         pytest.param(_malformed(lambda p: p.update(num_bins=9)),
                      "report: num_bins is 9 but bins holds 10", id="num-bins-mismatch"),
+        pytest.param(_malformed_sample(lambda p: p.update(ece="x")),
+                     "report: ece must be a finite number", id="sample-ece-a-string"),
+        pytest.param(_malformed_sample(lambda p: p["bins"][0].update(count=-5)),
+                     "bins[0]: count must be a non-negative int", id="sample-count-negative"),
+        pytest.param(_malformed(lambda p: p.update(brier=True)),
+                     "report: brier must be a finite number", id="brier-a-bool"),
+        pytest.param(_malformed(lambda p: p.update(n_total=2.0)),
+                     "report: n_total must be a non-negative int", id="n-total-a-float"),
+        pytest.param(_malformed(lambda p: p["bins"][9].update(populated=1)),
+                     "bins[9]: populated must be true or false", id="populated-an-int"),
+        pytest.param(_malformed(lambda p: p["bins"][0].update(conf="0.05")),
+                     "bins[0]: conf must be a finite number or null", id="conf-a-string"),
+        pytest.param(_malformed(lambda p: p["bins"][1].update(index=2)),
+                     "bins[1]: index is 2, expected 1", id="index-out-of-order"),
+        pytest.param(_malformed(lambda p: p["bins"][1].update(populated=True)),
+                     "bins[1]: populated is true but count is 0", id="populated-empty-bin"),
+        pytest.param(_malformed(lambda p: p["bins"][1].update(conf=0.1)),
+                     "bins[1]: conf must be null in an empty bin", id="value-in-empty-bin"),
+        pytest.param(_malformed(lambda p: p["bins"][0].update(ecd_bin=None)),
+                     "bins[0]: ecd_bin must be a number in a populated bin",
+                     id="null-in-populated-bin"),
+        pytest.param(_malformed(lambda p: p["bins"][0].update(count=3)),
+                     "report: bin counts sum to 4, expected n_total=2", id="counts-off-total"),
+        pytest.param(_malformed(lambda p: p.update(n_total=0)),
+                     "report: n_total must be >= 1", id="n-total-zero"),
     ],
 )
 def test_report_json_rejects_malformed_reports_with_their_place(text, message):

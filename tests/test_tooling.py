@@ -1,5 +1,5 @@
-"""Guards for the tooling around the package: import cost, the bench tracer and
-the README library example."""
+"""Guards for the tooling around the package: import cost, the bench tracer,
+the bench's library pass and the README library example."""
 
 import ast
 import hashlib
@@ -15,15 +15,20 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _run_python(code: str) -> subprocess.CompletedProcess:
-    """Run ``code`` in a fresh interpreter that imports the package from src/."""
+def _run(*args: str, **kwargs) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter with ``args``, importing the package from src/."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     return subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, *args], env=env, capture_output=True, text=True, check=True, **kwargs
     )
+
+
+def _run_python(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports the package from src/."""
+    return _run("-c", code)
 
 
 def test_import_does_not_load_scipy_linalg():
@@ -95,6 +100,23 @@ def test_bench_tracer_targets_resolve():
         assert callable(getattr(importlib.import_module(module), attr, None)), (
             f"{module}.{attr}"
         )
+
+
+def test_bench_library_pass_writes_the_fixture_report(tmp_path):
+    # The report-bins workload drives the public names (Dataset, build_report,
+    # render_report(...).content, ...); the fixture's arrays must give the
+    # fixture's report bytes. -B and a tmp_path output keep bench/ untouched.
+    import numpy as np
+
+    from entrocal import load_csv
+
+    data = load_csv(ROOT / "tests" / "data" / "sample_predictions.csv")
+    arrays = tmp_path / "sample.npz"
+    np.savez(arrays, probs=data.probs, labels=data.labels)
+    out = tmp_path / "out"
+    _run("-B", str(ROOT / "bench" / "report_bins.py"), str(arrays), str(out), "10", cwd=tmp_path)
+    expected = (ROOT / "tests" / "data" / "sample_report.json").read_bytes()
+    assert (out / "report-10.json").read_bytes() == expected
 
 
 def test_public_names_are_documented():
