@@ -37,15 +37,19 @@ def test_bin_spec_validation():
     assert BinSpec(1).interior_edges.size == 0
 
 
-def test_bin_indices_ten_bins():
-    probs = np.array([0.0, 0.05, 0.1, 0.19999999, 0.6, 0.95, 1.0])
-    assert bin_indices(probs, BinSpec(10)).tolist() == [0, 0, 1, 1, 6, 9, 9]
+@pytest.mark.parametrize(
+    "prob,expected",
+    [(0.0, 0), (0.05, 0), (0.1, 1), (0.19999999, 1), (0.6, 6), (0.95, 9), (1.0, 9)],
+)
+def test_assign_bin_ten_bins(prob, expected):
+    # Bin assignment of one score is bin_indices over a one-element array.
+    assert bin_indices(np.array([prob]), BinSpec(10)).tolist() == [expected]
 
 
 @settings(max_examples=200)
 @given(probs=st.lists(probs_st, min_size=1, max_size=20),
        num_bins=st.integers(min_value=1, max_value=30))
-def test_bin_indices_partition(probs, num_bins):
+def test_assign_bin_partition(probs, num_bins):
     spec = BinSpec(num_bins)
     for prob, idx in zip(probs, bin_indices(np.array(probs), spec).tolist()):
         lo, hi = spec.interval(idx)

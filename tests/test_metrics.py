@@ -130,23 +130,35 @@ def test_discrete_distribution_rejects(probs):
 # ---------------------------------------------------------------------------
 
 
+# A single (prob, label) record is checked by Dataset on its way into
+# ecd_sample_binary; these tests keep the record checks' names.
+
+
 @pytest.mark.parametrize("prob", [-0.1, 1.1, float("nan")])
-def test_ecd_sample_binary_rejects_bad_prob(prob):
+def test_prediction_record_rejects_bad_prob(prob):
     with pytest.raises(ValueError, match=r"probs must be finite and within \[0, 1\]"):
         ecd_sample_binary(prob, 0)
 
 
 @pytest.mark.parametrize("label", [-1, 2, 0.5])
-def test_ecd_sample_binary_rejects_bad_label(label):
+def test_prediction_record_rejects_bad_label(label):
     with pytest.raises(ValueError, match="labels must be 0 or 1"):
         ecd_sample_binary(0.5, label)
 
 
-def test_ecd_sample_binary_accepts_saturated_probs():
-    # 0 and 1 are valid probabilities; the score clips them to epsilon.
-    assert ecd_sample_binary(0.0, 0) == ecd_sample_binary(1e-4, 0)
-    assert ecd_sample_binary(1.0, 1) == ecd_sample_binary(1.0 - 1e-4, 1)
-    assert ecd_sample_binary(0.99995, 1) == ecd_sample_binary(0.9999, 1)
+def test_prediction_record_accepts_saturated_probs():
+    assert math.isfinite(ecd_sample_binary(0.0, 0))
+    assert math.isfinite(ecd_sample_binary(1.0, 1))
+
+
+def test_clip_probability_examples():
+    # The score clamps p to [epsilon, 1 - epsilon] before scoring.
+    policy = ClipPolicy(1e-4)
+    assert ecd_sample_binary(0.5, 1, policy) == 0.0
+    assert ecd_sample_binary(0.0, 0, policy) == ecd_sample_binary(0.0001, 0, policy)
+    assert ecd_sample_binary(0.99995, 1, policy) == ecd_sample_binary(0.9999, 1, policy)
+    with pytest.raises(ValueError):
+        ecd_sample_binary(1.2, 1, policy)
 
 
 def test_ecd_sample_binary_examples():
