@@ -173,6 +173,9 @@ def _discrete_terms(
     The one expression behind every discrete score: the per-sample ECD is
     the first minus the second, and the scalar functions are its N = 1 view.
     """
+    whole = np.isfinite(labels) & (np.floor(labels) == labels)  # 1.0 is class 1
+    if not whole.all():
+        raise ValueError(f"label {labels[~whole][0]} is not an integer class index")
     bad = (labels < 0) | (labels >= rows.shape[1])
     if bad.any():
         raise ValueError(

@@ -32,6 +32,7 @@ without it.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -78,8 +79,8 @@ class SimulationConfig:
     noise_sigma: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
+        if not isinstance(self.n, numbers.Integral) or self.n < 1:
+            raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
         for name in ("logodds_halfwidth", "weight", "noise_mean", "noise_sigma"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")

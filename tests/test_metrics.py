@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -298,6 +299,27 @@ def test_ecd_discrete_errors():
         ecd_discrete(np.array([[0.5, 0.5]]), [3])
     with pytest.raises(TypeError):
         ecd_discrete([(0.5, 0.5)], [0])
+
+
+@pytest.mark.parametrize("label", [0.5, 1.7, -0.5, float("nan"), float("inf")])
+def test_discrete_labels_must_be_whole_numbers(label):
+    # A label is a class index; one that is not a whole number is named, not truncated.
+    message = re.escape(f"label {label} is not an integer class index")
+    dist = DiscreteDistribution([0.2, 0.8])
+    with pytest.raises(ValueError, match=message):
+        ecd_discrete(np.array([[0.2, 0.8]]), [label])
+    with pytest.raises(ValueError, match=message):
+        ecd_discrete([dist], [label])
+    with pytest.raises(ValueError, match=message):
+        log_likelihood(dist, label)
+
+
+def test_discrete_labels_accept_integer_valued_floats():
+    dist = DiscreteDistribution([0.2, 0.8])
+    rows = np.array([[0.2, 0.8]])
+    assert ecd_discrete(rows, [1.0]) == ecd_discrete(rows, [1])
+    assert ecd_discrete([dist], np.array([0.0])) == ecd_discrete([dist], [0])
+    assert log_likelihood(dist, 1.0) == log_likelihood(dist, 1)
 
 
 def test_ecd_discrete_mixed_class_counts():

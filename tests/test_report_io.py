@@ -4,6 +4,7 @@ import math
 import os
 import re
 import tempfile
+from decimal import Decimal
 from pathlib import Path
 from unittest import mock
 
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entrocal import report_io
+from entrocal import _floattext, report_io
 from entrocal import (
     BinSpec,
     Dataset,
@@ -463,6 +464,104 @@ def test_csv_writers_match_f_strings(tmp_path, offset):
                                  sim.true_probs if include else None)
         write_simulated_csv(sim, tmp_path / "s.csv", include_true_probs=include)
         assert (tmp_path / "s.csv").read_bytes() == expected.encode()
+
+
+def _ulps(x: float, n: int) -> list[float]:
+    """``x`` and its neighbours within ``n`` ulps, in increasing order."""
+    below, above = [x], [x]
+    for _ in range(n):
+        below.append(float(np.nextafter(below[-1], 0.0)))
+        above.append(float(np.nextafter(above[-1], 1.0)))
+    return below[:0:-1] + above
+
+
+def _edge_table() -> np.ndarray:
+    tiny = np.finfo(np.float64).smallest_normal
+    values = [0.0, -0.0, 1.0, 5e-324, float(tiny), *_ulps(float(tiny), 2)]
+    values += [v for k in range(1, 100) for v in _ulps(float(f"1e-{k}"), 2)]
+    values += [1.0 - j * 2.0**-53 for j in range(1, 65)]
+    values += [1e-12, 3.5e-15, 1e-200, 2.5e-310]  # below the kernel's exact powers of ten
+    # x * 1e17 just off a .5 midpoint, which a 64-bit significand rounds onto
+    # the midpoint; then exact midpoints c / 2**18 (c odd), printed half-even.
+    values += [0.30758401336495445, 0.8428826414738834, 0.466565557457856, 0.5804586573183351]
+    values += [c / 2**18 for c in (26215, 99999, 262143)]
+    # The floats nearest 10**-k that lie below it but print as 1e-k: their
+    # 17-digit rounding carries into the next power of ten.
+    carries = [float(f"1e-{k}") for k in range(1, 324)
+               if format(float(f"1e-{k}"), ".17g") == f"1e-{k:02d}"
+               and Decimal(float(f"1e-{k}")) < Decimal(10) ** -k]
+    assert 1e-14 in carries
+    return np.array(values + carries)
+
+
+def test_csv_writer_matches_f_strings_on_edge_values():
+    probs = _edge_table()
+    labels = np.arange(len(probs)) % 2
+    true_probs = probs[::-1].copy()
+    assert report_io._dataset_csv_text(probs, labels) == _f_string_csv(probs, labels)
+    assert report_io._dataset_csv_text(probs, labels, true_probs) == _f_string_csv(
+        probs, labels, true_probs)
+
+
+#: float64 values in [0, 1], drawn as bit patterns so that every binade is as likely.
+unit_floats = st.integers(0, 0x3FF0000000000000).map(
+    lambda bits: float(np.int64(bits).view(np.float64)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.tuples(unit_floats, st.integers(0, 1), unit_floats), max_size=40),
+       three=st.booleans())
+def test_csv_writer_property_matches_f_strings(rows, three):
+    probs = np.array([r[0] for r in rows], dtype=np.float64)
+    labels = np.array([r[1] for r in rows], dtype=np.int64)
+    true_probs = np.array([r[2] for r in rows], dtype=np.float64) if three else None
+    assert report_io._dataset_csv_text(probs, labels, true_probs) == _f_string_csv(
+        probs, labels, true_probs)
+
+
+@pytest.mark.parametrize("n", range(12))
+def test_csv_writer_chunk_boundaries(monkeypatch, n):
+    # Chunks of 4 rows put every length 0..11 at, before or after a boundary,
+    # with %-formatted values (0, 1, tiny) among the kernel's.
+    monkeypatch.setattr(report_io, "_WRITE_CHUNK_ROWS", 4)
+    probs = np.resize([0.25, 0.0, 0.1 + 0.2, 1.0, 1e-300, 1 / 3, 0.7], n)
+    labels = np.arange(n) % 2
+    for true_probs in (None, probs[::-1]):
+        assert report_io._dataset_csv_text(probs, labels, true_probs) == _f_string_csv(
+            probs, labels, true_probs)
+
+
+def test_csv_writer_without_extra_precision_formats_every_value_by_percent(monkeypatch):
+    # Where np.longdouble is no wider than float64 the derived guard admits no
+    # value, and every value takes the %.17g path in its own slot.
+    monkeypatch.setattr(_floattext, "GUARD", 0.5)
+    probs = np.concatenate([_edge_table(), np.random.default_rng(3).random(1000)])
+    labels = np.arange(len(probs)) % 2
+    assert report_io._dataset_csv_text(probs, labels, probs) == _f_string_csv(
+        probs, labels, probs)
+
+
+def test_csv_kernel_tables_are_derived_from_longdouble():
+    assert [int(p) for p in _floattext.POWERS] == [10**j for j in range(17 + _floattext.TOP)]
+    assert _floattext.GUARD == float(np.spacing(np.longdouble(1e17)))
+    if np.finfo(np.longdouble).nmant >= 63:  # x87 extended or wider: down to 1e-11
+        assert _floattext.TOP >= 11
+
+
+def test_csv_writer_rejects_labels_other_than_0_or_1():
+    with pytest.raises(ValueError, match="labels must be 0 or 1"):
+        report_io._dataset_csv_text(np.array([0.5]), np.array([2]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(st.tuples(unit_floats, st.integers(0, 1)), min_size=1, max_size=40))
+def test_write_then_load_round_trips_every_float(rows):
+    data = Dataset([r[0] for r in rows], [r[1] for r in rows])
+    sink = io.StringIO()
+    write_dataset_csv(data, sink)
+    loaded = load_csv(io.StringIO(sink.getvalue()))
+    assert loaded.probs.tobytes() == data.probs.tobytes()
+    assert np.array_equal(loaded.labels, data.labels)
 
 
 def test_simulated_csv_round_trip_and_true_column(tmp_path):

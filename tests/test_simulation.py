@@ -60,11 +60,16 @@ def test_logistic_monotone_and_stable():
         {"noise_mean": float("-inf")},
         {"noise_sigma": float("nan")},
         {"noise_sigma": float("inf")},
+        {"n": 2.5},
+        {"n": float("nan")},
+        {"n": "10"},
     ],
 )
 def test_config_validation(kwargs):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as excinfo:
         SimulationConfig(seed=1, **kwargs)
+    if "n" in kwargs:
+        assert str(excinfo.value) == f"n must be an integer >= 1, got {kwargs['n']!r}"
 
 
 # ---------------------------------------------------------------------------

@@ -38,21 +38,21 @@ def test_import_does_not_load_scipy_linalg():
 
 
 _SCIPY_LOADED = "print(any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))"
+_HELP_RUN = (
+    "import runpy, sys\n"
+    "sys.argv = ['entrocal', '--help']\n"
+    "try:\n"
+    "    runpy.run_module('entrocal.cli', run_name='__main__')\n"
+    "except SystemExit:\n"
+    "    pass\n"
+)
 
 
 def test_only_noisy_simulation_loads_scipy(tmp_path):
     # Importing scipy.special costs about 0.3 s of start-up; only simulate with
     # sigma > 0 needs it (ndtri).
     assert _run_python(f"import sys, entrocal; {_SCIPY_LOADED}").stdout == "False\n"
-    help_run = (
-        "import runpy, sys\n"
-        "sys.argv = ['entrocal', '--help']\n"
-        "try:\n"
-        "    runpy.run_module('entrocal.cli', run_name='__main__')\n"
-        "except SystemExit:\n"
-        "    pass\n"
-    )
-    assert _run_python(help_run + _SCIPY_LOADED).stdout.endswith("False\n")
+    assert _run_python(_HELP_RUN + _SCIPY_LOADED).stdout.endswith("False\n")
     gaussian = tmp_path / "g.json"
     gaussian.write_text('[{"mean": [0.0], "covariance": [[1.0]], "truth": [0.5]}]')
     commands = [
@@ -75,6 +75,16 @@ def test_only_noisy_simulation_loads_scipy(tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "c732d39462d3ee11cc5c99311e21122aae1cff937dba5c605a9c5d17792fd92b"
     )
+
+
+def test_csv_kernel_tables_are_built_on_first_write():
+    # The writer's lookup and power tables cost start-up time that only a
+    # CSV write needs, so neither the import nor --help builds them.
+    built = "import sys; print('entrocal._floattext' in sys.modules)"
+    assert _run_python(f"import entrocal; {built}").stdout == "False\n"
+    assert _run_python(f"{_HELP_RUN}{built}").stdout.splitlines()[-1] == "False"
+    write = "import io, entrocal as e; e.write_dataset_csv(e.Dataset([0.5], [1]), io.StringIO())"
+    assert _run_python(f"{write}; {built}").stdout == "True\n"
 
 
 def test_readme_library_example_runs():
