@@ -4,8 +4,8 @@ Library surface:
 
 - :mod:`entrocal.metrics`: per-datum and aggregate scores (binary and
   discrete ECD, NLL, entropy, Brier, the score curve).
-- :mod:`entrocal.binning`: reliability-diagram binning, ECE/ESCE, and the
-  calibration report.
+- :mod:`entrocal.binning`: reliability-diagram binning and the calibration
+  report (ECE, ESCE and ECD).
 - :mod:`entrocal.gaussian`: NEES and Gaussian ECD for state estimates.
 - :mod:`entrocal.simulation`: seeded generator of miscalibrated datasets.
 - :mod:`entrocal.report_io`: CSV ingestion/export, report rendering, SVG
@@ -19,8 +19,6 @@ from .binning import (
     CalibrationReport,
     bin_stats,
     build_report,
-    ece,
-    esce,
     reliability_points,
 )
 from .gaussian import (
@@ -54,7 +52,6 @@ from .report_io import (
     render_reliability_svg,
     render_report,
     report_from_json,
-    report_to_json,
     write_dataset_csv,
     write_simulated_csv,
 )
@@ -88,14 +85,12 @@ __all__ = [
     "brier",
     "build_report",
     "derive_run_seed",
-    "ece",
     "ecd_binary",
     "ecd_curve",
     "ecd_discrete",
     "ecd_gaussian",
     "ecd_sample_binary",
     "ecd_sample_scores",
-    "esce",
     "gaussian_log_density",
     "gaussian_negative_entropy",
     "load_csv",
@@ -111,7 +106,6 @@ __all__ = [
     "render_reliability_svg",
     "render_report",
     "report_from_json",
-    "report_to_json",
     "run_noise_suite",
     "simulate",
     "write_dataset_csv",

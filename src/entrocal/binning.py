@@ -35,8 +35,6 @@ __all__ = [
     "CalibrationReport",
     "bin_indices",
     "bin_stats",
-    "ece",
-    "esce",
     "build_report",
     "reliability_points",
 ]
@@ -53,7 +51,8 @@ class BinSpec:
     num_bins: int = 10
 
     def __post_init__(self) -> None:
-        if not isinstance(self.num_bins, numbers.Integral) or self.num_bins < 1:
+        if (isinstance(self.num_bins, bool) or not isinstance(self.num_bins, numbers.Integral)
+                or self.num_bins < 1):
             raise ValueError(f"num_bins must be an integer >= 1, got {self.num_bins!r}")
 
     @property
@@ -84,7 +83,12 @@ class BinStats:
 
 @dataclass(frozen=True)
 class CalibrationReport:
-    """Per-bin statistics plus the weighted-sum scalars for one dataset."""
+    """Per-bin statistics plus the weighted-sum scalars for one dataset.
+
+    ``ece`` is in [0, 1] and ``esce`` in [-1, 1]. Under- and over-confident
+    bins can cancel in ESCE, so a small value does not by itself mean good
+    calibration; read it alongside ECE.
+    """
 
     bins: tuple
     n_total: int
@@ -160,33 +164,9 @@ def bin_stats(
     return out
 
 
-def _check_counts(bins: Sequence[BinStats], n_total: int) -> None:
-    if n_total < 1:
-        raise ValueError("n_total must be >= 1")
-    total = sum(b.count for b in bins)
-    if total != n_total:
-        raise ValueError(f"bin counts sum to {total}, expected n_total={n_total}")
-
-
 def _weighted(bins: Sequence[BinStats], n_total: int, field: str) -> float:
     terms = [b.count * getattr(b, field) for b in bins if b.populated]
     return pairwise_sum(terms) / n_total
-
-
-def ece(bins: Sequence[BinStats], n_total: int) -> float:
-    """Count-weighted sum of absolute confidence gaps, in [0, 1]."""
-    _check_counts(bins, n_total)
-    return _weighted(bins, n_total, "ece_bin")
-
-
-def esce(bins: Sequence[BinStats], n_total: int) -> float:
-    """Count-weighted sum of signed confidence gaps, in [-1, 1].
-
-    Under- and over-confident bins can cancel here, so a small value does
-    not by itself mean good calibration; read it alongside ECE.
-    """
-    _check_counts(bins, n_total)
-    return _weighted(bins, n_total, "esce_bin")
 
 
 def build_report(

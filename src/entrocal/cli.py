@@ -334,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("evaluate", parents=[], help="score a prediction CSV")
+    p = sub.add_parser("evaluate", help="score a prediction CSV")
     p.add_argument("--input", required=True, help="prediction CSV (prob,label columns)")
     p.add_argument("--bins", type=int, default=10, help="number of bins (default 10)")
     p.add_argument("--clip", type=float, default=1e-4, help="log clip bound (default 1e-4)")

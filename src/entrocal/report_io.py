@@ -43,10 +43,11 @@ itself in their slot: about 2% of simulated probabilities. Where
 value takes ``%``. The kernel's tables are built on the first write, not at
 import. Labels must be 0 or 1.
 
-Report JSON: versioned via ``schema_version`` (currently 1); carries full
-float precision and round-trips to an equal :class:`CalibrationReport`. Its
-keys come from the fields of the report dataclasses, so a new field needs no
-edit to the writer or the reader.
+Report JSON, written by ``render_report(report, "json")`` and read by
+:func:`report_from_json`: versioned via ``schema_version`` (currently 1);
+carries full float precision and round-trips to an equal
+:class:`CalibrationReport`. Its keys come from the fields of the report
+dataclasses, so a new field needs no edit to the writer or the reader.
 
 Rendered tables (markdown/csv) follow the column order
 threshold, bin, ECE, ESCE, ECD (a trailing count column is appended),
@@ -71,7 +72,7 @@ from typing import BinaryIO, Optional, Sequence, TextIO, Union
 
 import numpy as np
 
-from .binning import BinSpec, BinStats, CalibrationReport, _check_counts, bin_indices
+from .binning import BinSpec, BinStats, CalibrationReport, bin_indices
 from .metrics import Dataset
 from .simulation import SimulatedDataset
 
@@ -82,7 +83,6 @@ __all__ = [
     "write_dataset_csv",
     "write_simulated_csv",
     "render_report",
-    "report_to_json",
     "report_from_json",
     "render_reliability_svg",
     "render_histogram_svg",
@@ -351,11 +351,10 @@ class ReportDocument:
     content: str
 
 
-def _threshold_label(index: int, num_bins: int) -> str:
-    lo = format(index / num_bins, ".4g")
-    hi = format((index + 1) / num_bins, ".4g")
-    op = "<=" if index == num_bins - 1 else "<"
-    return f"{lo} <= p {op} {hi}"
+def _threshold_label(spec: BinSpec, index: int) -> str:
+    lo, hi = spec.interval(index)
+    op = "<=" if index == spec.num_bins - 1 else "<"
+    return f"{lo:.4g} <= p {op} {hi:.4g}"
 
 
 def _cell(value: Optional[float]) -> str:
@@ -364,11 +363,11 @@ def _cell(value: Optional[float]) -> str:
 
 def _table_rows(report: CalibrationReport) -> list[tuple[str, str, str, str, str, str]]:
     rows = []
-    m = report.num_bins
+    spec = BinSpec(report.num_bins)
     for b in report.bins:
         rows.append(
             (
-                _threshold_label(b.index, m),
+                _threshold_label(spec, b.index),
                 str(b.index + 1),
                 _cell(b.ece_bin),
                 _cell(b.esce_bin),
@@ -411,8 +410,8 @@ def _render_csv(report: CalibrationReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def report_to_json(report: CalibrationReport) -> str:
-    """Serialize at full float precision; round-trips via report_from_json.
+def _render_json(report: CalibrationReport) -> str:
+    """Report JSON at full float precision; :func:`report_from_json` reads it back.
 
     Keys: ``schema_version``, ``num_bins``, the other report fields, then
     ``bins``, each keyed by the :class:`BinStats` fields, all in field order.
@@ -475,39 +474,47 @@ def _bin_from_json(obj, index: int) -> BinStats:
 
 
 def report_from_json(text: str) -> CalibrationReport:
-    """Rebuild the :class:`CalibrationReport` that :func:`report_to_json` wrote.
+    """Rebuild the :class:`CalibrationReport` that ``render_report(report, "json")`` wrote.
 
     Each of these is a ``ValueError`` naming its place (``report`` or
     ``bins[i]``): a payload or bin that is not an object; a missing or
     unknown key; a value not of its field's type (a JSON number for a float,
     never a bool or a string; a non-negative int for a count or an index);
-    ``bins`` that is not a list of ``num_bins`` objects; a bin whose ``index``
-    is not its position, whose ``populated`` is not ``count > 0``, or whose
-    values are not null exactly when it is empty; counts that do not sum to
-    ``n_total``. A ``schema_version`` other than :data:`SCHEMA_VERSION` is
-    one too, without a place.
+    a ``num_bins`` that is not a JSON int, or ``bins`` that is not a list of
+    ``num_bins`` objects; a bin whose ``index`` is not its position, whose
+    ``populated`` is not ``count > 0``, or whose values are not null exactly
+    when it is empty; counts that do not sum to ``n_total``. A
+    ``schema_version`` other than the JSON int :data:`SCHEMA_VERSION` (so
+    neither ``true`` nor ``1.0``) is one too, without a place.
     """
     payload = json.loads(text)
     if not isinstance(payload, dict):
         raise ValueError("report: expected a JSON object")
     version = payload.get("schema_version")
-    if version != SCHEMA_VERSION:
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise ValueError(f"unsupported report schema_version: {version!r}")
     report = CalibrationReport(
         **_field_values(CalibrationReport, payload, "report", "schema_version", "num_bins"))
+    if type(payload["num_bins"]) is not int:
+        raise ValueError("report: num_bins must be an int")
     if len(report.bins) != payload["num_bins"]:
         raise ValueError(f"report: num_bins is {payload['num_bins']!r} "
                          f"but bins holds {len(report.bins)}")
     bins = tuple(_bin_from_json(b, i) for i, b in enumerate(report.bins))
-    try:
-        _check_counts(bins, report.n_total)
-    except ValueError as exc:
-        raise ValueError(f"report: {exc}") from None
+    _check_counts(bins, report.n_total)
     return replace(report, bins=bins)
 
 
+def _check_counts(bins: Sequence[BinStats], n_total: int) -> None:
+    if n_total < 1:
+        raise ValueError("report: n_total must be >= 1")
+    total = sum(b.count for b in bins)
+    if total != n_total:
+        raise ValueError(f"report: bin counts sum to {total}, expected n_total={n_total}")
+
+
 #: Each report format's renderer; the keys are the CLI's ``--format`` choices.
-_RENDERERS = {"markdown": _render_markdown, "json": report_to_json, "csv": _render_csv}
+_RENDERERS = {"markdown": _render_markdown, "json": _render_json, "csv": _render_csv}
 REPORT_FORMATS = tuple(_RENDERERS)
 
 
@@ -695,9 +702,8 @@ def render_ecd_curve_svg(
         parts.append(
             f'<text x="{lx + 24}" y="{ly + 4}" font-size="11" {_SVG_FONT}>{name}</text>'
         )
-    min_prob, min_score, min_series = min(
-        ((c[0], s, i) for c in curve for i, s in ((1, c[1]), (2, c[2]))),
-        key=lambda t: t[1],
+    min_prob, min_score = min(
+        ((c[0], s) for c in curve for s in (c[1], c[2])), key=lambda t: t[1]
     )
     mx, my = to_px(min_prob, min_score)
     parts.append(

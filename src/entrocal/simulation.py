@@ -67,6 +67,10 @@ def logistic(u):
     return float(out) if np.isscalar(u) else out
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     """Generator parameters; defaults match the bundled noise study."""
@@ -79,7 +83,9 @@ class SimulationConfig:
     noise_sigma: float = 0.0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, numbers.Integral) or self.n < 1:
+        if not _is_integer(self.seed) or self.seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
+        if not _is_integer(self.n) or self.n < 1:
             raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
         for name in ("logodds_halfwidth", "weight", "noise_mean", "noise_sigma"):
             if not np.isfinite(getattr(self, name)):

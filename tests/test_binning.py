@@ -12,13 +12,11 @@ from entrocal import (
     Dataset,
     bin_stats,
     build_report,
-    ece,
     ecd_binary,
-    esce,
     reliability_points,
     render_histogram_svg,
 )
-from entrocal._accumulate import pairwise_mean
+from entrocal._accumulate import pairwise_mean, pairwise_sum
 from entrocal.binning import ECD_CONSISTENCY_TOL, bin_indices
 from entrocal.metrics import ecd_sample_scores
 from entrocal.simulation import SimulationConfig, simulate
@@ -31,7 +29,7 @@ dataset_st = st.lists(st.tuples(probs_st, labels_st), min_size=1, max_size=80).m
 
 
 def test_bin_spec_validation():
-    for num_bins in (0, float("nan"), 2.5, 10.0, "10"):
+    for num_bins in (0, float("nan"), 2.5, 10.0, "10", True, False):
         with pytest.raises(ValueError, match="num_bins must be an integer >= 1, got "):
             BinSpec(num_bins)
     assert BinSpec(1).interior_edges.size == 0
@@ -107,29 +105,20 @@ def test_ece_esce_cancellation():
     # Two equal-count bins with signed gaps +0.125 and -0.125 (exact floats).
     probs = [0.125] * 100 + [0.375] * 100
     labels = [1] * 25 + [0] * 75 + [1] * 25 + [0] * 75
-    stats = bin_stats(Dataset(probs, labels))
-    assert ece(stats, 200) == pytest.approx(0.125, abs=1e-15)
-    assert esce(stats, 200) == pytest.approx(0.0, abs=1e-15)
+    report = build_report(Dataset(probs, labels))
+    assert report.ece == pytest.approx(0.125, abs=1e-15)
+    assert report.esce == pytest.approx(0.0, abs=1e-15)
 
 
 def test_ece_perfectly_calibrated_zero():
-    stats = bin_stats(Dataset([0.25] * 4, [1, 0, 0, 0]))
-    assert ece(stats, 4) == pytest.approx(0.0, abs=1e-15)
+    assert build_report(Dataset([0.25] * 4, [1, 0, 0, 0])).ece == pytest.approx(0.0, abs=1e-15)
 
 
 def test_esce_sign_coherence_all_over_confident():
     probs = [0.95] * 10 + [0.85] * 10
     labels = [1, 0, 0, 0, 0, 0, 0, 0, 0, 0] * 2
-    stats = bin_stats(Dataset(probs, labels))
-    assert esce(stats, 20) == pytest.approx(-ece(stats, 20), abs=1e-15)
-
-
-def test_ece_count_validation():
-    stats = bin_stats(Dataset([0.5], [1]))
-    with pytest.raises(ValueError):
-        ece(stats, 0)
-    with pytest.raises(ValueError):
-        ece(stats, 2)
+    report = build_report(Dataset(probs, labels))
+    assert report.esce == pytest.approx(-report.ece, abs=1e-15)
 
 
 @settings(max_examples=100)
@@ -147,9 +136,8 @@ def test_partition_and_sign_coherence(data):
 @settings(max_examples=100)
 @given(data=dataset_st)
 def test_ece_esce_bounds(data):
-    stats = bin_stats(data)
-    e = ece(stats, len(data))
-    s = esce(stats, len(data))
+    report = build_report(data)
+    e, s = report.ece, report.esce
     assert -1.0 <= s <= 1.0
     assert abs(s) <= e <= 1.0
 
@@ -194,9 +182,10 @@ def test_report_fields_consistent():
     assert report.num_bins == 10
     assert sum(b.count for b in report.bins) == 4
     assert report.ece >= abs(report.esce)
-    stats = bin_stats(data)
-    assert report.ece == ece(stats, 4)
-    assert report.esce == esce(stats, 4)
+    assert report.bins == tuple(bin_stats(data))
+    populated = [b for b in report.bins if b.populated]
+    assert report.ece == pairwise_sum([b.count * b.ece_bin for b in populated]) / 4
+    assert report.esce == pairwise_sum([b.count * b.esce_bin for b in populated]) / 4
 
 
 def test_reliability_points():

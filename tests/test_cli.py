@@ -212,6 +212,16 @@ def test_simulate_invalid_params_exit_1(tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "suite"])
+def test_negative_seed_exit_1_names_the_seed(tmp_path, capsys, command):
+    out = ["--output", str(tmp_path / "x.csv")] if command == "simulate" else [
+        "--out-dir", str(tmp_path / "suite")]
+    code, stdout, err = run_cli(capsys, command, "--seed", "-1", "--n", "50", *out)
+    assert (code, stdout) == (1, "")
+    assert err == "entrocal: error: seed must be an integer >= 0, got -1\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # suite
 # ---------------------------------------------------------------------------

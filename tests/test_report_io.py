@@ -28,7 +28,6 @@ from entrocal import (
     render_reliability_svg,
     render_report,
     report_from_json,
-    report_to_json,
     simulate,
     write_dataset_csv,
     write_simulated_csv,
@@ -548,6 +547,30 @@ def test_csv_kernel_tables_are_derived_from_longdouble():
         assert _floattext.TOP >= 11
 
 
+@pytest.mark.parametrize("sigma", [0.0, 0.5, 2.0])
+def test_csv_writer_sends_about_2_percent_of_simulated_values_through_percent(
+        monkeypatch, sigma):
+    # The README's "about 2%": the share of values the kernel cannot prove
+    # exact, each of which is one call of format(). Without extra precision
+    # in np.longdouble every value takes that path.
+    calls = []
+
+    def counting_format(value, spec):
+        calls.append(value)
+        return format(value, spec)
+
+    monkeypatch.setattr(_floattext, "format", counting_format, raising=False)
+    for seed in (1, 2, 3):
+        calls.clear()
+        sim = simulate(SimulationConfig(seed=seed, n=100_000, noise_sigma=sigma))
+        write_simulated_csv(sim, io.StringIO())
+        share = len(calls) / sim.config.n
+        if np.finfo(np.longdouble).nmant >= 63:
+            assert 0.01 <= share <= 0.03, (seed, share)
+        else:
+            assert share == 1.0
+
+
 def test_csv_writer_rejects_labels_other_than_0_or_1():
     with pytest.raises(ValueError, match="labels must be 0 or 1"):
         report_io._dataset_csv_text(np.array([0.5]), np.array([2]))
@@ -622,38 +645,45 @@ def test_render_unknown_format(sparse_report):
         render_report(sparse_report, "yaml")
 
 
+def _json(report) -> str:
+    return render_report(report, "json").content
+
+
 def test_report_json_round_trip(sparse_report):
-    text = report_to_json(sparse_report)
-    assert report_from_json(text) == sparse_report
-    assert render_report(sparse_report, "json").content == text
+    assert report_from_json(_json(sparse_report)) == sparse_report
 
 
 def test_report_json_round_trip_full(tmp_path):
     sim = simulate(SimulationConfig(seed=4, n=2000, noise_sigma=0.5))
     report = build_report(sim.dataset())
-    assert report_from_json(report_to_json(report)) == report
+    assert report_from_json(_json(report)) == report
 
 
 def test_report_json_rejects_unknown_schema(sparse_report):
-    text = report_to_json(sparse_report).replace('"schema_version": 1', '"schema_version": 99')
+    text = _json(sparse_report).replace('"schema_version": 1', '"schema_version": 99')
     with pytest.raises(ValueError, match="schema_version"):
         report_from_json(text)
 
 
 def test_report_json_fixture_round_trips_byte_for_byte():
     text = SAMPLE_REPORT.read_text(encoding="utf-8")
-    assert report_to_json(report_from_json(text)) == text
+    assert _json(report_from_json(text)) == text
 
 
 def _malformed(edit, text=None):
     """The JSON payload ``text`` (the sparse report's by default) after ``edit`` changes it."""
-    payload = json.loads(text or report_to_json(build_report(Dataset([0.05, 0.95], [0, 1]))))
+    payload = json.loads(text or _json(build_report(Dataset([0.05, 0.95], [0, 1]))))
     edit(payload)
     return json.dumps(payload)
 
 
 def _malformed_sample(edit):
     return _malformed(edit, SAMPLE_REPORT.read_text(encoding="utf-8"))
+
+
+def _malformed_one_bin(edit):
+    """A one-bin report after ``edit``, where true and 1.0 compare equal to its 1 bin."""
+    return _malformed(edit, _json(build_report(Dataset([0.05, 0.95], [0, 1]), BinSpec(1))))
 
 
 @pytest.mark.parametrize(
@@ -699,6 +729,14 @@ def _malformed_sample(edit):
                      "report: bin counts sum to 4, expected n_total=2", id="counts-off-total"),
         pytest.param(_malformed(lambda p: p.update(n_total=0)),
                      "report: n_total must be >= 1", id="n-total-zero"),
+        pytest.param(_malformed_one_bin(lambda p: p.update(schema_version=True)),
+                     "unsupported report schema_version: True", id="schema-version-a-bool"),
+        pytest.param(_malformed_one_bin(lambda p: p.update(schema_version=1.0)),
+                     "unsupported report schema_version: 1.0", id="schema-version-a-float"),
+        pytest.param(_malformed_one_bin(lambda p: p.update(num_bins=True)),
+                     "report: num_bins must be an int", id="num-bins-a-bool"),
+        pytest.param(_malformed_one_bin(lambda p: p.update(num_bins=1.0)),
+                     "report: num_bins must be an int", id="num-bins-a-float"),
     ],
 )
 def test_report_json_rejects_malformed_reports_with_their_place(text, message):

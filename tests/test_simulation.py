@@ -63,13 +63,20 @@ def test_logistic_monotone_and_stable():
         {"n": 2.5},
         {"n": float("nan")},
         {"n": "10"},
+        {"n": True},
+        {"seed": -1},
+        {"seed": None},
+        {"seed": 1.5},
+        {"seed": True},
     ],
 )
 def test_config_validation(kwargs):
     with pytest.raises(ValueError) as excinfo:
-        SimulationConfig(seed=1, **kwargs)
-    if "n" in kwargs:
-        assert str(excinfo.value) == f"n must be an integer >= 1, got {kwargs['n']!r}"
+        SimulationConfig(**{"seed": 1, **kwargs})
+    (name, value), = kwargs.items()
+    low = {"seed": 0, "n": 1}.get(name)
+    if low is not None:
+        assert str(excinfo.value) == f"{name} must be an integer >= {low}, got {value!r}"
 
 
 # ---------------------------------------------------------------------------

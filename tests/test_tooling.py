@@ -129,14 +129,39 @@ def test_bench_library_pass_writes_the_fixture_report(tmp_path):
     assert (out / "report-10.json").read_bytes() == expected
 
 
+def _package_modules() -> list:
+    """The package and each of its modules."""
+    import entrocal
+
+    return [entrocal, *(importlib.import_module(f"entrocal.{info.name}")
+                        for info in pkgutil.iter_modules(entrocal.__path__))]
+
+
+#: Names a module exports that the package deliberately does not.
+MODULE_ONLY_NAMES = {"DEFAULT_CLIP", "bin_indices", "SCHEMA_VERSION"}
+
+
+def test_module_exports_are_package_exports():
+    # A name deleted from the package must not linger in a module's __all__.
+    import entrocal
+
+    exported = set()
+    for module in _package_modules()[1:]:
+        for name in getattr(module, "__all__", ()):
+            exported.add(name)
+            if name in MODULE_ONLY_NAMES:
+                continue
+            assert name in entrocal.__all__, f"{module.__name__}.{name}"
+            assert getattr(entrocal, name) is getattr(module, name), name
+    assert MODULE_ONLY_NAMES <= exported
+
+
 def test_public_names_are_documented():
     # Every name a module exports must exist, and every public function and
     # class of the package must say what it is.
     import entrocal
 
-    modules = [entrocal, *(importlib.import_module(f"entrocal.{info.name}")
-                           for info in pkgutil.iter_modules(entrocal.__path__))]
-    for module in modules:
+    for module in _package_modules():
         missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
         assert not missing, f"{module.__name__}.__all__ names {missing}"
     undocumented = []
