@@ -33,7 +33,6 @@ __all__ = [
     "BinSpec",
     "BinStats",
     "CalibrationReport",
-    "bin_indices",
     "bin_stats",
     "build_report",
     "reliability_points",

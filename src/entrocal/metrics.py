@@ -33,7 +33,6 @@ from ._accumulate import pairwise_mean, pairwise_sum_rows
 
 __all__ = [
     "ClipPolicy",
-    "DEFAULT_CLIP",
     "Dataset",
     "DiscreteDistribution",
     "ECD_BINARY_LOWER_BOUND",
@@ -71,6 +70,7 @@ class ClipPolicy:
             raise ValueError(f"epsilon must be in (0, 0.5), got {self.epsilon}")
 
 
+#: The clip policy of every score that is given none.
 DEFAULT_CLIP = ClipPolicy()
 
 

@@ -4,13 +4,14 @@ File formats
 ------------
 Prediction CSV: UTF-8, comma separated, LF or CRLF, with a header row. The
 columns ``prob`` (decimal in [0, 1]) and ``label`` (0 or 1) are required and
-matched by name; any other columns (a leading ``id``, an exported
-``true_prob``) are ignored. Loading is strict: the first bad row aborts the
-load with its 1-based row number and the reason. Probabilities are written
-with 17 significant digits so a write/read round trip reproduces every
-float64 bit-for-bit. Every file written by path is written atomically: a
-temporary file in the destination directory (created if missing), then a
-rename over the destination, so a failed write leaves the old file intact.
+matched by name, each exactly once; any other columns (a leading ``id``, an
+exported ``true_prob``) are ignored. Loading is strict: the first bad row
+aborts the load with its 1-based row number and the reason. Probabilities
+are written with 17 significant digits so a write/read round trip
+reproduces every float64 bit-for-bit. Every file written by path is written
+atomically: a temporary file in the destination directory (created if
+missing), then a rename over the destination, so a failed write leaves the
+old file intact.
 
 Every source is read once. A path, a binary stream, a pipe or a text stream
 (one whose ``read`` returns str, whatever its class; encoded to UTF-8 whole,
@@ -30,18 +31,8 @@ the row parser. A caller's stream is left open.
 
 Rows are written with the bytes of ``%.17g`` for each float, 16,384 rows at
 a time, into a NUL-padded array of fixed-width slots that one
-``bytes.translate`` compacts. The array kernel (:mod:`entrocal._floattext`)
-scales a value x in (0, 1) to P = x * 10**(16 - k), k = floor(log10(x)), in
-``np.longdouble``, from a table of the powers of ten that type holds exactly
-(down to 1e-11 with a 64-bit significand); rint(P) is x's 17 digits, written
-through a 4-digit lookup table in ``%g``'s layout. They are exact unless P
-lies within the guard, the spacing of ``np.longdouble`` at 1e17, of a .5
-midpoint. Such a value, one whose P is below 1e16 or rounds to 1e17, and 0,
-1, anything outside (0, 1) or below the table are formatted by ``%.17g``
-itself in their slot: about 2% of simulated probabilities. Where
-``np.longdouble`` has no extra precision the guard admits no value, so every
-value takes ``%``. The kernel's tables are built on the first write, not at
-import. Labels must be 0 or 1.
+``bytes.translate`` compacts; :mod:`entrocal._floattext` fills the slots.
+Labels must be 0 or 1.
 
 Report JSON, written by ``render_report(report, "json")`` and read by
 :func:`report_from_json`: versioned via ``schema_version`` (currently 1);
@@ -77,7 +68,6 @@ from .metrics import Dataset
 from .simulation import SimulatedDataset
 
 __all__ = [
-    "SCHEMA_VERSION",
     "ReportDocument",
     "load_csv",
     "write_dataset_csv",
@@ -89,6 +79,7 @@ __all__ = [
     "render_ecd_curve_svg",
 ]
 
+#: The report JSON ``schema_version`` that this module writes and reads.
 SCHEMA_VERSION = 1
 
 Source = Union[str, Path, TextIO, BinaryIO]
@@ -105,8 +96,8 @@ def load_csv(source: Source) -> Dataset:
     ``source`` is a path or a stream: binary or text as its ``read`` returns
     bytes or str, whatever its class (a text stream is read whole and encoded
     to UTF-8). Raises ``ValueError`` identifying the 1-based row and reason
-    for the first malformed value (missing column, unparsable number,
-    probability out of range, non-binary label, invalid UTF-8).
+    for the first malformed value (missing or duplicate column, unparsable
+    number, probability out of range, non-binary label, invalid UTF-8).
     """
     if isinstance(source, (str, Path)):
         with open(source, "rb") as fh:
@@ -149,6 +140,8 @@ def _header(fh) -> tuple[tuple[int, int, int], bytes]:
     for required in ("prob", "label"):
         if required not in header:
             raise ValueError(f"row 1: missing required column '{required}'")
+        if header.count(required) > 1:
+            raise ValueError(f"row 1: duplicate column '{required}'")
     return (len(header), header.index("prob"), header.index("label")), rest.removeprefix(b"\n")
 
 
@@ -532,44 +525,49 @@ def render_report(report: CalibrationReport, format: str = "markdown") -> Report
 _SVG_FONT = 'font-family="Helvetica,Arial,sans-serif"'
 
 
-def _svg_header(width: int, height: int, title: str):
-    """Opening tags and title of a document, and its plot area (x0, y0, x1, y1) in px."""
+def _svg_frame(width: int, height: int, title: str, xlab: str, ylab: str, y_steps: int,
+               digits: tuple[int, int], y_lo: float = 0.0, y_span: float = 1.0):
+    """Opening tags, title, axes, ticks and axis labels of a plot.
+
+    The x axis runs from 0 to 1 with six ticks; the y axis from ``y_lo`` to
+    ``y_lo + y_span`` with ``y_steps + 1``. Tick values print with ``digits``
+    (x, y) decimals. Returns the parts, the plot box (x0, y0, x1, y1) in px
+    (y0 > y1) and the map of a data point (x, y) to px.
+    """
     x0, y0, x1, y1 = 60, height - 50, width - 20, 30
+
+    def to_px(x: float, y: float) -> tuple[float, float]:
+        return x0 + x * (x1 - x0), y0 - (y - y_lo) / y_span * (y0 - y1)
+
+    x_digits, y_digits = digits
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}" version="1.1">',
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>',
         f'<text x="{(x0 + x1) / 2:.2f}" y="18" text-anchor="middle" font-size="13" '
         f"{_SVG_FONT}>{html.escape(title, quote=False)}</text>",
-    ]
-    return parts, (x0, y0, x1, y1)
-
-
-def _axis_frame(x0, y0, x1, y1, xlab, ylab, ticks_x, ticks_y, tick_fmt="{:.1f}"):
-    """Axes rectangle, tick marks and labels for a plot area (y0 > y1 in px)."""
-    parts = [
         f'<rect x="{x0}" y="{y1}" width="{x1 - x0}" height="{y0 - y1}" '
-        'fill="none" stroke="#000000" stroke-width="1"/>'
+        'fill="none" stroke="#000000" stroke-width="1"/>',
     ]
-    for frac, value in ticks_x:
-        px = x0 + frac * (x1 - x0)
+    for v in range(6):
+        px = x0 + v / 5 * (x1 - x0)
         parts.append(
             f'<line x1="{px:.2f}" y1="{y0}" x2="{px:.2f}" y2="{y0 + 5}" '
             'stroke="#000000" stroke-width="1"/>'
         )
         parts.append(
             f'<text x="{px:.2f}" y="{y0 + 18}" text-anchor="middle" font-size="11" '
-            f"{_SVG_FONT}>{tick_fmt.format(value)}</text>"
+            f"{_SVG_FONT}>{v / 5:.{x_digits}f}</text>"
         )
-    for frac, value in ticks_y:
-        py = y0 - frac * (y0 - y1)
+    for v in range(y_steps + 1):
+        py = y0 - v / y_steps * (y0 - y1)
         parts.append(
             f'<line x1="{x0 - 5}" y1="{py:.2f}" x2="{x0}" y2="{py:.2f}" '
             'stroke="#000000" stroke-width="1"/>'
         )
         parts.append(
             f'<text x="{x0 - 8}" y="{py + 4:.2f}" text-anchor="end" font-size="11" '
-            f"{_SVG_FONT}>{tick_fmt.format(value)}</text>"
+            f"{_SVG_FONT}>{y_lo + y_span * v / y_steps:.{y_digits}f}</text>"
         )
     parts.append(
         f'<text x="{(x0 + x1) / 2:.2f}" y="{y0 + 36}" text-anchor="middle" font-size="12" '
@@ -579,7 +577,7 @@ def _axis_frame(x0, y0, x1, y1, xlab, ylab, ticks_x, ticks_y, tick_fmt="{:.1f}")
         f'<text x="{x0 - 40}" y="{(y0 + y1) / 2:.2f}" text-anchor="middle" font-size="12" '
         f'{_SVG_FONT} transform="rotate(-90 {x0 - 40} {(y0 + y1) / 2:.2f})">{ylab}</text>'
     )
-    return parts
+    return parts, (x0, y0, x1, y1), to_px
 
 
 def render_reliability_svg(
@@ -594,14 +592,8 @@ def render_reliability_svg(
     diagonal are under-confident bins, below are over-confident. Empty input
     yields just the axes and the reference line.
     """
-    parts, (x0, y0, x1, y1) = _svg_header(420, 420, title)
-
-    def to_px(cx: float, cy: float) -> tuple[float, float]:
-        return x0 + cx * (x1 - x0), y0 - cy * (y0 - y1)
-
-    ticks = [(v / 5, v / 5) for v in range(6)]
-    parts.extend(_axis_frame(x0, y0, x1, y1, "mean predicted probability",
-                             "fraction of positives", ticks, ticks))
+    parts, _, to_px = _svg_frame(420, 420, title, "mean predicted probability",
+                                 "fraction of positives", 5, (1, 1))
     dx0, dy0 = to_px(0.0, 0.0)
     dx1, dy1 = to_px(1.0, 1.0)
     parts.append(
@@ -634,16 +626,11 @@ def render_histogram_svg(
         raise ValueError("empty dataset")
     counts = np.bincount(bin_indices(data.probs, spec), minlength=bins).tolist()
     top = max(counts)
-    parts, (x0, y0, x1, y1) = _svg_header(420, 320, title)
-    ticks_x = [(v / 5, v / 5) for v in range(6)]
-    ticks_y = [(v / 4, round(top * v / 4)) for v in range(5)]
-    parts.extend(
-        _axis_frame(x0, y0, x1, y1, "estimated probability", "count",
-                    ticks_x, ticks_y, tick_fmt="{}")
-    )
+    parts, (x0, y0, x1, y1), _ = _svg_frame(420, 320, title, "estimated probability", "count",
+                                            4, (1, 0), y_span=top)
     bar_w = (x1 - x0) / bins
     for m, count in enumerate(counts):
-        bh = 0.0 if top == 0 else (count / top) * (y0 - y1)
+        bh = (count / top) * (y0 - y1)
         bx = x0 + m * bar_w
         parts.append(
             f'<rect x="{bx:.2f}" y="{y0 - bh:.2f}" width="{bar_w:.2f}" height="{bh:.2f}" '
@@ -666,22 +653,15 @@ def render_ecd_curve_svg(
     """
     if len(curve) < 1:
         raise ValueError("empty curve")
-    smin = min(min(c[1], c[2]) for c in curve)
+    min_prob, min_score = min(
+        ((c[0], s) for c in curve for s in (c[1], c[2])), key=lambda t: t[1]
+    )
     smax = max(max(c[1], c[2]) for c in curve)
-    lo = min(smin, 0.0)
+    lo = min(min_score, 0.0)
     hi = max(smax, 0.0)
     span = hi - lo or 1.0
-    parts, (x0, y0, x1, y1) = _svg_header(480, 360, title)
-
-    def to_px(p: float, s: float) -> tuple[float, float]:
-        return x0 + p * (x1 - x0), y0 - (s - lo) / span * (y0 - y1)
-
-    ticks_x = [(v / 5, v / 5) for v in range(6)]
-    ticks_y = [(v / 4, lo + span * v / 4) for v in range(5)]
-    parts.extend(
-        _axis_frame(x0, y0, x1, y1, "estimated probability", "per-datum ECD",
-                    ticks_x, ticks_y, tick_fmt="{:.2f}")
-    )
+    parts, (x0, y0, x1, y1), to_px = _svg_frame(480, 360, title, "estimated probability",
+                                                "per-datum ECD", 4, (2, 2), lo, span)
     _, zero_py = to_px(0.0, 0.0)
     parts.append(
         f'<line x1="{x0}" y1="{zero_py:.2f}" x2="{x1}" y2="{zero_py:.2f}" '
@@ -702,9 +682,6 @@ def render_ecd_curve_svg(
         parts.append(
             f'<text x="{lx + 24}" y="{ly + 4}" font-size="11" {_SVG_FONT}>{name}</text>'
         )
-    min_prob, min_score = min(
-        ((c[0], s) for c in curve for s in (c[1], c[2])), key=lambda t: t[1]
-    )
     mx, my = to_px(min_prob, min_score)
     parts.append(
         f'<circle cx="{mx:.2f}" cy="{my:.2f}" r="3" fill="#000000" '

@@ -35,6 +35,12 @@ def test_bin_spec_validation():
     assert BinSpec(1).interior_edges.size == 0
 
 
+@pytest.mark.parametrize("index", [-1, 10])
+def test_bin_interval_rejects_an_index_outside_the_bins(index):
+    with pytest.raises(ValueError, match=f"^bin index {index} out of range for M=10$"):
+        BinSpec(10).interval(index)
+
+
 @pytest.mark.parametrize(
     "prob,expected",
     [(0.0, 0), (0.05, 0), (0.1, 1), (0.19999999, 1), (0.6, 6), (0.95, 9), (1.0, 9)],

@@ -1,11 +1,13 @@
 import json
 import os
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from entrocal import BinSpec, build_report, load_csv, report_from_json
+from entrocal import cli
 from entrocal.cli import main
 
 
@@ -109,6 +111,13 @@ def test_evaluate_missing_file_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_evaluate_header_only_csv_exit_2(tmp_path, capsys):
+    csv = tmp_path / "empty.csv"
+    csv.write_text("prob,label\n")
+    assert run_cli(capsys, "evaluate", "--input", str(csv)) == (
+        2, "", f"entrocal: error: {csv}: empty dataset\n")
+
+
 def test_evaluate_bad_flags_exit_1(tmp_path, capsys):
     csv = tmp_path / "d.csv"
     write_fixture_csv(csv, [0.5], [1])
@@ -159,6 +168,19 @@ def test_simulate_seed_required_non_tty(tmp_path, capsys):
     code, _, err = run_cli(capsys, "simulate", "--output", str(tmp_path / "x.csv"))
     assert code == 1
     assert "--seed" in err
+
+
+def test_simulate_on_a_terminal_announces_the_seed_it_draws(tmp_path, capsys, monkeypatch):
+    # An interactive run without --seed draws one and prints it, so the run can be repeated.
+    monkeypatch.setattr(sys.stdout, "isatty", lambda: True)
+    monkeypatch.setattr(cli.secrets, "randbits", lambda bits: 12345)
+    drawn, seeded = tmp_path / "drawn.csv", tmp_path / "seeded.csv"
+    code, out, err = run_cli(capsys, "simulate", "--n", "200", "--output", str(drawn))
+    assert (code, out) == (0, "")
+    assert err.startswith("note: no --seed given, using 12345\n")
+    assert run_cli(capsys, "simulate", "--n", "200", "--seed", "12345",
+                   "--output", str(seeded))[0] == 0
+    assert drawn.read_bytes() == seeded.read_bytes()
 
 
 def test_simulate_include_true_column(tmp_path, capsys):
@@ -540,10 +562,11 @@ def test_gaussian_covariance_errors_print_no_warning(tmp_path, capsys, records, 
          "record 1: covariance rows must all have the same length"),
         ([G1, G1, {**G1, "covariance": [[10**400]]}],
          "record 2: int too large to convert to float"),
+        ([1], "record 0: expected an object"),
     ],
     ids=["mixed-dimensions", "bad-record-after-mixed", "truth-short", "covariance-not-square",
          "empty-vectors", "empty-covariance-row", "covariance-vector", "ragged-covariance",
-         "int-beyond-float64-later"],
+         "int-beyond-float64-later", "record-not-an-object"],
 )
 def test_gaussian_shape_errors_exit_2_with_index(tmp_path, capsys, records, message):
     path, code, out, err = _gaussian_run(tmp_path, capsys, records)
@@ -574,6 +597,12 @@ def test_gaussian_unreadable_json_exit_2(tmp_path, capsys, payload, message):
     path.write_bytes(payload)
     code, out, err = run_cli(capsys, "gaussian", "--input", str(path))
     assert (code, out, err) == (2, "", f"entrocal: error: {path}: {message}\n")
+
+
+def test_gaussian_missing_file_exit_2(tmp_path, capsys):
+    path = tmp_path / "nope.json"
+    assert run_cli(capsys, "gaussian", "--input", str(path)) == (
+        2, "", f"entrocal: error: cannot read '{path}': No such file or directory\n")
 
 
 def _seeded_records(seed, n, d):

@@ -370,6 +370,12 @@ def test_gaussian_negative_entropy_values():
         gaussian_negative_entropy(np.array([[np.inf]]))
 
 
+def test_gaussian_negative_entropy_rejects_a_matrix_that_is_not_square():
+    with pytest.raises(ValueError,
+                       match=r"^covariance must be a square matrix, got shape \(2, 3\)$"):
+        gaussian_negative_entropy(np.ones((2, 3)))
+
+
 def test_gaussian_negative_entropy_decreases_with_spread():
     # Widening the covariance adds entropy, so negative entropy drops.
     base = gaussian_negative_entropy(np.eye(2))

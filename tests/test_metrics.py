@@ -301,6 +301,11 @@ def test_ecd_discrete_errors():
         ecd_discrete([(0.5, 0.5)], [0])
 
 
+def test_ecd_discrete_rejects_an_array_that_is_not_n_by_k():
+    with pytest.raises(ValueError, match=re.escape("expected an (N, K) array, got shape (2,)")):
+        ecd_discrete(np.array([0.5, 0.5]), [0, 1])
+
+
 @pytest.mark.parametrize("label", [0.5, 1.7, -0.5, float("nan"), float("inf")])
 def test_discrete_labels_must_be_whole_numbers(label):
     # A label is a class index; one that is not a whole number is named, not truncated.

@@ -99,6 +99,8 @@ def test_load_csv_preserves_order():
         ("prob,outcome\n0.5,1\n", r"row 1: missing required column 'label'"),
         ("p,label\n0.5,1\n", r"row 1: missing required column 'prob'"),
         ("", r"row 1: missing header"),
+        ("prob,label,label\n0.5,1,0\n", r"row 1: duplicate column 'label'"),
+        ("prob,label,prob\n0.5,1,0.7\n", r"row 1: duplicate column 'prob'"),
     ],
 )
 def test_load_csv_errors(tmp_path, body, message):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -140,6 +141,12 @@ def test_simulated_dataset_view():
     data = sim.dataset()
     assert np.array_equal(data.probs, sim.estimated_probs)
     assert np.array_equal(data.labels, sim.labels)
+
+
+def test_simulated_dataset_rejects_an_array_of_the_wrong_length():
+    sim = simulate(SimulationConfig(seed=23, n=100))
+    with pytest.raises(ValueError, match="^labels has length 99, expected 100$"):
+        replace(sim, labels=sim.labels[:99])
 
 
 # ---------------------------------------------------------------------------

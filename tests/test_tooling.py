@@ -137,23 +137,20 @@ def _package_modules() -> list:
                         for info in pkgutil.iter_modules(entrocal.__path__))]
 
 
-#: Names a module exports that the package deliberately does not.
-MODULE_ONLY_NAMES = {"DEFAULT_CLIP", "bin_indices", "SCHEMA_VERSION"}
-
-
 def test_module_exports_are_package_exports():
-    # A name deleted from the package must not linger in a module's __all__.
+    # Each module's __all__ is its part of the package surface: the package
+    # exports exactly those names, each once, as the same objects. A name in two
+    # modules' lists would let the later star import shadow the earlier one.
     import entrocal
 
-    exported = set()
+    exported = ["__version__"]
     for module in _package_modules()[1:]:
         for name in getattr(module, "__all__", ()):
-            exported.add(name)
-            if name in MODULE_ONLY_NAMES:
-                continue
+            exported.append(name)
             assert name in entrocal.__all__, f"{module.__name__}.{name}"
             assert getattr(entrocal, name) is getattr(module, name), name
-    assert MODULE_ONLY_NAMES <= exported
+    assert len(set(entrocal.__all__)) == len(entrocal.__all__)
+    assert sorted(entrocal.__all__) == sorted(exported)
 
 
 def test_public_names_are_documented():
