@@ -243,10 +243,16 @@ def _json_numbers(value, nested: bool) -> bool:
 def _gaussian_arrays(payload: list, source: str) -> list:
     """Means (N, d), covariances (N, d, d) and truths (N, d) of the JSON records.
 
-    Every record's structure (JSON types, a covariance's rows) is checked
-    before any value; a number, alone or in a list, stands for a d = 1 vector
-    or matrix. Records that do not stack (an int beyond float64, mixed
-    dimensions) are then checked one at a time, only to name the first bad one.
+    A number, alone or in a list, stands for a d = 1 vector or matrix. Errors
+    come in this order, each naming the first record at fault:
+
+    1. every record's JSON structure (types, a covariance's rows), here;
+    2. record by record, its dimensions, any int too large for float64 and its
+       covariance values: here, one record at a time, when the records do not
+       stack, else by ``_validate`` on the stacks;
+    3. one dimension across all records, here;
+    4. the first record with a NaN or infinite mean or truth, then the first
+       whose ``truth - mean`` overflows, by ``_nees``.
     """
     records = []
     for i, rec in enumerate(payload):
@@ -267,9 +273,7 @@ def _gaussian_arrays(payload: list, source: str) -> list:
             raise DataError(f"record {i}: covariance rows must all have the same length")
         records.append((mean, cov, truth))
     try:
-        arrays = [np.array(values, dtype=np.float64) for values in zip(*records)]
-        if [a.ndim for a in arrays] == [2, 3, 2]:
-            return arrays
+        return [np.array(values, dtype=np.float64) for values in zip(*records)]
     except (OverflowError, ValueError):
         pass
     for i, record in enumerate(records):

@@ -522,7 +522,26 @@ def render_report(report: CalibrationReport, format: str = "markdown") -> Report
 # SVG emitters
 # ---------------------------------------------------------------------------
 
-_SVG_FONT = 'font-family="Helvetica,Arial,sans-serif"'
+
+def _coord(value) -> str:
+    """A coordinate as SVG text: a float with two decimals, an int as it is."""
+    return str(value) if isinstance(value, int) else f"{value:.2f}"
+
+
+def _text(x, y, size: int, body: str, anchor: str = "", rotate: bool = False) -> str:
+    """A text element at (x, y), turned -90 degrees about that point if ``rotate``."""
+    x, y = _coord(x), _coord(y)
+    anchor = f' text-anchor="{anchor}"' if anchor else ""
+    turn = f' transform="rotate(-90 {x} {y})"' if rotate else ""
+    return (f'<text x="{x}" y="{y}"{anchor} font-size="{size}" '
+            f'font-family="Helvetica,Arial,sans-serif"{turn}>{body}</text>')
+
+
+def _line(x1, y1, x2, y2, stroke: str = "#000000", width: str = "1", dash: str = "") -> str:
+    """A line element from (x1, y1) to (x2, y2), dashed by ``dash`` if given."""
+    dash = f' stroke-dasharray="{dash}"' if dash else ""
+    return (f'<line x1="{_coord(x1)}" y1="{_coord(y1)}" x2="{_coord(x2)}" y2="{_coord(y2)}" '
+            f'stroke="{stroke}" stroke-width="{width}"{dash}/>')
 
 
 def _svg_frame(width: int, height: int, title: str, xlab: str, ylab: str, y_steps: int,
@@ -532,51 +551,33 @@ def _svg_frame(width: int, height: int, title: str, xlab: str, ylab: str, y_step
     The x axis runs from 0 to 1 with six ticks; the y axis from ``y_lo`` to
     ``y_lo + y_span`` with ``y_steps + 1``. Tick values print with ``digits``
     (x, y) decimals. Returns the parts, the plot box (x0, y0, x1, y1) in px
-    (y0 > y1) and the map of a data point (x, y) to px.
+    (y0 > y1) and the map of a data point (x, y) to float px.
     """
     x0, y0, x1, y1 = 60, height - 50, width - 20, 30
 
     def to_px(x: float, y: float) -> tuple[float, float]:
-        return x0 + x * (x1 - x0), y0 - (y - y_lo) / y_span * (y0 - y1)
+        return float(x0 + x * (x1 - x0)), y0 - (y - y_lo) / y_span * (y0 - y1)
 
     x_digits, y_digits = digits
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}" version="1.1">',
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>',
-        f'<text x="{(x0 + x1) / 2:.2f}" y="18" text-anchor="middle" font-size="13" '
-        f"{_SVG_FONT}>{html.escape(title, quote=False)}</text>",
+        _text((x0 + x1) / 2, 18, 13, html.escape(title, quote=False), "middle"),
         f'<rect x="{x0}" y="{y1}" width="{x1 - x0}" height="{y0 - y1}" '
         'fill="none" stroke="#000000" stroke-width="1"/>',
     ]
     for v in range(6):
         px = x0 + v / 5 * (x1 - x0)
-        parts.append(
-            f'<line x1="{px:.2f}" y1="{y0}" x2="{px:.2f}" y2="{y0 + 5}" '
-            'stroke="#000000" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{px:.2f}" y="{y0 + 18}" text-anchor="middle" font-size="11" '
-            f"{_SVG_FONT}>{v / 5:.{x_digits}f}</text>"
-        )
+        parts.append(_line(px, y0, px, y0 + 5))
+        parts.append(_text(px, y0 + 18, 11, f"{v / 5:.{x_digits}f}", "middle"))
     for v in range(y_steps + 1):
         py = y0 - v / y_steps * (y0 - y1)
-        parts.append(
-            f'<line x1="{x0 - 5}" y1="{py:.2f}" x2="{x0}" y2="{py:.2f}" '
-            'stroke="#000000" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{x0 - 8}" y="{py + 4:.2f}" text-anchor="end" font-size="11" '
-            f"{_SVG_FONT}>{y_lo + y_span * v / y_steps:.{y_digits}f}</text>"
-        )
-    parts.append(
-        f'<text x="{(x0 + x1) / 2:.2f}" y="{y0 + 36}" text-anchor="middle" font-size="12" '
-        f"{_SVG_FONT}>{xlab}</text>"
-    )
-    parts.append(
-        f'<text x="{x0 - 40}" y="{(y0 + y1) / 2:.2f}" text-anchor="middle" font-size="12" '
-        f'{_SVG_FONT} transform="rotate(-90 {x0 - 40} {(y0 + y1) / 2:.2f})">{ylab}</text>'
-    )
+        parts.append(_line(x0 - 5, py, x0, py))
+        parts.append(_text(x0 - 8, py + 4, 11, f"{y_lo + y_span * v / y_steps:.{y_digits}f}",
+                           "end"))
+    parts.append(_text((x0 + x1) / 2, y0 + 36, 12, xlab, "middle"))
+    parts.append(_text(x0 - 40, (y0 + y1) / 2, 12, ylab, "middle", rotate=True))
     return parts, (x0, y0, x1, y1), to_px
 
 
@@ -590,26 +591,24 @@ def render_reliability_svg(
     ``points`` are (mean confidence, fraction of positives, count) triples in
     [0, 1]^2, as produced by ``reliability_points``. Markers above the
     diagonal are under-confident bins, below are over-confident. Empty input
-    yields just the axes and the reference line.
+    yields just the axes and the reference line. A point outside [0, 1]^2,
+    NaN included, raises ``ValueError`` naming ``points[i]``.
     """
     parts, _, to_px = _svg_frame(420, 420, title, "mean predicted probability",
                                  "fraction of positives", 5, (1, 1))
     dx0, dy0 = to_px(0.0, 0.0)
     dx1, dy1 = to_px(1.0, 1.0)
-    parts.append(
-        f'<line x1="{dx0:.2f}" y1="{dy0:.2f}" x2="{dx1:.2f}" y2="{dy1:.2f}" '
-        'stroke="#1f77b4" stroke-width="1.5" stroke-dasharray="5,3"/>'
-    )
+    parts.append(_line(dx0, dy0, dx1, dy1, "#1f77b4", "1.5", "5,3"))
     for i, (conf, frac, count) in enumerate(points):
+        if not (0.0 <= conf <= 1.0 and 0.0 <= frac <= 1.0):
+            raise ValueError(f"points[{i}]: confidence and fraction must be in [0, 1], "
+                             f"got {conf} and {frac}")
         px, py = to_px(conf, frac)
         parts.append(
             f'<circle cx="{px:.2f}" cy="{py:.2f}" r="4" fill="#d62728" '
             f'data-conf="{conf:.17g}" data-frac="{frac:.17g}" data-count="{count}"/>'
         )
-        parts.append(
-            f'<text x="{px + 6:.2f}" y="{py - 6:.2f}" font-size="10" '
-            f"{_SVG_FONT}>{i + 1}</text>"
-        )
+        parts.append(_text(px + 6, py - 6, 10, str(i + 1)))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
@@ -649,10 +648,16 @@ def render_ecd_curve_svg(
 
     The annotated minimum is the smallest score on the grid (about -0.2785
     for the default clip policy), marking the floor of the under-confidence
-    penalty; the over-confidence branches grow without such a bound.
+    penalty; the over-confidence branches grow without such a bound. A
+    probability outside [0, 1] or a non-finite score raises ``ValueError``
+    naming ``curve[i]``.
     """
     if len(curve) < 1:
         raise ValueError("empty curve")
+    for i, (prob, score0, score1) in enumerate(curve):
+        if not (0.0 <= prob <= 1.0 and math.isfinite(score0) and math.isfinite(score1)):
+            raise ValueError(f"curve[{i}]: probability must be in [0, 1] and scores finite, "
+                             f"got {prob}, {score0} and {score1}")
     min_prob, min_score = min(
         ((c[0], s) for c in curve for s in (c[1], c[2])), key=lambda t: t[1]
     )
@@ -663,10 +668,7 @@ def render_ecd_curve_svg(
     parts, (x0, y0, x1, y1), to_px = _svg_frame(480, 360, title, "estimated probability",
                                                 "per-datum ECD", 4, (2, 2), lo, span)
     _, zero_py = to_px(0.0, 0.0)
-    parts.append(
-        f'<line x1="{x0}" y1="{zero_py:.2f}" x2="{x1}" y2="{zero_py:.2f}" '
-        'stroke="#999999" stroke-width="1" stroke-dasharray="3,3"/>'
-    )
+    parts.append(_line(x0, zero_py, x1, zero_py, "#999999", "1", "3,3"))
     for series, color, name in ((1, "#1f77b4", "label 0"), (2, "#d62728", "label 1")):
         pts = " ".join(
             "{:.2f},{:.2f}".format(*to_px(c[0], c[series])) for c in curve
@@ -676,20 +678,13 @@ def render_ecd_curve_svg(
         )
         lx = x0 + 12
         ly = y1 + 14 + (series - 1) * 14
-        parts.append(
-            f'<line x1="{lx}" y1="{ly}" x2="{lx + 18}" y2="{ly}" stroke="{color}" stroke-width="2"/>'
-        )
-        parts.append(
-            f'<text x="{lx + 24}" y="{ly + 4}" font-size="11" {_SVG_FONT}>{name}</text>'
-        )
+        parts.append(_line(lx, ly, lx + 18, ly, color, "2"))
+        parts.append(_text(lx + 24, ly + 4, 11, name))
     mx, my = to_px(min_prob, min_score)
     parts.append(
         f'<circle cx="{mx:.2f}" cy="{my:.2f}" r="3" fill="#000000" '
         f'data-min-score="{min_score:.17g}"/>'
     )
-    parts.append(
-        f'<text x="{mx:.2f}" y="{my - 8:.2f}" text-anchor="middle" font-size="11" '
-        f"{_SVG_FONT}>min {min_score:.4f}</text>"
-    )
+    parts.append(_text(mx, my - 8, 11, f"min {min_score:.4f}", "middle"))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -563,10 +563,14 @@ def test_gaussian_covariance_errors_print_no_warning(tmp_path, capsys, records, 
         ([G1, G1, {**G1, "covariance": [[10**400]]}],
          "record 2: int too large to convert to float"),
         ([1], "record 0: expected an object"),
+        ([{**G2, "mean": [NAN, 0.0]}, {**G2, "covariance": [[0.0, 0.0], [0.0, 1.0]]}],
+         "record 1: covariance is not positive-definite"),
+        ([{**G1, "mean": [NAN]}, G2], "{path}: mixed dimensions: prediction 1 has d=2, expected 1"),
     ],
     ids=["mixed-dimensions", "bad-record-after-mixed", "truth-short", "covariance-not-square",
          "empty-vectors", "empty-covariance-row", "covariance-vector", "ragged-covariance",
-         "int-beyond-float64-later", "record-not-an-object"],
+         "int-beyond-float64-later", "record-not-an-object", "covariance-before-nan-mean",
+         "mixed-dimensions-before-nan-mean"],
 )
 def test_gaussian_shape_errors_exit_2_with_index(tmp_path, capsys, records, message):
     path, code, out, err = _gaussian_run(tmp_path, capsys, records)

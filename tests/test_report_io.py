@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import math
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from entrocal import _floattext, report_io
 from entrocal import (
     BinSpec,
+    ClipPolicy,
     Dataset,
     SimulationConfig,
     bin_stats,
@@ -854,6 +856,29 @@ def test_curve_svg_empty_curve():
         render_ecd_curve_svg([])
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "render, points, message",
+    [
+        (render_reliability_svg, [(NAN, 0.5, 1)], r"points\[0\]: .* got nan and 0.5"),
+        (render_reliability_svg, [(0.5, 0.5, 1), (2.0, -1.0, 1)],
+         r"points\[1\]: confidence and fraction must be in \[0, 1\], got 2.0 and -1.0"),
+        (render_reliability_svg, [(0.5, -INF, 1)], r"points\[0\]: .* got 0.5 and -inf"),
+        (render_ecd_curve_svg, [(0.5, NAN, 0.1), (0.6, 0.2, -0.1)],
+         r"curve\[0\]: probability must be in \[0, 1\] and scores finite, got 0.5, nan and 0.1"),
+        (render_ecd_curve_svg, [(0.5, 0.1, 0.1), (0.6, 0.2, INF)],
+         r"curve\[1\]: .* got 0.6, 0.2 and inf"),
+        (render_ecd_curve_svg, [(1.5, 0.1, 0.1)], r"curve\[0\]: .* got 1.5, 0.1 and 0.1"),
+    ],
+    ids=["nan-conf", "off-canvas", "inf-frac", "nan-score", "inf-score", "prob-above-1"],
+)
+def test_svg_points_off_the_plot_are_located_errors(render, points, message):
+    with pytest.raises(ValueError, match=message):
+        render(points)
+
+
 def test_all_svg_emitters_are_well_formed_xml():
     import xml.etree.ElementTree as ET
 
@@ -884,3 +909,98 @@ def test_svg_titles_are_escaped():
         assert "P &lt; 0.5 &amp; y = 1 &gt; 0</text>" in doc
         assert ET.fromstring(doc).find("{http://www.w3.org/2000/svg}text").text == title
 
+
+def _pinned_svg(case: str) -> str:
+    """The SVG document named by ``case``, one of the keys of ``SVG_DIGESTS``."""
+    kind, *args = case.split(":")
+    title = "P < 0.5 & y = 1 > 0"
+    if kind == "curve":
+        grid, eps = args
+        return render_ecd_curve_svg(ecd_curve(int(grid), ClipPolicy(float(eps))))
+    if kind == "curve-int-probs":
+        return render_ecd_curve_svg([(0, 0.25, -0.5), (1, 0.5, 0.125)])
+    if kind == "reliability-empty":
+        return render_reliability_svg([])
+    if kind == "reliability-int-points":
+        return render_reliability_svg([(0, 1, 2), (1, 0, 3)])
+    if kind == "histogram-full-bar":
+        return render_histogram_svg(Dataset([0.5] * 7, [1] * 7), 10)
+    n, m = (int(a) for a in args)
+    rng = np.random.default_rng(n)
+    probs = rng.random(n)
+    data = Dataset(probs, (rng.random(n) < probs).astype(np.int64))
+    if kind == "histogram":
+        return render_histogram_svg(data, m, title=title)
+    return render_reliability_svg(reliability_points(bin_stats(data, BinSpec(m))), title=title)
+
+
+# SHA-256 of each document: a change of one byte in a tick, label or line fails here.
+SVG_DIGESTS = {
+    "curve-int-probs": "d938989e2f5605420e046a443aab96e5d5d861df78029284e35b431e7389df83",
+    "curve:11:0.0001": "ee57329492a79e94925d87654f21183fab9c32b0eab5ee62b800ea416402122a",
+    "curve:11:0.1": "6a1a27bb90be363214c84cb055a01c05afae61c66c9bf5eccdb8511dbbae984e",
+    "curve:11:0.49": "b1d1f773f7b1a885cb8696b87885d6bb13a283b546c7cf10bdebfb48ccfb20fa",
+    "curve:2001:0.0001": "34337946eda87f74cd9afde746cdbb6d8df1ca5c27c2c9e6dbee8331ba875f28",
+    "curve:2001:0.1": "07b62f1330ed747b5117c2110ca96cc5192b12c29aeb9271881e3ed5cc803906",
+    "curve:2001:0.49": "f9b36558f15bea02065025a5f9a0eea7401cde7b9ae2975c1ec66d8ab9f3adc4",
+    "curve:2:0.0001": "402468c5a4f5f172105205d21bbf4fd35f9e3959babe27ea15693f5e40f16660",
+    "curve:2:0.1": "99f0934d4f1ba524ed5834f66ca67018a9c78cf38077bceb34709856a2b1f39e",
+    "curve:2:0.49": "cea0f7293efe6ed9c76a2cd7e075bb20a0b02809554c28f2034a20e9103fbf02",
+    "histogram-full-bar": "97bef8c75ceecac2401f2aa9c9f258c240bfcd733c50ee471a06204803cf462d",
+    "histogram:1000:1": "6e0ea453063a18f9893d6c751bf0fb486386bf4f432cb9c865207721e120eb29",
+    "histogram:1000:10": "ffcea5a9ec9ca536f38e899e3de3a930edf44935578e8f0188df1439fde5b24b",
+    "histogram:1000:100": "586b5cd45437c735e6ff6b7a86e0011fc683f7e0b177868ba93ffd544d6b7d29",
+    "histogram:1000:1000": "ea93dba4f0ed963ab09fc7b4e565980a63740569ab9b2b55065e6ba1c26173ac",
+    "histogram:1000:2": "2354ee1220526f1ac3665d296d5b5a61d5709d1e1368ba6febccced70091e799",
+    "histogram:1000:3": "c79e3e56dd5e446fe3143084f69dd67991c157c45c3420c8e581f7948fc28b7e",
+    "histogram:1000:37": "e3d3170c55feb95a36e3afec2d5b2c826d47cf03cbbf7fa428ea2311151e1a95",
+    "histogram:1000:7": "12e59a7f318b4aa680513bf5f09b424d88c4778c6e5ca61936f512d89ada2cc4",
+    "histogram:1:1": "d68b77f5c1accc1268cb8fc363403bdae447d8e5d156761755e4ca896a33f9c6",
+    "histogram:1:10": "fc2d916192f6a636fb6f24bdf3ba7b8437ab503bad8647266523a47ecdadf038",
+    "histogram:1:100": "daca33d4185f6146d057ebd301f0e6fe0246965376955ed0e848f65ab5b6430b",
+    "histogram:1:1000": "ab772d910ee151e8ad7602e222d508ba34ca1a15c9fc890a11c070851594ce50",
+    "histogram:1:2": "c78c29d424af6c5d1a7a13dc8df317615bc868d811fa729f961f4a27505a7ca5",
+    "histogram:1:3": "9c10ace3c95173e188f9efa879990052fc474e9dafa86f8c5298c0804f01a876",
+    "histogram:1:37": "aca7e84ce290a3603471807116e5f99e60ebacf125efc39521cbd3149ff06334",
+    "histogram:1:7": "733109da70912eb7e39433ca56a06a5182f83b665741b161f110564d426ba4a1",
+    "histogram:5:1": "37aef795acce0b0adb9d81baa27d8872c4890bff9e3dc0bae26cd015727b436f",
+    "histogram:5:10": "d30099096a26887edb8da6f51f82ee2fd7193f1a0032554fc9ebeee973478086",
+    "histogram:5:100": "36548dc1171992ef508db36bb3e7b293d89709d8d97e1824461b8d5b215029f1",
+    "histogram:5:1000": "caa66ee0ef0a2dfc21df4aa69bb061ea5a35456e71f6e1cb5d3b0e6f80a50b24",
+    "histogram:5:2": "87882280fa3a1308d1cf179f64ec6724b706c8d8f1d4be7073155af25c59887f",
+    "histogram:5:3": "edf648a3e2302660d222dc0736ce2d0fe423bd38f3b40694cf4d256b9da0313b",
+    "histogram:5:37": "07d52d0adb44af6990ad22215b8fc6236af3b481a0768096db73a580b0088788",
+    "histogram:5:7": "23bcb52951f6478dce0cc0f4c16badc4f506a5b305991aa62d50ee7f13db0e95",
+    "reliability-empty": "67639b150f48510f76dac2ab302e118bc58481d254e6bb02533c2d0268300257",
+    "reliability-int-points": "a4725762af3aefad03b02d24247c385d05c1dd52d192043fdc71c22c49057096",
+    "reliability:1000:1": "9ad40237881d1a00c4b433fab9596336c80e9857b6c7b8140533333fdc1f07ac",
+    "reliability:1000:10": "fb7bee0435ed29dabf391747d50deb1f4681c154a7fcbaaab6becabc6cc1e1b1",
+    "reliability:1000:100": "330c91ea23617f5b6a3b46f5a18a98d71018d81e6f9c780d64b62f8d077fe2ac",
+    "reliability:1000:1000": "7b935719e987745b510ffff3619344e122f35049e426334dc15962a4d4318efc",
+    "reliability:1000:2": "ccaebfab09d3d981dda053ece51c522807354c6c4f04a0e91dbacf9807f1b25d",
+    "reliability:1000:3": "3e840cbed3bc063023459808bed288a523f4cd915178647c0c84d1f6aa767820",
+    "reliability:1000:37": "b447bb17089c1baf533e7949b906f084dcea061f04845454904b2f1bf4fbcbf9",
+    "reliability:1000:7": "a6daa6d4f2bfcf9f611cad7f1366315ec677b53612d3b9dde27d15a5c318d58f",
+    "reliability:1:1": "6ca6bba4d3f110b0d55d2d2ac293c6e6e29068891059f72ffd99ba43a26a413b",
+    "reliability:1:10": "6ca6bba4d3f110b0d55d2d2ac293c6e6e29068891059f72ffd99ba43a26a413b",
+    "reliability:1:100": "6ca6bba4d3f110b0d55d2d2ac293c6e6e29068891059f72ffd99ba43a26a413b",
+    "reliability:1:1000": "6ca6bba4d3f110b0d55d2d2ac293c6e6e29068891059f72ffd99ba43a26a413b",
+    "reliability:1:2": "6ca6bba4d3f110b0d55d2d2ac293c6e6e29068891059f72ffd99ba43a26a413b",
+    "reliability:1:3": "6ca6bba4d3f110b0d55d2d2ac293c6e6e29068891059f72ffd99ba43a26a413b",
+    "reliability:1:37": "6ca6bba4d3f110b0d55d2d2ac293c6e6e29068891059f72ffd99ba43a26a413b",
+    "reliability:1:7": "6ca6bba4d3f110b0d55d2d2ac293c6e6e29068891059f72ffd99ba43a26a413b",
+    "reliability:5:1": "cb0d5c6f80fd81a075795feab6edd4b05e18f73b8c39343969f2c31f030043fa",
+    "reliability:5:10": "0ce0f4806655d2c7c9dd862ba9efcadd264f264358d22d3f3cd504511d9e5ef1",
+    "reliability:5:100": "0ce0f4806655d2c7c9dd862ba9efcadd264f264358d22d3f3cd504511d9e5ef1",
+    "reliability:5:1000": "e52070089be651206f250aaeb25837f47cbe0108c1f05efce152625b05d4b4cb",
+    "reliability:5:2": "ff0ac36282a7a883a87d440faf53301d9335bf0642202248aacbbc2e20f1bb1a",
+    "reliability:5:3": "9766af2de4aa0ec009c4f1fb4e1024d8be72be6f99812e9a31875adc05983653",
+    "reliability:5:37": "0ce0f4806655d2c7c9dd862ba9efcadd264f264358d22d3f3cd504511d9e5ef1",
+    "reliability:5:7": "0ce0f4806655d2c7c9dd862ba9efcadd264f264358d22d3f3cd504511d9e5ef1",
+}
+
+
+@pytest.mark.parametrize("case", sorted(SVG_DIGESTS))
+def test_svg_bytes_are_pinned(case):
+    doc = _pinned_svg(case).encode("utf-8")
+    assert hashlib.sha256(doc).hexdigest() == SVG_DIGESTS[case]

@@ -1,5 +1,5 @@
 """Guards for the tooling around the package: import cost, the bench tracer,
-the bench's library pass and the README library example."""
+the bench's library pass and the README's library and command-line examples."""
 
 import ast
 import hashlib
@@ -8,6 +8,7 @@ import inspect
 import os
 import pkgutil
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -92,6 +93,19 @@ def test_readme_library_example_runs():
     section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
     code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     _run_python(code)
+
+
+def test_readme_command_examples_parse():
+    from entrocal.cli import build_parser
+
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    commands = [shlex.split(line)[1:] for line in block.splitlines()
+                if line.startswith("entrocal ")]
+    parsed = [build_parser().parse_args(argv) for argv in commands]
+    subcommands = {"evaluate", "simulate", "suite", "gaussian", "curve"}
+    assert {args.command for args in parsed} == subcommands
 
 
 def test_bench_tracer_targets_resolve():
