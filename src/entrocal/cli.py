@@ -17,6 +17,7 @@ OS and announce it on stderr.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import itertools
 import json
 import math
@@ -385,10 +386,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: glibc's mallopt parameters (malloc.h) and the values the CLI pins them to.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD = 1 << 20
+
+
+def _pin_malloc_thresholds() -> None:
+    """Pin glibc's mmap threshold at 1 MiB and its trim threshold at 2 MiB.
+
+    glibc raises its mmap threshold to the size of each mapped block it frees,
+    so after the first large temporary, arrays of up to 32 MiB come from the
+    heap, and the peak RSS depends on how they happen to fit its holes: on a
+    10^6-row ``evaluate`` it took one of two values 6 MiB apart, by the length
+    of the input path. With fixed thresholds every block of 1 MiB or more is
+    mapped on its own and unmapped when freed. A C library without ``mallopt``
+    is left as it is.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD)
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _pin_malloc_thresholds()
         return args.func(args)
     except UsageError as exc:
         print(f"entrocal: error: {exc}", file=sys.stderr)

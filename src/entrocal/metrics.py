@@ -135,8 +135,14 @@ def _require_nonempty(n: int) -> None:
 
 
 def _binary_scores(probs: np.ndarray, labels: np.ndarray, policy: ClipPolicy) -> np.ndarray:
+    """``(q - labels) * (ln q - ln(1 - q))`` on the clipped q, in three arrays of N."""
     q = np.clip(probs, policy.epsilon, 1.0 - policy.epsilon)
-    return (q - labels) * (np.log(q) - np.log(1.0 - q))
+    rest = np.subtract(1.0, q)
+    logit = np.log(q)
+    logit -= np.log(rest, out=rest)
+    q -= labels
+    q *= logit
+    return q
 
 
 def ecd_sample_binary(prob: float, label: int, policy: ClipPolicy = DEFAULT_CLIP) -> float:
@@ -255,7 +261,13 @@ def nll(data: Dataset, policy: ClipPolicy = DEFAULT_CLIP) -> float:
     _require_nonempty(len(data))
     q = np.clip(data.probs, policy.epsilon, 1.0 - policy.epsilon)
     x = data.labels
-    return pairwise_mean(-(x * np.log(q) + (1 - x) * np.log(1.0 - q)))
+    # -(x ln q + (1 - x) ln(1 - q)), in three arrays of N.
+    terms = np.log(q)
+    terms *= x
+    q = np.log(np.subtract(1.0, q, out=q), out=q)
+    q *= 1 - x
+    terms += q
+    return pairwise_mean(np.negative(terms, out=terms))
 
 
 def brier(data: Dataset) -> float:

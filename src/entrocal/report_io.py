@@ -159,7 +159,7 @@ def _blocks(fh, head: bytes):
     while chunk := fh.read(_BLOCK_SIZE):
         cut = chunk.rfind(b"\n") + 1
         if cut:
-            yield b"".join([*pending, chunk[:cut]])
+            yield b"".join([*pending, memoryview(chunk)[:cut]])
             pending = []
         pending.append(chunk[cut:])
     if tail := b"".join(pending):  # a last line without its newline
@@ -196,8 +196,8 @@ def _parse_block(block: bytes, k: int, prob_col: int, label_col: int):
     ).any():
         return None
     try:
-        probs = np.loadtxt(io.StringIO(block.decode("ascii")), dtype=np.float64,
-                           delimiter=",", comments=None, usecols=prob_col, ndmin=1)
+        probs = np.loadtxt(io.BytesIO(block), dtype=np.float64, delimiter=",",
+                           comments=None, usecols=prob_col, ndmin=1, encoding="ascii")
     except ValueError:
         return None
     if not (np.isfinite(probs).all() and probs.min() >= 0.0 and probs.max() <= 1.0):

@@ -404,6 +404,23 @@ def test_nll_examples():
     assert nll(Dataset([0.9], [1])) == pytest.approx(0.10536051565782628, abs=1e-12)
 
 
+@pytest.mark.parametrize("epsilon", [1e-12, 1e-4, 0.1, 0.49])
+def test_scores_and_nll_keep_the_bits_of_their_formulas(epsilon):
+    # Both are computed in place; each must give the bits of its one-line formula.
+    rng = np.random.default_rng(7)
+    probs = rng.random(10_001)
+    probs[::97], probs[1::89], probs[2::83] = 0.0, 1.0, 0.5
+    labels = rng.integers(0, 2, probs.size)
+    data, policy = Dataset(probs, labels), ClipPolicy(epsilon)
+    q = np.clip(probs, epsilon, 1.0 - epsilon)
+    scores = (q - labels) * (np.log(q) - np.log(1.0 - q))
+    terms = -(labels * np.log(q) + (1 - labels) * np.log(1.0 - q))
+    assert ecd_sample_scores(data, policy).tobytes() == scores.tobytes()
+    assert nll(data, policy) == pairwise_mean(terms)
+    for i in range(0, probs.size, 50):  # one row at a time, so no ulp hides in the mean
+        assert nll(Dataset(probs[i : i + 1], labels[i : i + 1]), policy) == terms[i]
+
+
 def test_brier_examples():
     assert brier(Dataset([1.0, 1.0], [1, 1])) == 0.0
     assert brier(Dataset([0.5, 0.5], [0, 1])) == pytest.approx(0.25, abs=1e-15)
