@@ -85,16 +85,19 @@ class Dataset:
 
     __slots__ = ("probs", "labels")
 
-    def __init__(self, probs, labels) -> None:
-        p = np.array(probs, dtype=np.float64).ravel()
-        y = np.array(labels).ravel()
+    def __init__(self, probs, labels, *, _owned: bool = False) -> None:
+        # _owned: the CSV reader hands over 1-D arrays that no one else holds,
+        # which are frozen as they are rather than copied.
+        p, y = probs, labels
+        if not _owned:
+            p, y = np.array(probs, dtype=np.float64).ravel(), np.array(labels).ravel()
         if p.size != y.size:
             raise ValueError(f"probs and labels differ in length: {p.size} != {y.size}")
         if p.size and (not np.all(np.isfinite(p)) or p.min() < 0.0 or p.max() > 1.0):
             raise ValueError("probs must be finite and within [0, 1]")
-        if y.size and not np.isin(y, (0, 1)).all():
+        if not ((y == 0) | (y == 1)).all():
             raise ValueError("labels must be 0 or 1")
-        y = y.astype(np.int64)
+        y = y.astype(np.int64, copy=False)
         p.setflags(write=False)
         y.setflags(write=False)
         self.probs = p

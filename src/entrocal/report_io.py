@@ -20,8 +20,13 @@ about 4 MiB at a time, cut after the last LF, and each block is parsed by
 arrays or by rows. The array parser takes a block of only digits, ``.``,
 ``,``, ``e``, ``E``, ``+``, ``-`` and LF or CRLF line ends, with the header's
 field count on every line, labels exactly ``0`` or ``1`` and probabilities
-(parsed by ``np.loadtxt``, which uses the same conversion as ``float``)
-finite and in [0, 1]. Any other block (a bare CR, whitespace, quotes, blank
+finite and in [0, 1]. Its probabilities are read by the array kernel of
+:func:`entrocal._floattext.get_floats` when every one of them is ``0.`` and
+1 to 20 digits, which is what ``%.17g`` writes for values in [1e-4, 1); the
+kernel declines any other block (a ``0``, a ``1``, ``1.0``, ``.5``, an
+exponent, more digits, or a platform whose ``np.longdouble`` is not x87
+extended precision), which ``np.loadtxt`` reads. Both give ``float``'s
+bits. Any other block (a bare CR, whitespace, quotes, blank
 lines, ``nan``, a bad row) goes to the row parser, which reads it a line at
 a time with ``float``, counting rows on from the blocks before it, so every
 error carries its row number; invalid UTF-8 is an error of its row too. The
@@ -116,12 +121,12 @@ def _load_binary(fh) -> Dataset:
         if part is None:
             *part, rownum = _row_block(block, rownum, columns)
         else:
-            rownum += block.count(b"\n")
+            rownum += len(part[0])  # one row a line: the array parser declines blank lines
         parts.append(part)
     if not parts:
         return Dataset([], [])
     probs, labels = zip(*parts)
-    return Dataset(np.concatenate(probs), np.concatenate(labels))
+    return Dataset(np.concatenate(probs), np.concatenate(labels, dtype=np.int64), _owned=True)
 
 
 def _header(fh) -> tuple[tuple[int, int, int], bytes]:
@@ -171,7 +176,8 @@ def _parse_block(block: bytes, k: int, prob_col: int, label_col: int):
 
     Takes a subset of the row parser's input (``_BLOCK_BYTES`` only, k - 1 commas
     a line, labels ``0``/``1``, probabilities finite in [0, 1]) with its bits. A
-    CRLF ends a line as LF does; a bare CR declines the block.
+    CRLF ends a line as LF does; a bare CR declines the block. Probabilities are
+    read by the float kernel, or by ``np.loadtxt`` where the kernel declines.
     """
     if b"\r" in block:
         block = block.replace(b"\r\n", b"\n")
@@ -185,24 +191,30 @@ def _parse_block(block: bytes, k: int, prob_col: int, label_col: int):
     kinds = raw[seps]
     if (kinds[:, -1] != ord("\n")).any() or (kinds[:, :-1] != ord(",")).any():
         return None  # not k - 1 commas on every line, or a blank line
-    label_end = seps[:, label_col]
-    if label_col:
-        label_start = seps[:, label_col - 1] + 1
-    else:
-        label_start = np.concatenate(([0], seps[:-1, -1] + 1))
+    label_start, label_end = _field(seps, label_col)
     label_bytes = raw[label_start]
     if (label_end - label_start != 1).any() or (
         (label_bytes != ord("0")) & (label_bytes != ord("1"))
     ).any():
         return None
-    try:
-        probs = np.loadtxt(io.BytesIO(block), dtype=np.float64, delimiter=",",
-                           comments=None, usecols=prob_col, ndmin=1, encoding="ascii")
-    except ValueError:
-        return None
+    from ._floattext import get_floats  # builds its tables; only CSV reads and writes need them
+
+    probs = get_floats(raw, *_field(seps, prob_col))
+    if probs is None:
+        try:
+            probs = np.loadtxt(io.BytesIO(block), dtype=np.float64, delimiter=",",
+                               comments=None, usecols=prob_col, ndmin=1, encoding="ascii")
+        except ValueError:
+            return None
     if not (np.isfinite(probs).all() and probs.min() >= 0.0 and probs.max() <= 1.0):
         return None
     return probs, label_bytes - ord("0")
+
+
+def _field(seps: np.ndarray, col: int):
+    """(start, end) byte offsets of column ``col`` on every line, from the separator offsets."""
+    start = seps[:, col - 1] + 1 if col else np.concatenate(([0], seps[:-1, -1] + 1))
+    return start, seps[:, col]
 
 
 def _row_block(block: bytes, rownum: int, columns: tuple[int, int, int]):
@@ -650,7 +662,8 @@ def render_ecd_curve_svg(
     for the default clip policy), marking the floor of the under-confidence
     penalty; the over-confidence branches grow without such a bound. A
     probability outside [0, 1] or a non-finite score raises ``ValueError``
-    naming ``curve[i]``.
+    naming ``curve[i]``, and so do scores whose range is not finite, naming
+    the points of the lowest and the highest.
     """
     if len(curve) < 1:
         raise ValueError("empty curve")
@@ -658,13 +671,15 @@ def render_ecd_curve_svg(
         if not (0.0 <= prob <= 1.0 and math.isfinite(score0) and math.isfinite(score1)):
             raise ValueError(f"curve[{i}]: probability must be in [0, 1] and scores finite, "
                              f"got {prob}, {score0} and {score1}")
-    min_prob, min_score = min(
-        ((c[0], s) for c in curve for s in (c[1], c[2])), key=lambda t: t[1]
-    )
-    smax = max(max(c[1], c[2]) for c in curve)
+    scores = [(s, i) for i, c in enumerate(curve) for s in (c[1], c[2])]
+    (min_score, min_at), (smax, max_at) = min(scores), max(scores)
     lo = min(min_score, 0.0)
     hi = max(smax, 0.0)
     span = hi - lo or 1.0
+    if not math.isfinite(span):
+        places = ", ".join(f"curve[{i}]" for i in sorted({min_at, max_at}))
+        raise ValueError(f"{places}: scores from {min_score} to {smax} span more than a float "
+                         "holds")
     parts, (x0, y0, x1, y1), to_px = _svg_frame(480, 360, title, "estimated probability",
                                                 "per-datum ECD", 4, (2, 2), lo, span)
     _, zero_py = to_px(0.0, 0.0)
@@ -680,7 +695,7 @@ def render_ecd_curve_svg(
         ly = y1 + 14 + (series - 1) * 14
         parts.append(_line(lx, ly, lx + 18, ly, color, "2"))
         parts.append(_text(lx + 24, ly + 4, 11, name))
-    mx, my = to_px(min_prob, min_score)
+    mx, my = to_px(curve[min_at][0], min_score)
     parts.append(
         f'<circle cx="{mx:.2f}" cy="{my:.2f}" r="3" fill="#000000" '
         f'data-min-score="{min_score:.17g}"/>'

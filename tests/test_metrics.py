@@ -111,6 +111,25 @@ def test_dataset_arrays_are_frozen():
         data.probs[0] = 0.1
 
 
+@pytest.mark.parametrize("label_dtype", [np.int64, np.uint8, np.float64, bool])
+def test_dataset_copies_the_callers_arrays(label_dtype):
+    probs, labels = np.array([0.25, 0.75]), np.array([0, 1], dtype=label_dtype)
+    data = Dataset(probs, labels)
+    probs[0], labels[0] = 0.5, 1
+    assert data.probs.tolist() == [0.25, 0.75] and data.labels.tolist() == [0, 1]
+    assert data.labels.dtype == np.int64
+    assert probs.flags.writeable and labels.flags.writeable
+
+
+def test_dataset_takes_the_readers_arrays_without_copying():
+    probs, labels = np.array([0.25, 0.75]), np.array([0, 1], dtype=np.int64)
+    data = Dataset(probs, labels, _owned=True)
+    assert data.probs is probs and data.labels is labels
+    assert not probs.flags.writeable and not labels.flags.writeable
+    with pytest.raises(ValueError, match="labels must be 0 or 1"):
+        Dataset(np.array([0.5]), np.array([2]), _owned=True)
+
+
 @pytest.mark.parametrize("eps", [0.0, -1e-4, 0.5, 0.7])
 def test_clip_policy_bounds(eps):
     with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import math
 import os
 import re
 import tempfile
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from pathlib import Path
 from unittest import mock
 
@@ -185,6 +185,34 @@ BLOCK_CASES = [
     (b"prob,label\n.5,1\n1.,0\n+0.125,1\n1E-1,0\n", _pinned([0.5, 1.0, 0.125, 0.1],
                                                            [1, 0, 1, 0])),
     (b"prob,label\r\n0.5,1\r\n0.25,0\r\n", _pinned([0.5, 0.25], [1, 0])),
+    # One token the float reader declines sends its block to np.loadtxt.
+    (b"prob,label\n0.25,0\n1,1\n", _pinned([0.25, 1.0], [0, 1])),
+    (b"prob,label\n0,0\n0.25,1\n", _pinned([0.0, 0.25], [0, 1])),
+    (b"prob,label\n0.25,0\n1.0,1\n", _pinned([0.25, 1.0], [0, 1])),
+    (b"prob,label\n0.25,0\n.5,1\n", _pinned([0.25, 0.5], [0, 1])),
+    (b"prob,label\n0.25,0\n00.5,1\n", _pinned([0.25, 0.5], [0, 1])),
+    (b"prob,label\n0.25,0\n0.,1\n", _pinned([0.25, 0.0], [0, 1])),
+    (b"prob,label\n0.25,0\n5e-05,1\n", _pinned([0.25, 5e-05], [0, 1])),
+    (b"prob,label\n0.25,0\n0.123456789012345678901,1\n",
+     _pinned([0.25, 0.123456789012345678901], [0, 1])),
+    # The float reader's own: 20 digits, an id column, the label first, CRLF.
+    (b"prob,label\n0.00012345678901234567,1\n0.99999999999999999,0\n",
+     _pinned([0.00012345678901234567, 0.99999999999999999], [1, 0])),
+    (b"id,prob,label\n7,0.25,0\n8,0.1,1\n", _pinned([0.25, 0.1], [0, 1])),
+    (b"label,prob\r\n1,0.25\r\n0,0.30000000000000004\r\n",
+     _pinned([0.25, 0.30000000000000004], [1, 0])),
+]
+
+
+# Tokens of the float reader's shape but for one byte: it and np.loadtxt decline
+# the block, and the row parser reports the row.
+SHAPE_CASES = [
+    pytest.param(b"prob,label\n0.5,1\n0.5e,0\n",
+                 ("error", "row 3: invalid prob value '0.5e'"), id="shape-exponent"),
+    pytest.param(b"prob,label\n0.5,1\n0.-5,0\n",
+                 ("error", "row 3: invalid prob value '0.-5'"), id="shape-sign"),
+    pytest.param(b"prob,label\n0.5,1\n0..5,0\n",
+                 ("error", "row 3: invalid prob value '0..5'"), id="shape-second-dot"),
 ]
 
 
@@ -197,14 +225,15 @@ UTF8_CASES = [
 ]
 
 
-@pytest.mark.parametrize("body,expected", FALLBACK_CASES + BLOCK_CASES + UTF8_CASES)
+@pytest.mark.parametrize("body,expected",
+                         FALLBACK_CASES + BLOCK_CASES + UTF8_CASES + SHAPE_CASES)
 def test_load_csv_matches_line_parser(as_source, body, expected):
     lines = _lines_outcome(body)
     assert lines == expected
     assert _outcome(lambda _: load_csv(as_source(body)), body) == lines
 
 
-@pytest.mark.parametrize("body,expected", FALLBACK_CASES + UTF8_CASES)
+@pytest.mark.parametrize("body,expected", FALLBACK_CASES + UTF8_CASES + SHAPE_CASES)
 def test_block_parser_declines_what_it_does_not_take(body, expected):
     # After a plain header the block parser must decline the body; a BOM,
     # quotes or a bare CR in the header line are decided by the header rule.
@@ -547,6 +576,9 @@ def test_csv_writer_without_extra_precision_formats_every_value_by_percent(monke
 def test_csv_kernel_tables_are_derived_from_longdouble():
     assert [int(p) for p in _floattext.POWERS] == [10**j for j in range(17 + _floattext.TOP)]
     assert _floattext.GUARD == float(np.spacing(np.longdouble(1e17)))
+    # The reader's guard: two longdouble ulps, below the 11 extra bits of x87's significand.
+    assert _floattext.READ_GUARD == 2
+    assert 2.0**-_floattext.EXTRA == np.spacing(np.longdouble(0.75)) / np.spacing(0.75)
     if np.finfo(np.longdouble).nmant >= 63:  # x87 extended or wider: down to 1e-11
         assert _floattext.TOP >= 11
 
@@ -589,6 +621,162 @@ def test_write_then_load_round_trips_every_float(rows):
     loaded = load_csv(io.StringIO(sink.getvalue()))
     assert loaded.probs.tobytes() == data.probs.tobytes()
     assert np.array_equal(loaded.labels, data.labels)
+
+
+# The float reader: tokens ``0.<1 to 20 digits>`` by array arithmetic, any other declined.
+
+READER_SHAPE = re.compile(rb"0\.[0-9]{1,20}")
+
+
+def _tokens(*tokens: bytes):
+    """A uint8 buffer holding each token and a comma, and the tokens' (starts, ends)."""
+    raw = np.frombuffer(b"".join(t + b"," for t in tokens), np.uint8)
+    ends = np.cumsum([len(t) + 1 for t in tokens]) - 1
+    return raw, ends - np.array([len(t) for t in tokens], dtype=ends.dtype), ends
+
+
+def _read_bits(*tokens: bytes):
+    values = _floattext.get_floats(*_tokens(*tokens))
+    return None if values is None else values.view(np.int64).tolist()
+
+
+def _taken(tokens) -> list:
+    """``float``'s bits of each token, or None where the reader declines every token."""
+    if not _floattext.EXTENDED:
+        return None
+    return np.array([float(t) for t in tokens]).view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("token", [b"1", b"0", b"1.0", b".5", b"00.5", b"0.", b"5e-05",
+                                   b"0." + b"1" * 21, b"0.5e", b"0.-5", b"0..5", b"+0.5",
+                                   b"-0.5", b"0.5e-3", b"0.1E1", b"1e-400", b"", b"0.1:", b"0.?"])
+def test_float_reader_declines_any_other_token(token):
+    assert _read_bits(b"0.25", token) is None
+    assert _read_bits(token, b"0.25") is None
+
+
+def test_float_reader_takes_one_to_twenty_digits():
+    tokens = [b"0." + b"7" * n for n in range(1, 21)]
+    tokens += [b"0.0", b"0." + b"0" * 19 + b"1", b"0." + b"9" * 20, b"0.5", b"0.1"]
+    assert _read_bits(*tokens) == _taken(tokens)
+
+
+#: float64 values in (0, 1), drawn as bit patterns: every binade, or the binades of
+#: [1e-4, 1), where ``%.17g`` writes the reader's shape.
+open_unit_floats = st.one_of(
+    st.integers(1, 0x3FEFFFFFFFFFFFFF),
+    st.integers(int(np.float64(1e-4).view(np.int64)), 0x3FEFFFFFFFFFFFFF),
+).map(lambda bits: float(np.int64(bits).view(np.float64)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(st.tuples(open_unit_floats, st.integers(0, 17)), min_size=1, max_size=20))
+def test_float_reader_property_gives_floats_bits(values):
+    # Each value printed by repr (p = 0) or %.{p}g: the reader takes the tokens of
+    # its shape with float()'s bits, and declines any other token.
+    tokens = [(repr(x) if p == 0 else format(x, f".{p}g")).encode() for x, p in values]
+    taken = [t for t in tokens if READER_SHAPE.fullmatch(t)]
+    if taken:
+        assert _read_bits(*taken) == _taken(taken)
+    for token in tokens:
+        if token not in taken:
+            assert _read_bits(token) is None
+
+
+def _near_midpoint(x: float, j: int):
+    """A token next to the float64 midpoint above ``x`` moved by ``j`` longdouble ulps,
+    and how many of those ulps the token lies from the midpoint.
+
+    The token has at most 20 fraction digits and 19 significant ones.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 80
+        mid = (Decimal(x) + Decimal(float(np.nextafter(x, 1.0)))) / 2
+        ulp = Decimal(2) ** (math.frexp(x)[1] - 1 - np.finfo(np.longdouble).nmant)
+        target = mid + j * ulp
+        token = target.quantize(Decimal(10) ** -min(20, 18 - target.adjusted()))
+        return f"{token:f}".encode(), (token - mid) / ulp
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=st.integers(int(np.float64(1e-4).view(np.int64)), 0x3FEFFFFFFFFFFFFF).map(
+           lambda bits: float(np.int64(bits).view(np.float64))),
+       j=st.integers(-3, 3))
+def test_float_reader_property_gives_floats_bits_next_to_midpoints(x, j):
+    token, _ = _near_midpoint(x, j)
+    assert _read_bits(token, b"0.5") == _taken([token, b"0.5"])
+
+
+@pytest.mark.skipif(not _floattext.EXTENDED, reason="the reader declines every token")
+def test_float_reader_reads_tokens_within_two_ulps_of_a_midpoint_by_float(monkeypatch):
+    # A token whose longdouble quotient L lies within 2 ulps of a float64
+    # midpoint is read by float(); one 2 or more ulps away is not.
+    calls = []
+
+    def counting_float(token):
+        calls.append(token)
+        return float(token)
+
+    monkeypatch.setattr(_floattext, "float", counting_float, raising=False)
+    tokens, near = [], []
+    for x in np.random.default_rng(11).uniform(0.1, 1.0, 300).tolist():
+        for j in range(-3, 4):
+            token, steps = _near_midpoint(x, j)
+            if abs(steps - round(steps)) != Decimal("0.5"):  # L is the nearer longdouble
+                tokens.append(token)
+                if abs(round(steps)) < 2:
+                    near.append(token)
+    assert _read_bits(*tokens) == _taken(tokens)
+    assert calls == near
+    assert len(near) > 100 and len(tokens) - len(near) > 100
+
+
+def _bench_shaped_body(n: int, seed: int, header: str = "prob,label", newline: str = "\n"):
+    """Rows like the benchmark's: logistic probabilities with log-odds noise, as ``%.17g``."""
+    rng = np.random.default_rng(seed)
+    u = 0.5 * rng.uniform(-10.0, 10.0, n)
+    labels = (rng.random(n) < 1.0 / (1.0 + np.exp(-u))).astype(np.int64)
+    probs = np.maximum(1.0 / (1.0 + np.exp(-(u + rng.normal(0.0, 1.0, n)))), 1e-4)
+    probs[:50] = rng.uniform(1e-4, 1e-3, 50)  # 20 fraction digits
+    row = {"prob,label": "{1:.17g},{2}", "id,prob,label": "{0},{1:.17g},{2}",
+           "label,prob": "{2},{1:.17g}"}[header]
+    rows = "".join(row.format(i, p, y) + newline
+                   for i, (p, y) in enumerate(zip(probs.tolist(), labels.tolist())))
+    return (header + newline + rows).encode(), probs, labels
+
+
+def _no_loadtxt(*args, **kwargs):
+    raise AssertionError("np.loadtxt ran")
+
+
+@pytest.mark.skipif(not _floattext.EXTENDED, reason="the reader declines every token")
+@pytest.mark.parametrize("header,newline", [("prob,label", "\n"), ("prob,label", "\r\n"),
+                                            ("id,prob,label", "\n"), ("label,prob", "\n")])
+@pytest.mark.parametrize("block_size", [4 << 20, 1 << 16])
+def test_float_reader_takes_a_bench_shaped_body(monkeypatch, header, newline, block_size):
+    body, probs, labels = _bench_shaped_body(2 * _floattext.READ_ROWS + 7, 9, header, newline)
+    expected = _lines_outcome(body)
+    assert expected == ("data", probs.view(np.int64).tolist(), labels.tolist())
+    monkeypatch.setattr(np, "loadtxt", _no_loadtxt)
+    monkeypatch.setattr(report_io, "_parse_rows", _no_row_parser)
+    monkeypatch.setattr(report_io, "_BLOCK_SIZE", block_size)
+    assert _outcome(load_csv, body) == expected
+
+
+def test_csv_reader_without_extra_precision_parses_every_block_by_loadtxt(monkeypatch):
+    # Where np.longdouble is not x87 extended precision the float reader
+    # declines every block, and np.loadtxt reads each one, with the same bits.
+    body, _, _ = _bench_shaped_body(3000, 4)
+    expected = _lines_outcome(body)
+    monkeypatch.setattr(_floattext, "EXTENDED", False)
+    monkeypatch.setattr(report_io, "_BLOCK_SIZE", 1 << 14)
+    calls = []
+    loadtxt = np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(a) or loadtxt(*a, **k))
+    assert _outcome(load_csv, body) == expected
+    fh = io.BytesIO(body)
+    columns, rest = report_io._header(fh)
+    assert len(calls) == len(list(report_io._blocks(fh, rest))) > 1
 
 
 def test_simulated_csv_round_trip_and_true_column(tmp_path):
@@ -871,8 +1059,13 @@ NAN, INF = float("nan"), float("inf")
         (render_ecd_curve_svg, [(0.5, 0.1, 0.1), (0.6, 0.2, INF)],
          r"curve\[1\]: .* got 0.6, 0.2 and inf"),
         (render_ecd_curve_svg, [(1.5, 0.1, 0.1)], r"curve\[0\]: .* got 1.5, 0.1 and 0.1"),
+        (render_ecd_curve_svg, [(0.2, 1e308, -1e308), (0.6, 0.2, -0.1)],
+         r"^curve\[0\]: scores from -1e\+308 to 1e\+308 span more than a float holds$"),
+        (render_ecd_curve_svg, [(0.2, 0.1, -1e308), (0.6, 1e308, 0.2)],
+         r"^curve\[0\], curve\[1\]: scores from -1e\+308 to 1e\+308 span"),
     ],
-    ids=["nan-conf", "off-canvas", "inf-frac", "nan-score", "inf-score", "prob-above-1"],
+    ids=["nan-conf", "off-canvas", "inf-frac", "nan-score", "inf-score", "prob-above-1",
+         "span-overflow", "span-overflow-two-points"],
 )
 def test_svg_points_off_the_plot_are_located_errors(render, points, message):
     with pytest.raises(ValueError, match=message):

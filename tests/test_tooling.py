@@ -78,14 +78,16 @@ def test_only_noisy_simulation_loads_scipy(tmp_path):
     )
 
 
-def test_csv_kernel_tables_are_built_on_first_write():
-    # The writer's lookup and power tables cost start-up time that only a
-    # CSV write needs, so neither the import nor --help builds them.
+def test_csv_kernel_tables_are_built_on_first_read_or_write():
+    # The float kernels' lookup and power tables cost start-up time that only
+    # a CSV read or write needs, so neither the import nor --help builds them.
     built = "import sys; print('entrocal._floattext' in sys.modules)"
     assert _run_python(f"import entrocal; {built}").stdout == "False\n"
     assert _run_python(f"{_HELP_RUN}{built}").stdout.splitlines()[-1] == "False"
     write = "import io, entrocal as e; e.write_dataset_csv(e.Dataset([0.5], [1]), io.StringIO())"
     assert _run_python(f"{write}; {built}").stdout == "True\n"
+    read = "import io, entrocal as e; e.load_csv(io.BytesIO(b'prob,label\\n0.5,1\\n'))"
+    assert _run_python(f"{read}; {built}").stdout == "True\n"
 
 
 def test_readme_library_example_runs():
