@@ -20,26 +20,39 @@ anything outside (0, 1) or below the table, a P below 1e16 or a D of 1e17
 no extra precision the guard is wider than 1/2, so every value takes ``%``.
 
 Reading decimals back exactly is the problem of Clinger (1990), *How to Read
-Floating Point Numbers Accurately*. :func:`get_floats` settles tokens
-``0.<1 to 20 digits>``, which is what ``%.17g`` writes for x in [1e-4, 1):
+Floating Point Numbers Accurately*. :func:`get_floats` settles JSON numbers,
+``-?(0|[1-9][0-9]*)(\\.[0-9]+)?([eE][-+]?[0-9]+)?``, of at most :data:`WIDTH`
+bytes, :data:`DIGITS` significand digits (an integer part 0 not counted) and
+:data:`EXP_DIGITS` exponent digits. That is the grammar ``%.17g`` and ``repr``
+write every finite float in. Each token is D * 10**q, D its significand digits
+as an integer:
 
 - the :data:`WIDTH` bytes before each token's end are gathered through one
-  ``sliding_window_view`` index and checked against the token's shape;
-- its k digits, as an integer D, are summed eight at a time in uint64 words;
-- L = D / 10**k in ``np.longdouble`` is one correct rounding, as D (below
-  10**19) and 10**k are exact there. So L rounded to float64 is ``float``'s
-  result unless a float64 midpoint lies between L and the decimal, which
-  needs L within half an ulp of one; an L within :data:`READ_GUARD` ulps of
-  a midpoint, as the low :data:`EXTRA` bits of its significand show, is read
-  by ``float`` instead.
+  ``sliding_window_view`` index, as three uint64 words;
+- the bytes that are not digits are found eight at a time in those words,
+  and must be a leading ``-``, a point, an exponent marker and its sign, each
+  at most once and in that order, with digits between them as the grammar
+  wants them (no leading zero, a digit on each side of the point);
+- the exponent's digits, and the significand's after the bytes before the
+  point move one place over it, are summed eight at a time in uint64 words;
+- L = D / 10**k or D * 10**e in ``np.longdouble``, for |q| up to
+  :data:`SCALE`, is one correct rounding, as D (below 10**19) and the power
+  of ten are exact there. So L rounded to float64 is ``float``'s result
+  unless a float64 midpoint lies between L and the decimal, which needs L
+  within half an ulp of one; an L within :data:`READ_GUARD` ulps of a
+  midpoint, as the low :data:`EXTRA` bits of its significand show, is read
+  by ``float`` instead. A sign then negates the float64, as it does in
+  ``float``.
 
 A token of 20 significant digits (D of 10**19 or more) is read by ``float``
 too. Where ``np.longdouble`` is not x87 extended precision (:data:`EXTENDED`),
-the reader declines every token, as it does any token of another shape; the
-caller then parses them some other way, at another speed, with the same bits.
+the reader declines every token, as it does when any token is of another
+shape or out of its widths; the caller then parses them some other way, at
+another speed, with the same bits.
 
 The tables are built when this module is imported, which
-:mod:`entrocal.report_io` does on its first CSV read or write, so that
+:mod:`entrocal.report_io` does on its first CSV read or write, and
+:mod:`entrocal.cli` on its first Gaussian JSON read, so that
 ``import entrocal`` does not pay for them.
 """
 
@@ -137,11 +150,19 @@ def put_floats(values: np.ndarray, field: np.ndarray) -> None:
 EXTENDED = (np.finfo(np.longdouble).nmant == 63 and np.dtype(np.longdouble).itemsize == 16
             and sys.byteorder == "little")
 
-#: Most fraction digits of a token the reader takes: ``%.17g`` writes 20 for x in [1e-4, 1e-3).
+#: Most significand digits of a token the reader takes, an integer part ``0`` not
+#: counted: ``%.17g`` writes 20 fraction digits for x in [1e-4, 1e-3).
 DIGITS = 20
 
-#: Bytes gathered before each token's end, three uint64 words: the token and what precedes it.
+#: Bytes of the longest token the reader takes, three uint64 words: ``%.17g`` and
+#: ``repr`` write at most 24.
 WIDTH = 24
+
+#: Most exponent digits of a token the reader takes, one uint64 word.
+EXP_DIGITS = 8
+
+#: Largest |q| of a token D * 10**q the reader takes: 10**q is exact in np.longdouble.
+SCALE = len(POWERS) - 1
 
 #: Bits of L's significand below float64's: a float64 midpoint has 1 and then zeros there.
 EXTRA = np.finfo(np.longdouble).nmant - np.finfo(np.float64).nmant
@@ -151,31 +172,40 @@ READ_GUARD = 2
 
 #: Rows a slice of :func:`get_floats` works on: each temporary stays under 1 MiB, where
 #: glibc serves it from the heap and reuses it, rather than mapping fresh pages each time.
-READ_ROWS = 32768
+READ_ROWS = 8192
 
 
 #: One WIDTH-byte window as a single item, so that a gather copies it whole.
 _SLOT = np.dtype((np.void, WIDTH))
-
-
-def _shapes():
-    """Per fraction length k, three WIDTH-byte masks of a token that ends the window.
-
-    The bytes checked (``0.`` and the high nibble of each digit), the bytes they
-    must hold (``0.`` and 0x30), and the low nibble of each digit: its value.
-    """
-    pos = np.arange(WIDTH)
-    k = np.arange(DIGITS + 1)[:, None]
-    digit = pos >= WIDTH - k
-    zero, dot = pos == WIDTH - k - 2, pos == WIDTH - k - 1
-    mask = np.where(digit, 0xF0, np.where(zero | dot, 0xFF, 0))
-    want = np.where(digit | zero, ord("0"), np.where(dot, ord("."), 0))
-    nibble = np.where(digit, 0x0F, 0)
-    return (t.astype(np.uint8).view(_SLOT).ravel() for t in (mask, want, nibble))
-
-
-_MASK, _WANT, _NIBBLE = _shapes()
 _U64 = np.uint64
+
+
+#: Per count k, a window's three words with the low nibble of their last k bytes set.
+_NIBBLE = np.where(np.arange(WIDTH) >= WIDTH - np.arange(WIDTH + 1)[:, None], 0x0F, 0).astype(
+    np.uint8).view(np.uint64)
+
+
+def _bytes(value: int) -> np.uint64:
+    return _U64(value * 0x0101010101010101)
+
+
+def _specials(words: np.ndarray) -> np.ndarray:
+    """Bit c set where window column c holds a byte that is not a digit.
+
+    Per byte, ``y = byte ^ 0x30`` is above 9 (bit 7, or its low 7 bits + 0x76
+    reach bit 7); the eight flags of a word are then gathered into its top byte
+    by one multiply, whose partial products never meet.
+    """
+    y = words ^ _bytes(0x30)
+    flags = (((y & _bytes(0x7F)) + _bytes(0x76)) | y) & _bytes(0x80)
+    packed = (flags * _U64(0x0002040810204081)) >> _U64(56)
+    return packed[:, 0] | (packed[:, 1] << _U64(8)) | (packed[:, 2] << _U64(16))
+
+
+def _lowest(bits: np.ndarray) -> np.ndarray:
+    """The column of each lowest set bit, or WIDTH where none is."""
+    _, exp = np.frexp((bits & (~bits + _U64(1))).astype(np.float64))  # 2**c: exponent c + 1
+    return np.where(exp > 0, exp - 1, WIDTH)
 
 
 def _digit_words(words: np.ndarray) -> np.ndarray:
@@ -189,34 +219,93 @@ def _digit_words(words: np.ndarray) -> np.ndarray:
 def get_floats(raw: np.ndarray, starts: np.ndarray, ends: np.ndarray):
     """``float(raw[s:e])`` for each token bounds (s, e), or None to decline them all.
 
-    ``raw`` is a uint8 array; the reader takes the tokens only if each is
-    ``0.`` and 1 to :data:`DIGITS` digits, and :data:`EXTENDED` holds.
+    ``raw`` is a uint8 array. The reader takes the tokens only if :data:`EXTENDED`
+    holds and each is a JSON number of at most :data:`WIDTH` bytes,
+    :data:`DIGITS` significand digits and :data:`EXP_DIGITS` exponent digits,
+    whose value is D * 10**q with |q| at most :data:`SCALE`; every value it
+    gives is therefore finite.
     """
-    k = ends - starts - 2
-    if not (EXTENDED and ((k >= 1) & (k <= DIGITS)).all()):
+    if not EXTENDED:
         return None
     out = np.empty(len(ends))
     for lo in range(0, len(ends), READ_ROWS):
-        end, kk = ends[lo : lo + READ_ROWS], k[lo : lo + READ_ROWS]
-        base = end[0] - WIDTH  # the window of row i starts at end[i] - WIDTH
-        seg = raw[max(base, 0) : end[-1]]
-        if base < 0:
-            seg = np.concatenate([np.zeros(-base, np.uint8), seg])
-        windows = sliding_window_view(seg, WIDTH).view(_SLOT)[:, 0]
-        words, mask, want, nibble = (t[i].view(np.uint64).reshape(-1, 3) for t, i in (
-            (windows, end - end[0]), (_MASK, kk), (_WANT, kk), (_NIBBLE, kk)))
-        digits = words & nibble
-        # Any byte off the shape, or a digit byte of 0x3A-0x3F, whose value + 6 carries into 0x10.
-        if (((words & mask) ^ want) | ((digits + _U64(0x0606060606060606))
-                                        & _U64(0x1010101010101010))).any():
+        part = slice(lo, lo + READ_ROWS)
+        if not _read(raw, starts[part], ends[part], out[part]):
             return None
-        digits = _digit_words(digits)
-        d = digits[:, 0] * _U64(10**16) + digits[:, 1] * _U64(10**8) + digits[:, 2]
-        big = digits[:, 0] >= 1000  # D >= 10**19, which np.longdouble may not hold exactly
-        ratio = d.astype(np.longdouble) / POWERS[kk]  # L
-        low = (ratio.view(np.uint64)[::2] & _U64(2**EXTRA - 1)).view(np.int64)
-        slow = np.flatnonzero(big | (np.abs(low - 2 ** (EXTRA - 1)) < READ_GUARD))
-        out[lo : lo + READ_ROWS] = ratio  # rounded to float64
-        for i in slow.tolist():
-            out[lo + i] = float(raw[end[i] - kk[i] - 2 : end[i]].tobytes())
     return out
+
+
+def _read(raw: np.ndarray, start: np.ndarray, end: np.ndarray, out: np.ndarray) -> bool:
+    """Write the tokens' values into ``out``, or return False to decline them."""
+    length = end - start
+    if not ((length >= 1) & (length <= WIDTH)).all():
+        return False
+    base = start.min() - WIDTH  # every window below starts at or after it
+    seg = raw[max(base, 0) : end.max()]
+    if base < 0:
+        seg = np.concatenate([np.zeros(-base, np.uint8), seg])
+    windows = sliding_window_view(seg, WIDTH).view(_SLOT)[:, 0]
+
+    def before(stop):  # the WIDTH bytes before each stop, as three uint64 words
+        return windows[stop - WIDTH - base].view(np.uint64).reshape(-1, 3)
+
+    words = before(end)
+    at = end - WIDTH  # a window column plus this is the byte's place in ``raw``
+
+    def byte(col):  # the token byte at each window column below WIDTH
+        return raw.take(at + np.minimum(col, WIDTH - 1))
+
+    # The bytes other than digits: a leading minus, then the point, the exponent
+    # marker and the exponent's sign, each at most once and in that order.
+    lead = WIDTH - length
+    neg = raw.take(start) == ord("-")
+    rest = _specials(words) & ~((_U64(1) << (lead + neg).astype(_U64)) - _U64(1))
+    col = _lowest(rest)
+    dotted = byte(col) == ord(".")
+    point = np.where(dotted, col, WIDTH)
+    rest &= rest - dotted
+    e_col = _lowest(rest)  # the exponent marker, or WIDTH
+    whole = np.minimum(point, e_col) - lead - neg
+    frac = np.where(dotted, e_col - point - 1, 0)
+    zero = byte(lead + neg) == ord("0")  # a leading 0, the whole integer part if valid
+    valid = ((whole >= 1) & ~(zero & (whole > 1)) & (~dotted | (frac >= 1))
+             & (whole - zero + frac <= DIGITS))
+    q, cut = -frac, np.flatnonzero(e_col < WIDTH)
+    if cut.size:
+        e, after = e_col[cut], rest[cut] & (rest[cut] - _U64(1))
+        sign = raw.take(at[cut] + np.minimum(e + 1, WIDTH - 1))
+        signed = (after != 0) & ((sign == ord("+")) | (sign == ord("-")))
+        count = WIDTH - 1 - e - signed
+        valid[cut] &= (((raw.take(at[cut] + e) | 0x20) == ord("e"))
+                       & (after == signed.astype(_U64) << (e + 1).astype(_U64))
+                       & (count >= 1) & (count <= EXP_DIGITS))
+        x = _digit_words(words[cut, 2] & _NIBBLE[:, 2].take(np.minimum(count, 8))).view(np.int64)
+        q[cut] += np.where(sign == ord("-"), -x, x)
+    if not (valid & (np.abs(q) <= SCALE)).all():
+        return False
+    # The significand's window, which is the token's unless it has an exponent. Where an
+    # integer part other than 0 precedes a point, every byte before the fraction moves
+    # one place on, over the point, so that the digits lie together at the end.
+    mantissa = words
+    if cut.size:
+        mantissa = words.copy()
+        mantissa[cut] = before(end[cut] - WIDTH + e_col[cut])
+    if (dotted & ~zero).any():
+        moved = mantissa << _U64(8)
+        moved[:, 1:] |= mantissa[:, :-1] >> _U64(56)
+        keep = np.where(dotted, frac, WIDTH)
+        mantissa = moved ^ ((moved ^ mantissa) & (_NIBBLE.take(keep, axis=0) * _U64(0x11)))
+    digits = _digit_words(mantissa & _NIBBLE.take(whole + frac - (dotted & zero), axis=0))
+    d = digits[:, 0] * _U64(10**16) + digits[:, 1] * _U64(10**8) + digits[:, 2]  # D, mod 2**64
+    big = digits[:, 0] >= 1000  # D >= 10**19, which np.longdouble may not hold exactly
+    ratio = d.astype(np.longdouble) / POWERS[np.maximum(-q, 0)]  # L = D / 10**k
+    up = np.flatnonzero(q > 0)
+    if up.size:
+        ratio[up] = d[up].astype(np.longdouble) * POWERS[q[up]]  # L = D * 10**e
+    low = (ratio.view(np.uint64)[::2] & _U64(2**EXTRA - 1)).view(np.int64)
+    slow = np.flatnonzero(big | (np.abs(low - 2 ** (EXTRA - 1)) < READ_GUARD))
+    out[:] = ratio  # rounded to float64
+    out *= 1.0 - 2.0 * neg
+    for r in slow.tolist():
+        out[r] = float(raw[start[r] : end[r]].tobytes())
+    return True

@@ -138,11 +138,15 @@ def _require_nonempty(n: int) -> None:
 
 
 def _binary_scores(probs: np.ndarray, labels: np.ndarray, policy: ClipPolicy) -> np.ndarray:
-    """``(q - labels) * (ln q - ln(1 - q))`` on the clipped q, in three arrays of N."""
-    q = np.clip(probs, policy.epsilon, 1.0 - policy.epsilon)
-    rest = np.subtract(1.0, q)
+    """``(q - labels) * (ln q - ln(1 - q))`` on the clipped q, in two arrays of N.
+
+    q is clipped twice: once for ln q and ln(1 - q), and again into the spent array.
+    """
+    lo, hi = policy.epsilon, 1.0 - policy.epsilon
+    q = np.clip(probs, lo, hi)
     logit = np.log(q)
-    logit -= np.log(rest, out=rest)
+    logit -= np.log(np.subtract(1.0, q, out=q), out=q)
+    q = np.clip(probs, lo, hi, out=q)
     q -= labels
     q *= logit
     return q
@@ -263,13 +267,10 @@ def nll(data: Dataset, policy: ClipPolicy = DEFAULT_CLIP) -> float:
     """Mean negative log-likelihood of the labels under the clipped probabilities."""
     _require_nonempty(len(data))
     q = np.clip(data.probs, policy.epsilon, 1.0 - policy.epsilon)
-    x = data.labels
-    # -(x ln q + (1 - x) ln(1 - q)), in three arrays of N.
+    # -(x ln q + (1 - x) ln(1 - q)), in two arrays of N: both logs are finite after
+    # clipping, so the term is ln q where x is 1 and ln(1 - q) where it is 0, exactly.
     terms = np.log(q)
-    terms *= x
-    q = np.log(np.subtract(1.0, q, out=q), out=q)
-    q *= 1 - x
-    terms += q
+    np.copyto(terms, np.log(np.subtract(1.0, q, out=q), out=q), where=data.labels == 0)
     return pairwise_mean(np.negative(terms, out=terms))
 
 

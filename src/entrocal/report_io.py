@@ -21,10 +21,11 @@ arrays or by rows. The array parser takes a block of only digits, ``.``,
 ``,``, ``e``, ``E``, ``+``, ``-`` and LF or CRLF line ends, with the header's
 field count on every line, labels exactly ``0`` or ``1`` and probabilities
 finite and in [0, 1]. Its probabilities are read by the array kernel of
-:func:`entrocal._floattext.get_floats` when every one of them is ``0.`` and
-1 to 20 digits, which is what ``%.17g`` writes for values in [1e-4, 1); the
-kernel declines any other block (a ``0``, a ``1``, ``1.0``, ``.5``, an
-exponent, more digits, or a platform whose ``np.longdouble`` is not x87
+:func:`entrocal._floattext.get_floats` when every one of them is a JSON
+number (``0``, ``1``, ``0.25``, ``1.0``, ``5e-05``) of at most 24 bytes and
+20 significand digits, as ``%.17g`` and ``repr`` write them; the kernel
+declines any other block (``.5``, ``+0.5``, ``1.``, more digits, an exponent
+past 10**27 in all, or a platform whose ``np.longdouble`` is not x87
 extended precision), which ``np.loadtxt`` reads. Both give ``float``'s
 bits. Any other block (a bare CR, whitespace, quotes, blank
 lines, ``nan``, a bad row) goes to the row parser, which reads it a line at

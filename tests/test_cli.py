@@ -451,13 +451,24 @@ def test_gaussian_malformed_inputs_exit_2(tmp_path, capsys):
     assert err == "entrocal: error: record 1: truth - mean overflows\n"
 
 
+def _gaussian_run(tmp_path, capsys, payload):
+    path = tmp_path / "g.json"
+    if isinstance(payload, bytes):
+        path.write_bytes(payload)
+    else:
+        path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
+    return (path, *run_cli(capsys, "gaussian", "--input", str(path)))
+
+
+G1 = {"mean": [0.0], "covariance": [[1.0]], "truth": [0.5]}
+G2 = {"mean": [0.0, 0.0], "covariance": [[1.0, 0.0], [0.0, 1.0]], "truth": [0.5, 0.5]}
+NAN, INF = float("nan"), float("inf")
+
 VECTOR = "a number or a list of numbers"
 MATRIX = "a number or a list of lists of numbers"
 
 
-@pytest.mark.parametrize(
-    "key,value,kind",
-    [
+NON_NUMBER_CASES = [
         ("mean", ["1.5", 0.0], VECTOR),
         ("mean", [True, False], VECTOR),
         ("truth", [0.5, True], VECTOR),  # a boolean among numbers
@@ -467,14 +478,18 @@ MATRIX = "a number or a list of lists of numbers"
         ("covariance", "2", MATRIX),
         ("covariance", [[1.0, 0.0], [0.0, True]], MATRIX),
         ("covariance", [[[1.0, 0.0], [0.0, 1.0]]], MATRIX),
-    ],
+]
+
+
+@pytest.mark.parametrize(
+    "key,value,kind",
+    NON_NUMBER_CASES,
     ids=["string", "booleans", "boolean-among-numbers", "null", "nested-mean",
          "nested-truth", "string-covariance", "boolean-in-covariance", "nested-covariance"],
 )
 def test_gaussian_non_numbers_exit_2_with_index(tmp_path, capsys, key, value, kind):
-    good = {"mean": [0.0, 0.0], "covariance": [[1.0, 0.0], [0.0, 1.0]], "truth": [0.5, 0.5]}
     path = tmp_path / "g.json"
-    path.write_text(json.dumps([good, {**good, key: value}]))
+    path.write_text(json.dumps([G2, {**G2, key: value}]))
     code, out, err = run_cli(capsys, "gaussian", "--input", str(path))
     assert (code, out) == (2, "")
     assert err == f"entrocal: error: record 1: {key} must be {kind}\n"
@@ -488,44 +503,33 @@ def test_gaussian_int_beyond_float64_exit_2(tmp_path, capsys):
     assert err == "entrocal: error: record 0: int too large to convert to float\n"
 
 
-NAN, INF = float("nan"), float("inf")
-
-
-@pytest.mark.parametrize(
-    "bad",
-    [
+NON_FINITE_CASES = [
         {"mean": [0.0], "covariance": [[1.0]], "truth": [NAN]},
         {"mean": [INF, 0.0], "covariance": [[1.0, 0.0], [0.0, 1.0]], "truth": [0.0, 0.0]},
         {"mean": [0.0] * 3, "covariance": [[1.0, 0, 0], [0, NAN, 0], [0, 0, 1.0]],
          "truth": [0.0] * 3},
         {"mean": [0.0] * 3, "covariance": [[1.0, 0, 0], [0, 1.0, 0], [0, 0, INF]],
          "truth": [1.0] * 3},
-    ],
-    ids=["nan-truth-d1", "inf-mean-d2", "nan-cov-d3", "inf-cov-diag-d3"],
-)
-def test_gaussian_non_finite_exit_2_with_index(tmp_path, capsys, bad):
+]
+
+
+def _non_finite_records(bad: dict) -> list:
     d = len(bad["mean"])
     good = {"mean": [0.0] * d, "covariance": np.eye(d).tolist(), "truth": [0.5] * d}
+    return [good, good, bad]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE_CASES,
+                         ids=["nan-truth-d1", "inf-mean-d2", "nan-cov-d3", "inf-cov-diag-d3"])
+def test_gaussian_non_finite_exit_2_with_index(tmp_path, capsys, bad):
     path = tmp_path / "g.json"
-    path.write_text(json.dumps([good, good, bad]))  # NaN/Infinity literals
+    path.write_text(json.dumps(_non_finite_records(bad)))  # NaN/Infinity literals
     code, out, err = run_cli(capsys, "gaussian", "--input", str(path))
     assert code == 2 and out == ""
     assert "record 2: " in err and "finite" in err
 
 
-def _gaussian_run(tmp_path, capsys, payload):
-    path = tmp_path / "g.json"
-    path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
-    return (path, *run_cli(capsys, "gaussian", "--input", str(path)))
-
-
-G1 = {"mean": [0.0], "covariance": [[1.0]], "truth": [0.5]}
-G2 = {"mean": [0.0, 0.0], "covariance": [[1.0, 0.0], [0.0, 1.0]], "truth": [0.5, 0.5]}
-
-
-@pytest.mark.parametrize(
-    "records,message",
-    [
+COVARIANCE_ERROR_CASES = [
         ([G1, {**G1, "covariance": [[NAN]]}], "record 1: covariance must be finite"),
         ([G1, {**G1, "covariance": [[INF]]}], "record 1: covariance must be finite"),
         ([G2, {**G2, "covariance": [[1.0, 1e308], [-1e308, 1.0]]}],
@@ -534,7 +538,12 @@ G2 = {"mean": [0.0, 0.0], "covariance": [[1.0, 0.0], [0.0, 1.0]], "truth": [0.5,
          "record 1: covariance is not positive-definite"),
         ([G2, {**G2, "covariance": [[0.0, 0.0], [0.0, 1.0]]}],
          "record 1: covariance is not positive-definite"),
-    ],
+]
+
+
+@pytest.mark.parametrize(
+    "records,message",
+    COVARIANCE_ERROR_CASES,
     ids=["nan-cov-d1", "inf-cov-d1", "asymmetry-overflows", "factor-overflows", "zero-pivot"],
 )
 def test_gaussian_covariance_errors_print_no_warning(tmp_path, capsys, records, message):
@@ -543,9 +552,7 @@ def test_gaussian_covariance_errors_print_no_warning(tmp_path, capsys, records, 
     assert (code, out, err) == (2, "", f"entrocal: error: {message}\n")
 
 
-@pytest.mark.parametrize(
-    "records,message",
-    [
+SHAPE_ERROR_CASES = [
         ([G1, G2], "{path}: mixed dimensions: prediction 1 has d=2, expected 1"),
         ([G1, G2, {**G1, "covariance": [[-1.0]]}], "record 2: covariance is not positive-definite"),
         ([{**G2, "truth": [0.5]}] * 2,
@@ -566,7 +573,12 @@ def test_gaussian_covariance_errors_print_no_warning(tmp_path, capsys, records, 
         ([{**G2, "mean": [NAN, 0.0]}, {**G2, "covariance": [[0.0, 0.0], [0.0, 1.0]]}],
          "record 1: covariance is not positive-definite"),
         ([{**G1, "mean": [NAN]}, G2], "{path}: mixed dimensions: prediction 1 has d=2, expected 1"),
-    ],
+]
+
+
+@pytest.mark.parametrize(
+    "records,message",
+    SHAPE_ERROR_CASES,
     ids=["mixed-dimensions", "bad-record-after-mixed", "truth-short", "covariance-not-square",
          "empty-vectors", "empty-covariance-row", "covariance-vector", "ragged-covariance",
          "int-beyond-float64-later", "record-not-an-object", "covariance-before-nan-mean",
@@ -588,14 +600,14 @@ def test_gaussian_mixed_scalar_shorthand_and_lists(tmp_path, capsys):
     assert (code, json.loads(out)) == (0, {"n": 3, "d": 1, "nees": 5 / 3, "ecd": (5 / 3 - 1) / 2})
 
 
-@pytest.mark.parametrize(
-    "payload,message",
-    [
-        (b"\xff\xfe[1]", "invalid UTF-8 at byte 0"),
-        (b"[" * 100_000, "JSON nested too deeply to read"),
-    ],
-    ids=["not-utf8", "nested-past-recursion-limit"],
-)
+UNREADABLE_CASES = [
+    (b"\xff\xfe[1]", "invalid UTF-8 at byte 0"),
+    (b"[" * 100_000, "JSON nested too deeply to read"),
+]
+
+
+@pytest.mark.parametrize("payload,message", UNREADABLE_CASES,
+                         ids=["not-utf8", "nested-past-recursion-limit"])
 def test_gaussian_unreadable_json_exit_2(tmp_path, capsys, payload, message):
     path = tmp_path / "g.json"
     path.write_bytes(payload)
@@ -629,15 +641,15 @@ def _seeded_records(seed, n, d):
             for m, c, t in zip(means.tolist(), covs.tolist(), truths.tolist())]
 
 
-@pytest.mark.parametrize(
-    "d,expected",
-    [
-        (1, '{"n": 300, "d": 1, "nees": 1.2279748990061952, "ecd": 0.11398744950309758}'),
-        (2, '{"n": 300, "d": 2, "nees": 2.6086160286535525, "ecd": 0.30430801432677623}'),
-        (3, '{"n": 300, "d": 3, "nees": 4.460430196701917, "ecd": 0.7302150983509583}'),
-        (5, '{"n": 300, "d": 5, "nees": 28.31179818498207, "ecd": 11.655899092491035}'),
-    ],
-)
+PINNED_STDOUT = [
+    (1, '{"n": 300, "d": 1, "nees": 1.2279748990061952, "ecd": 0.11398744950309758}'),
+    (2, '{"n": 300, "d": 2, "nees": 2.6086160286535525, "ecd": 0.30430801432677623}'),
+    (3, '{"n": 300, "d": 3, "nees": 4.460430196701917, "ecd": 0.7302150983509583}'),
+    (5, '{"n": 300, "d": 5, "nees": 28.31179818498207, "ecd": 11.655899092491035}'),
+]
+
+
+@pytest.mark.parametrize("d,expected", PINNED_STDOUT)
 def test_gaussian_stdout_is_pinned(tmp_path, capsys, d, expected):
     # Bytes printed by the per-record implementation this path replaced.
     _, code, out, _ = _gaussian_run(tmp_path, capsys, _seeded_records(40 + d, 300, d))
@@ -668,6 +680,139 @@ def test_gaussian_scores_the_stack_once(tmp_path, capsys, monkeypatch):
     assert code == 0 and len(calls) == 1
     result = json.loads(out)
     assert result["ecd"] == (result["nees"] - 3) / 2
+
+
+def _json_load_fails(*args, **kwargs):
+    raise AssertionError("json.load ran")
+
+
+def _both_readers(data: bytes) -> tuple:
+    """The arrays of the array reader and of ``json.load``, each as its bytes (None: declined)."""
+    stacks = cli._gaussian_stacks(data)
+    arrays = cli._gaussian_arrays(cli._gaussian_json(data, "g.json"), "g.json")
+    return (None if stacks is None else [(a.shape, a.tobytes()) for a in stacks],
+            [(a.shape, a.tobytes()) for a in arrays])
+
+
+@pytest.mark.parametrize("d,expected", PINNED_STDOUT)
+def test_gaussian_array_reader_takes_regular_files(tmp_path, capsys, monkeypatch, d, expected):
+    # Bare, wrapped in "predictions" and pretty-printed, with keys in another order:
+    # the array reader takes each file, with json.load's bits.
+    records = _seeded_records(40 + d, 300, d)
+    reordered = [{"truth": r["truth"], "mean": r["mean"], "covariance": r["covariance"]}
+                 for r in records]
+    payloads = [json.dumps(records), json.dumps({"predictions": records}),
+                json.dumps(records, indent=2), json.dumps(reordered, separators=(",", ":"))]
+    for payload in payloads:
+        stacks, arrays = _both_readers(payload.encode())
+        assert stacks == arrays
+    monkeypatch.setattr(json, "load", _json_load_fails)
+    for payload in payloads:
+        assert _gaussian_run(tmp_path, capsys, payload)[1:] == (0, expected + "\n", "")
+
+
+def _bench_shaped_records(seed: int, n: int, d: int) -> list:
+    """Records like the benchmark's: means of scale 10, SPD covariances and truths."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(0.0, 1.0, (n, d, d))
+    covs = a @ np.swapaxes(a, 1, 2) + 0.5 * np.eye(d)
+    covs = 0.5 * (covs + np.swapaxes(covs, 1, 2))
+    means = rng.normal(0.0, 10.0, (n, d))
+    truths = means + np.einsum("nij,nj->ni", np.linalg.cholesky(covs), rng.normal(size=(n, d)))
+    return [{"mean": m, "covariance": c, "truth": t}
+            for m, c, t in zip(means.tolist(), covs.tolist(), truths.tolist())]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_gaussian_array_reader_takes_a_bench_shaped_file(tmp_path, capsys, monkeypatch, d):
+    payload = json.dumps(_bench_shaped_records(d, 5000, d))
+    stacks, arrays = _both_readers(payload.encode())
+    assert stacks == arrays
+    monkeypatch.setattr(cli, "_gaussian_stacks", lambda data: None)
+    expected = _gaussian_run(tmp_path, capsys, payload)[1:]
+    assert expected[0] == 0
+    monkeypatch.undo()
+    monkeypatch.setattr(json, "load", _json_load_fails)
+    assert _gaussian_run(tmp_path, capsys, payload)[1:] == expected
+
+
+def test_gaussian_reads_the_sign_of_zero_as_json_does(tmp_path, capsys):
+    # -0 is an int to json, so +0.0; -0.0 and -0e0 are floats and keep their sign.
+    payload = ('[{"mean": [-0, -0.0, 0], "covariance": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], '
+               '"truth": [-0e0, 0.0, -0]}]')
+    stacks, arrays = _both_readers(payload.encode())
+    assert stacks == arrays
+    mean, _, truth = cli._gaussian_stacks(payload.encode())
+    assert np.signbit(mean).tolist() == [[False, True, False]]
+    assert np.signbit(truth).tolist() == [[True, False, False]]
+    assert _gaussian_run(tmp_path, capsys, payload)[1:] == (
+        0, '{"n": 1, "d": 3, "nees": 0.0, "ecd": -1.5}\n', "")
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        '[{"mean": 0.5, "covariance": 1, "truth": 0}]',  # scalar shorthand
+        '[{"mean": [1], "covariance": [[1]], "truth": [12345678901234567890123]}]',
+        '[{"mean": [NaN], "covariance": [[1]], "truth": [0]}]',
+        '[{"mean": [1e400], "covariance": [[1]], "truth": [0]}]',
+        '[{"mean": [1e-300], "covariance": [[1]], "truth": [0]}]',
+        '[{"mean": [1], "covariance": [[1]], "truth": [0], "extra": 1}]',
+        '[{"mean": [1], "covariance": [[1]], "truth": [0]}, {"truth": [0], "mean": [1], '
+        '"covariance": [[1]]}]',
+        '[{"m\\u0065an": [1], "covariance": [[1]], "truth": [0]}]',
+        '[{"mean": [1], "covariance": [[1]], "truth": [0]}] x',
+        '[{"mean": [1 2], "covariance": [[1]], "truth": []}]',
+        '[{"mEan": [1], "covariance": [[1]], "truth": [0]}]',
+        '[{"me5an": [1], "covariance": [[1]], "truth": [0]}]',
+        '{"predictions": [{"mean": [1], "covariance": [[1]], "truth": [0]}], "x": 1}',
+        '[{"mean": [1], "covariance": [[1]], "truth": [0], "mean": [2]}]',
+        '\ufeff[{"mean": [1], "covariance": [[1]], "truth": [0]}]',
+        '[]',
+        '[{"mean": [], "covariance": [], "truth": []}]',
+    ],
+    ids=["scalar-shorthand", "int-over-20-digits", "nan", "overflow", "exponent-out-of-range",
+         "extra-key", "key-order-differs", "escaped-key", "trailing-text", "two-numbers-in-a-slot",
+         "key-spelling", "number-in-key", "wrapper-extra-key", "duplicate-key", "bom", "empty",
+         "empty-vectors"],
+)
+def test_gaussian_array_reader_declines_other_files(payload):
+    assert cli._gaussian_stacks(payload.encode()) is None
+
+
+def test_gaussian_errors_do_not_depend_on_the_array_reader(tmp_path, capsys, monkeypatch):
+    # With the array reader declining every file, every error case keeps its exit
+    # code, stdout and stderr, so each error is json.load's path alone.
+    payloads = ([[G2, {**G2, key: value}] for key, value, _ in NON_NUMBER_CASES]
+                + [_non_finite_records(bad) for bad in NON_FINITE_CASES]
+                + [records for records, _ in COVARIANCE_ERROR_CASES + SHAPE_ERROR_CASES]
+                + [payload for payload, _ in UNREADABLE_CASES]
+                + [[{"mean": [10**400], "covariance": [[1]], "truth": [0]}]])
+    expected = [_gaussian_run(tmp_path, capsys, payload)[1:] for payload in payloads]
+    assert all(code == 2 for code, _, _ in expected)
+    monkeypatch.setattr(cli, "_gaussian_stacks", lambda data: None)
+    assert [_gaussian_run(tmp_path, capsys, payload)[1:] for payload in payloads] == expected
+    test_gaussian_malformed_inputs_exit_2(tmp_path, capsys)
+    test_gaussian_int_beyond_float64_exit_2(tmp_path, capsys)
+
+
+def test_gaussian_duplicate_keys_exit_2(tmp_path, capsys):
+    # json keeps the last value of a repeated key; the reader names it instead.
+    record = '{"mean":[1,2],"covariance":[[1,0],[0,1]],"truth":[1,2]'
+    path, code, out, err = _gaussian_run(tmp_path, capsys, f'[{record},"mean":[3,4]}}]')
+    assert (code, out, err) == (2, "", "entrocal: error: record 0: duplicate key 'mean'\n")
+    payload = f'[{record}}}, {record}, "truth": [0, 0], "truth": [1, 1]}}]'
+    assert _gaussian_run(tmp_path, capsys, payload)[1:] == (
+        2, "", "entrocal: error: record 1: duplicate key 'truth'\n")
+    # A repeated key comes before a missing one in the same record.
+    payload = '[{"mean": [1], "mean": [2], "truth": [0]}]'
+    assert _gaussian_run(tmp_path, capsys, payload)[1:] == (
+        2, "", "entrocal: error: record 0: duplicate key 'mean'\n")
+    payload = f'{{"predictions": [{record}}}], "predictions": [{record}}}]}}'
+    path, code, out, err = _gaussian_run(tmp_path, capsys, payload)
+    assert (code, out, err) == (2, "", f"entrocal: error: {path}: duplicate key 'predictions'\n")
+    payload = f'{{"x": 1, "x": 2, "predictions": [{record}}}]}}'
+    assert _gaussian_run(tmp_path, capsys, payload)[1] == 0
 
 
 # ---------------------------------------------------------------------------

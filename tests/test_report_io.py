@@ -623,9 +623,20 @@ def test_write_then_load_round_trips_every_float(rows):
     assert np.array_equal(loaded.labels, data.labels)
 
 
-# The float reader: tokens ``0.<1 to 20 digits>`` by array arithmetic, any other declined.
+# The float reader: JSON numbers by array arithmetic, any other token declined.
 
-READER_SHAPE = re.compile(rb"0\.[0-9]{1,20}")
+NUMBER = re.compile(rb"-?(0|[1-9][0-9]*)(?:\.([0-9]+))?(?:[eE]([-+]?[0-9]+))?")
+
+
+def _reader_takes(token: bytes) -> bool:
+    """Whether the reader takes ``token``: a JSON number within its widths and scale."""
+    match = NUMBER.fullmatch(token)
+    if not match or len(token) > _floattext.WIDTH:
+        return False
+    whole, frac, exp = (group or b"" for group in match.groups())
+    digits = len(frac) + (0 if whole == b"0" else len(whole))
+    return (digits <= _floattext.DIGITS and len(exp.lstrip(b"+-")) <= _floattext.EXP_DIGITS
+            and abs(int(exp or b"0") - len(frac)) <= _floattext.SCALE)
 
 
 def _tokens(*tokens: bytes):
@@ -647,9 +658,11 @@ def _taken(tokens) -> list:
     return np.array([float(t) for t in tokens]).view(np.int64).tolist()
 
 
-@pytest.mark.parametrize("token", [b"1", b"0", b"1.0", b".5", b"00.5", b"0.", b"5e-05",
-                                   b"0." + b"1" * 21, b"0.5e", b"0.-5", b"0..5", b"+0.5",
-                                   b"-0.5", b"0.5e-3", b"0.1E1", b"1e-400", b"", b"0.1:", b"0.?"])
+@pytest.mark.parametrize("token", [b".5", b"00.5", b"0.", b"0." + b"1" * 21, b"0.5e", b"0.-5",
+                                   b"0..5", b"+0.5", b"1e-400", b"", b"0.1:", b"0.?", b"01",
+                                   b"-01", b"1.", b"1e", b"1e+", b"--1", b"-", b"1.2.3",
+                                   b"1" * 21, b"9" * 19 + b".25", b"1e123456789", b"0x1",
+                                   b" 1", b"1\0", b"\x001", b"1e5.5", b"1.5e+-5", b"e5"])
 def test_float_reader_declines_any_other_token(token):
     assert _read_bits(b"0.25", token) is None
     assert _read_bits(token, b"0.25") is None
@@ -659,6 +672,75 @@ def test_float_reader_takes_one_to_twenty_digits():
     tokens = [b"0." + b"7" * n for n in range(1, 21)]
     tokens += [b"0.0", b"0." + b"0" * 19 + b"1", b"0." + b"9" * 20, b"0.5", b"0.1"]
     assert _read_bits(*tokens) == _taken(tokens)
+
+
+def test_float_reader_takes_every_json_number_spelling():
+    # An integer, a sign, an exponent in either case with or without its sign,
+    # 20 significand digits (read by float), and the widest scale both ways.
+    tokens = [b"1", b"0", b"1.0", b"5e-05", b"-0.5", b"0.5e-3", b"0.1E1", b"-0", b"-0.0",
+              b"0e0", b"-0E+0", b"12345678901234567890", b"-" + b"9" * 20, b"1.5e+27",
+              b"1e27", b"1e-27", b"-123.456E-7", b"99999999999999999999e7",
+              b"18446744073709551616", b"-1.2345678901234567e-10", b"0.0000000000000000001e-8"]
+    assert all(_reader_takes(t) for t in tokens)
+    assert _read_bits(*tokens) == _taken(tokens)
+
+
+def _shaped_tokens(seed: int, n: int) -> list:
+    """Seeded JSON numbers of every shape the reader takes: a sign, 1 to 19 integer
+    digits, 0 to 20 fraction digits and an exponent from -27 to 27 in every spelling."""
+    rng = np.random.default_rng(seed)
+    tokens = []
+    while len(tokens) < n:
+        whole, frac = int(rng.integers(1, 20)), int(rng.integers(0, 21))
+        digits = rng.integers(0, 10, whole + frac).astype(str)
+        digits[0] = "0" if whole == 1 and rng.random() < 0.5 else str(rng.integers(1, 10))
+        token = "-" * int(rng.integers(0, 2)) + "".join(digits[:whole])
+        if frac:
+            token += "." + "".join(digits[whole:])
+        if rng.random() < 0.7:
+            exp = f"{int(rng.integers(0, 28)):0{int(rng.integers(1, 3))}d}"
+            token += f"{rng.choice(['e', 'E'])}{rng.choice(['', '+', '-'])}{exp}"
+        if _reader_takes(token.encode()):
+            tokens.append(token.encode())
+    return tokens
+
+
+@pytest.mark.skipif(not _floattext.EXTENDED, reason="the reader declines every token")
+def test_float_reader_gives_floats_bits_on_every_shape():
+    tokens = _shaped_tokens(5, _floattext.READ_ROWS + 11)
+    lengths = {(len(NUMBER.fullmatch(t).group(1)), len(NUMBER.fullmatch(t).group(2) or b""))
+               for t in tokens}
+    assert {w for w, _ in lengths} == set(range(1, 20)) and {f for _, f in lengths} == set(range(21))
+    assert {NUMBER.fullmatch(t).group(3) is not None for t in tokens} == {True, False}
+    assert _read_bits(*tokens) == _taken(tokens)
+
+
+def _paxson_tokens(seed: int, n: int) -> list:
+    """Decimals one digit past a float64 midpoint, on either side (Paxson 1991).
+
+    The midpoint above x, cut to 17, 18 or 19 significant digits, and that cut
+    plus one unit in its last digit, written as integer digits and an exponent.
+    """
+    rng = np.random.default_rng(seed)
+    tokens = []
+    with localcontext() as ctx:
+        ctx.prec = 800
+        for x in (rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-8, 8, n)).tolist():
+            mid = (Decimal(x) + Decimal(float(np.nextafter(x, 2 * x)))) / 2
+            for digits in (17, 18, 19):
+                exp = mid.adjusted() - digits + 1
+                cut = int(abs(mid).scaleb(-exp).to_integral_value(rounding="ROUND_DOWN"))
+                for d in (cut, cut + 1):
+                    tokens.append(f"{'-' if x < 0 else ''}{d}e{exp}".encode())
+    return tokens
+
+
+@pytest.mark.skipif(not _floattext.EXTENDED, reason="the reader declines every token")
+def test_float_reader_gives_floats_bits_next_to_midpoints():
+    tokens = _paxson_tokens(6, 2000)
+    taken = [t for t in tokens if _reader_takes(t)]
+    assert len(taken) > 0.99 * len(tokens)
+    assert _read_bits(*taken) == _taken(taken)
 
 
 #: float64 values in (0, 1), drawn as bit patterns: every binade, or the binades of
@@ -672,10 +754,10 @@ open_unit_floats = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(values=st.lists(st.tuples(open_unit_floats, st.integers(0, 17)), min_size=1, max_size=20))
 def test_float_reader_property_gives_floats_bits(values):
-    # Each value printed by repr (p = 0) or %.{p}g: the reader takes the tokens of
-    # its shape with float()'s bits, and declines any other token.
+    # Each value printed by repr (p = 0) or %.{p}g: the reader takes the tokens it
+    # accepts with float()'s bits, and declines any other token.
     tokens = [(repr(x) if p == 0 else format(x, f".{p}g")).encode() for x, p in values]
-    taken = [t for t in tokens if READER_SHAPE.fullmatch(t)]
+    taken = [t for t in tokens if _reader_takes(t)]
     if taken:
         assert _read_bits(*taken) == _taken(taken)
     for token in tokens:

@@ -78,9 +78,10 @@ def test_only_noisy_simulation_loads_scipy(tmp_path):
     )
 
 
-def test_csv_kernel_tables_are_built_on_first_read_or_write():
+def test_csv_kernel_tables_are_built_on_first_read_or_write(tmp_path):
     # The float kernels' lookup and power tables cost start-up time that only
-    # a CSV read or write needs, so neither the import nor --help builds them.
+    # a CSV read or write, or a Gaussian JSON read, needs, so neither the
+    # import nor --help builds them.
     built = "import sys; print('entrocal._floattext' in sys.modules)"
     assert _run_python(f"import entrocal; {built}").stdout == "False\n"
     assert _run_python(f"{_HELP_RUN}{built}").stdout.splitlines()[-1] == "False"
@@ -88,6 +89,11 @@ def test_csv_kernel_tables_are_built_on_first_read_or_write():
     assert _run_python(f"{write}; {built}").stdout == "True\n"
     read = "import io, entrocal as e; e.load_csv(io.BytesIO(b'prob,label\\n0.5,1\\n'))"
     assert _run_python(f"{read}; {built}").stdout == "True\n"
+    gaussian = tmp_path / "g.json"
+    gaussian.write_text('[{"mean": [0.0], "covariance": [[1.0]], "truth": [0.5]}]')
+    argv = ["gaussian", "--input", str(gaussian)]
+    run = _run_python(f"from entrocal.cli import main; main({argv!r}); {built}")
+    assert run.stdout.splitlines()[-1] == "True"
 
 
 def test_readme_library_example_runs():
