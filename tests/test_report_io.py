@@ -668,6 +668,13 @@ def test_float_reader_declines_any_other_token(token):
     assert _read_bits(token, b"0.25") is None
 
 
+@pytest.mark.parametrize("token", [b"1", b"0", b"1.0", b"5e-05", b"-0.5", b"0.5e-3", b"0.1E1"])
+def test_float_reader_takes_any_json_number_token(token):
+    assert _reader_takes(token)
+    assert _read_bits(b"0.25", token) == _taken([b"0.25", token])
+    assert _read_bits(token, b"0.25") == _taken([token, b"0.25"])
+
+
 def test_float_reader_takes_one_to_twenty_digits():
     tokens = [b"0." + b"7" * n for n in range(1, 21)]
     tokens += [b"0.0", b"0." + b"0" * 19 + b"1", b"0." + b"9" * 20, b"0.5", b"0.1"]
