@@ -350,8 +350,10 @@ def _json_skeleton(data: bytes):
 
     The skeleton is the file with each number cut to one ``#`` and JSON whitespace
     dropped. A run of number bytes that starts with e or E is a letter of a key,
-    such as the e of mean, and stays text, provided it is one byte. The file is
-    read a slice at a time, each cut after a comma, which no number holds.
+    such as the e of mean, and stays text, provided it is one byte. Only a key
+    holds letters, so a whitespace byte next to a letter lies inside a key, where
+    it counts: such a file is declined. The file is read a slice at a time, each
+    cut after a comma, which no number holds.
     """
     pieces, starts, ends = [], [], []
     a = 0
@@ -367,6 +369,9 @@ def _json_skeleton(data: bytes):
         if (last[letter] - first[letter] != 1).any():
             return None
         text[first[letter]] = raw.take(first[letter])
+        space, letters = text == 2, (text | 0x20) - ord("a") < 26  # uint8 wraps below a
+        if (space[1:] & letters[:-1]).any() or (space[:-1] & letters[1:]).any():
+            return None
         first, last = first[~letter], last[~letter]
         text[first] = ord("#")
         pieces.append(text.tobytes().translate(None, b"\x01\x02"))
@@ -383,7 +388,7 @@ def _gaussian_stacks(data: bytes):
     ``{"predictions": ...}``: each record an object with the keys mean, covariance
     and truth once each, spelled without escapes and in the first record's order,
     holding d numbers, d lists of d numbers and d numbers, with JSON whitespace
-    anywhere between. Its skeleton (see :func:`_json_skeleton`) must be exactly
+    anywhere between tokens. Its skeleton (see :func:`_json_skeleton`) must be exactly
     that. The numbers are read by :func:`entrocal._floattext.get_floats`, which
     takes JSON numbers only and declines the file for any it cannot read with
     ``float``'s bits. An int ``-0`` is +0.0, as ``json`` reads it.

@@ -267,10 +267,13 @@ def nll(data: Dataset, policy: ClipPolicy = DEFAULT_CLIP) -> float:
     """Mean negative log-likelihood of the labels under the clipped probabilities."""
     _require_nonempty(len(data))
     q = np.clip(data.probs, policy.epsilon, 1.0 - policy.epsilon)
-    # -(x ln q + (1 - x) ln(1 - q)), in two arrays of N: both logs are finite after
-    # clipping, so the term is ln q where x is 1 and ln(1 - q) where it is 0, exactly.
+    # -(x ln q + (1 - x) ln(1 - q)), in two arrays of N: while 1 - epsilon < 1 both
+    # logs are finite, so the term is ln q where x is 1 and ln(1 - q) where it is 0,
+    # exactly. A smaller epsilon lets q be 1, where x = 1 gives 0 * ln 0, NaN.
     terms = np.log(q)
     np.copyto(terms, np.log(np.subtract(1.0, q, out=q), out=q), where=data.labels == 0)
+    if 1.0 - policy.epsilon == 1.0:
+        terms[(q == -np.inf) & (data.labels == 1)] = np.nan
     return pairwise_mean(np.negative(terms, out=terms))
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import sys
 from pathlib import Path
 
@@ -421,34 +422,9 @@ def test_gaussian_non_spd_exit_2_with_index(tmp_path, capsys):
 
 
 def test_gaussian_malformed_inputs_exit_2(tmp_path, capsys):
-    path = tmp_path / "g.json"
-    path.write_text("not json")
-    assert run_cli(capsys, "gaussian", "--input", str(path))[0] == 2
-    path.write_text(json.dumps([{"mean": [0.0], "truth": [0.0]}]))
-    code, _, err = run_cli(capsys, "gaussian", "--input", str(path))
-    assert code == 2 and "covariance" in err
-    path.write_text(json.dumps([]))
-    assert run_cli(capsys, "gaussian", "--input", str(path))[0] == 2
-    path.write_text(json.dumps([{"mean": {}, "covariance": [[1.0]], "truth": [0.0]}]))
-    code, _, err = run_cli(capsys, "gaussian", "--input", str(path))
-    assert code == 2 and "record 0: " in err
-    # Finite input whose quadratic form, or whose mean, overflows.
-    tiny = {"mean": [0.0], "covariance": [[1e-200]], "truth": [1e200]}
-    path.write_text(json.dumps([{"mean": [0.0], "covariance": [[1.0]], "truth": [1.0]}, tiny]))
-    code, out, err = run_cli(capsys, "gaussian", "--input", str(path))
-    assert (code, out) == (2, "")
-    assert err == "entrocal: error: record 1: squared Mahalanobis distance overflows\n"
-    huge = {"mean": [0.0], "covariance": [[1e-300]], "truth": [1e4]}
-    path.write_text(json.dumps([huge, huge]))
-    code, out, err = run_cli(capsys, "gaussian", "--input", str(path))
-    assert (code, out) == (2, "")
-    assert err.startswith(f"entrocal: error: {path}: NEES overflows")
-    # Finite mean and truth whose difference overflows.
-    far = {"mean": [-1e308], "covariance": [[1.0]], "truth": [1e308]}
-    path.write_text(json.dumps([{"mean": [0.0], "covariance": [[1.0]], "truth": [1.0]}, far]))
-    code, out, err = run_cli(capsys, "gaussian", "--input", str(path))
-    assert (code, out) == (2, "")
-    assert err == "entrocal: error: record 1: truth - mean overflows\n"
+    for payload, message in MALFORMED_CASES:
+        path, code, out, err = _gaussian_run(tmp_path, capsys, payload)
+        assert (code, out, err) == (2, "", "entrocal: error: " + message.format(path=path) + "\n")
 
 
 def _gaussian_run(tmp_path, capsys, payload):
@@ -463,6 +439,25 @@ def _gaussian_run(tmp_path, capsys, payload):
 G1 = {"mean": [0.0], "covariance": [[1.0]], "truth": [0.5]}
 G2 = {"mean": [0.0, 0.0], "covariance": [[1.0, 0.0], [0.0, 1.0]], "truth": [0.5, 0.5]}
 NAN, INF = float("nan"), float("inf")
+
+MALFORMED_CASES = [
+    ("not json", "{path}: invalid JSON: Expecting value: line 1 column 1 (char 0)"),
+    ([{"mean": [0.0], "truth": [0.0]}], "record 0: missing key(s) covariance"),
+    ([], "{path}: expected a non-empty JSON array of records"),
+    ([{"mean": {}, "covariance": [[1.0]], "truth": [0.0]}],
+     "record 0: mean must be a number or a list of numbers"),
+    # Finite input whose quadratic form, or whose mean, overflows.
+    ([{"mean": [0.0], "covariance": [[1.0]], "truth": [1.0]},
+      {"mean": [0.0], "covariance": [[1e-200]], "truth": [1e200]}],
+     "record 1: squared Mahalanobis distance overflows"),
+    ([{"mean": [0.0], "covariance": [[1e-300]], "truth": [1e4]}] * 2,
+     "{path}: NEES overflows: the sum of squared Mahalanobis distances is not finite"),
+    # Finite mean and truth whose difference overflows.
+    ([{"mean": [0.0], "covariance": [[1.0]], "truth": [1.0]},
+      {"mean": [-1e308], "covariance": [[1.0]], "truth": [1e308]}],
+     "record 1: truth - mean overflows"),
+]
+INT_BEYOND_FLOAT64 = [{"mean": [10**400], "covariance": [[1]], "truth": [0]}]
 
 VECTOR = "a number or a list of numbers"
 MATRIX = "a number or a list of lists of numbers"
@@ -497,7 +492,7 @@ def test_gaussian_non_numbers_exit_2_with_index(tmp_path, capsys, key, value, ki
 
 def test_gaussian_int_beyond_float64_exit_2(tmp_path, capsys):
     path = tmp_path / "g.json"
-    path.write_text(json.dumps([{"mean": [10**400], "covariance": [[1]], "truth": [0]}]))
+    path.write_text(json.dumps(INT_BEYOND_FLOAT64))
     code, out, err = run_cli(capsys, "gaussian", "--input", str(path))
     assert (code, out) == (2, "")
     assert err == "entrocal: error: record 0: int too large to convert to float\n"
@@ -770,14 +765,53 @@ def test_gaussian_reads_the_sign_of_zero_as_json_does(tmp_path, capsys):
         '\ufeff[{"mean": [1], "covariance": [[1]], "truth": [0]}]',
         '[]',
         '[{"mean": [], "covariance": [], "truth": []}]',
+        # Whitespace inside a key is part of it, so these keys are not mean or predictions.
+        '[{"mean ": [1], "covariance": [[1]], "truth": [0]}]',
+        '[{"me an": [1], "covariance": [[1]], "truth": [0]}]',
+        '[{"mean": [1], "covariance": [[1]], "\ttruth": [0]}]',
+        '[{"mean": [1], "covari\nance": [[1]], "truth": [0]}]',
+        '{"pre dictions": [{"mean": [1], "covariance": [[1]], "truth": [0]}]}',
     ],
     ids=["scalar-shorthand", "int-over-20-digits", "nan", "overflow", "exponent-out-of-range",
          "extra-key", "key-order-differs", "escaped-key", "trailing-text", "two-numbers-in-a-slot",
          "key-spelling", "number-in-key", "wrapper-extra-key", "duplicate-key", "bom", "empty",
-         "empty-vectors"],
+         "empty-vectors", "space-ending-key", "space-in-key", "tab-starting-key",
+         "newline-in-key", "space-in-wrapper-key"],
 )
 def test_gaussian_array_reader_declines_other_files(payload):
     assert cli._gaussian_stacks(payload.encode()) is None
+
+
+def test_gaussian_array_reader_takes_no_file_that_json_reads_otherwise():
+    # Seeded edits of one to three bytes to regular files: every file the array
+    # reader takes, json.load takes too, with the same arrays.
+    rng = random.Random(3)
+    alphabet = b' \t\n\r"[]{},:#-+.eE0123456789aemnpt\\x'
+    bases = [
+        b'[{"mean": [1, -2.5], "covariance": [[1, 0], [0, 1e1]], "truth": [0, -0]}]',
+        json.dumps({"predictions": [{"truth": [0.5], "mean": [1], "covariance": [[2]]},
+                                    {"truth": [1e-5], "mean": [-0.0], "covariance": [[3.25]]}]
+                    }).encode(),
+        json.dumps([{"mean": [1.5], "covariance": [[1]], "truth": [0]}], indent=2).encode(),
+    ]
+    taken = 0
+    for _ in range(4000):
+        data = bytearray(rng.choice(bases))
+        for _ in range(rng.randint(1, 3)):
+            i, byte, edit = rng.randrange(len(data)), rng.choice(alphabet), rng.randrange(3)
+            if edit == 0:
+                data.insert(i, byte)
+            elif edit == 1:
+                del data[i]
+            else:
+                data[i] = byte
+        stacks = cli._gaussian_stacks(bytes(data))
+        if stacks is not None:
+            taken += 1
+            arrays = cli._gaussian_arrays(cli._gaussian_json(bytes(data), "g.json"), "g.json")
+            assert [(a.shape, a.tobytes()) for a in stacks] == [
+                (a.shape, a.tobytes()) for a in arrays], bytes(data)
+    assert taken > 100
 
 
 def test_gaussian_errors_do_not_depend_on_the_array_reader(tmp_path, capsys, monkeypatch):
@@ -786,14 +820,12 @@ def test_gaussian_errors_do_not_depend_on_the_array_reader(tmp_path, capsys, mon
     payloads = ([[G2, {**G2, key: value}] for key, value, _ in NON_NUMBER_CASES]
                 + [_non_finite_records(bad) for bad in NON_FINITE_CASES]
                 + [records for records, _ in COVARIANCE_ERROR_CASES + SHAPE_ERROR_CASES]
-                + [payload for payload, _ in UNREADABLE_CASES]
-                + [[{"mean": [10**400], "covariance": [[1]], "truth": [0]}]])
+                + [payload for payload, _ in UNREADABLE_CASES + MALFORMED_CASES]
+                + [INT_BEYOND_FLOAT64])
     expected = [_gaussian_run(tmp_path, capsys, payload)[1:] for payload in payloads]
     assert all(code == 2 for code, _, _ in expected)
     monkeypatch.setattr(cli, "_gaussian_stacks", lambda data: None)
     assert [_gaussian_run(tmp_path, capsys, payload)[1:] for payload in payloads] == expected
-    test_gaussian_malformed_inputs_exit_2(tmp_path, capsys)
-    test_gaussian_int_beyond_float64_exit_2(tmp_path, capsys)
 
 
 def test_gaussian_duplicate_keys_exit_2(tmp_path, capsys):

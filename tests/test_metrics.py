@@ -440,6 +440,21 @@ def test_scores_and_nll_keep_the_bits_of_their_formulas(epsilon):
         assert nll(Dataset(probs[i : i + 1], labels[i : i + 1]), policy) == terms[i]
 
 
+@pytest.mark.parametrize("epsilon", [1e-17, 5e-324])
+def test_nll_keeps_its_formulas_nan_when_one_minus_epsilon_rounds_to_one(epsilon):
+    # q can be 1 here: x = 1 gives the formula's 0 * ln 0, NaN, and x = 0 gives inf.
+    probs, labels = np.array([1.0, 1.0, 0.0, 0.0, 0.5]), np.array([1, 0, 1, 0, 1])
+    policy = ClipPolicy(epsilon)
+    q = np.clip(probs, epsilon, 1.0 - epsilon)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = -(labels * np.log(q) + (1 - labels) * np.log(1.0 - q))
+        rows = [nll(Dataset(probs[i : i + 1], labels[i : i + 1]), policy) for i in range(5)]
+        assert math.isnan(nll(Dataset(probs, labels), policy))
+        assert nll(Dataset(probs[1:], labels[1:]), policy) == math.inf
+    assert math.isnan(terms[0]) and terms[1] == math.inf
+    np.testing.assert_array_equal(rows, terms)  # NaN where NaN
+
+
 def test_brier_examples():
     assert brier(Dataset([1.0, 1.0], [1, 1])) == 0.0
     assert brier(Dataset([0.5, 0.5], [0, 1])) == pytest.approx(0.25, abs=1e-15)
