@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -264,6 +265,37 @@ def test_suite_outputs_and_determinism(tmp_path, capsys):
                      "reliability.svg", "histogram.svg"):
             expected.add(f"sigma-{s}/{name}")
     assert set(tree1) == expected
+
+
+# SHA-256 of every file that `suite --sigmas 0,0.5,2 --n 5000 --seed 3` writes,
+# as the simulator wrote them with scipy.special.ndtri for its inverse normal
+# CDF. The numpy port of Cephes ndtri must keep every bit.
+SUITE_DIGESTS = {
+    "comparison.md": "416d99cf0787dde2cea381fb25dd0fa0c26355eb5f6b3749d4bf5312edce7a48",
+    "sigma-0/dataset.csv": "b5a6e19ba0ae095c20962f35a5104fcd4eefe60d898a927798eecea765c87a31",
+    "sigma-0/histogram.svg": "dfd7dc723f37e0078e16abf63eff587b5987ca57ecd1ff251614daa45fb37125",
+    "sigma-0/reliability.svg": "79b8e17c4089b92e6bf72a2ac1e959598c71c4d4af1f75dd2ed8d263a74e2cfa",
+    "sigma-0/report.json": "3c4d76b3b51e3fd4e146583b97d25156ce685f7fc9901d982391157f5546fa54",
+    "sigma-0/report.md": "0efda55d1df1226262022e79716451f5b0eb7dcd940e490d103c6e57ed5ffdd0",
+    "sigma-0.5/dataset.csv": "564f4a76cbabcc87644e198b56d9e9a827ef183ebbb7ae221f7a28e03b4abc13",
+    "sigma-0.5/histogram.svg": "ee9ec656035bd5dbca24106a2ea831d847523f92a7c95269049f9d0bc1da1248",
+    "sigma-0.5/reliability.svg": "c8aa1a1d9ce319f3727203a33308bd1401e025217bae144b3cd6692e0dda045f",
+    "sigma-0.5/report.json": "6f0e89cdc8beefe1b0caf74d9648b30fe80cf118c772b43b017e9e14c90fd50c",
+    "sigma-0.5/report.md": "6ef866e2ec7372b2ad8329bba010895754c8d21eb1865f21f36762e71e4b899e",
+    "sigma-2/dataset.csv": "4571bbc3e7b8cec82c6d77e426de71c3236aaf847fefb8677ec01f92f1a1462d",
+    "sigma-2/histogram.svg": "fda6325468d9479b6b4dbd46207cf1ff5d75539902fcbb208a2282d7fb2575da",
+    "sigma-2/reliability.svg": "50e6691f665c6582dc17ee693d28a8f41fe91437c5d5af9867f6aa246f53b4aa",
+    "sigma-2/report.json": "c42b6058213065dab9aa3356b82924359a933a5ff8e898626c0a94ce0e4d8917",
+    "sigma-2/report.md": "12f45efcfef80c51331d53da3d3a5649988eeb81fd1b07507453dc2de4316c04",
+}
+
+
+def test_suite_files_keep_their_digests(tmp_path, capsys):
+    out = tmp_path / "suite"
+    args = ["suite", "--sigmas", "0,0.5,2", "--n", "5000", "--seed", "3", "--out-dir", str(out)]
+    assert run_cli(capsys, *args)[0] == 0
+    digests = {name: hashlib.sha256(data).hexdigest() for name, data in read_tree(out).items()}
+    assert digests == SUITE_DIGESTS
 
 
 def test_suite_reports_recompute_from_datasets(tmp_path, capsys):

@@ -13,6 +13,8 @@ from entrocal import (
     run_noise_suite,
     simulate,
 )
+from entrocal.simulation import _ndtri
+from ndtri_table import edges, read_table
 
 
 # ---------------------------------------------------------------------------
@@ -78,6 +80,48 @@ def test_config_validation(kwargs):
     low = {"seed": 0, "n": 1}.get(name)
     if low is not None:
         assert str(excinfo.value) == f"{name} must be an integer >= {low}, got {value!r}"
+
+
+# ---------------------------------------------------------------------------
+# the inverse normal CDF (the port of Cephes ndtri)
+# ---------------------------------------------------------------------------
+
+
+def _bits(x: np.ndarray) -> list:
+    return x.view(np.uint64).tolist()
+
+
+def test_ndtri_matches_scipy_bits_on_seeded_draws():
+    from scipy.special import ndtri
+
+    for seed in (1, 2, 3):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+        y = np.maximum(rng.random(1_000_000), 2.0 ** -53)  # as simulate feeds it
+        assert np.array_equal(_ndtri(y).view(np.uint64), ndtri(y).view(np.uint64)), seed
+
+
+def test_ndtri_matches_scipy_bits_on_the_edges():
+    from scipy.special import ndtri
+
+    y = edges()
+    # Both sides of the x = 8 tail switch (y = e^-32), in both tails.
+    for t in (y[y < 0.5], 1.0 - y[y > 0.5]):
+        x = np.sqrt(-2.0 * np.log(t[(t > 0.0) & (t < 1e-13)]))
+        assert x.min() < 8.0 <= x.max()
+    assert _bits(_ndtri(y)) == _bits(ndtri(y))
+
+
+def test_ndtri_matches_the_committed_table():
+    # Fixed bits from scipy, so the check does not move with a later scipy.
+    y, expected = read_table()
+    assert y.size == 1426
+    assert _bits(_ndtri(y)) == _bits(expected)
+
+
+def test_ndtri_at_zero_one_and_outside():
+    got = _ndtri(np.array([0.0, -0.0, 1.0, math.nan, -0.5, 1.5, -math.inf, math.inf]))
+    assert got[:3].tolist() == [-math.inf, -math.inf, math.inf]
+    assert np.isnan(got[3:]).all()
 
 
 # ---------------------------------------------------------------------------

@@ -32,12 +32,6 @@ def _run_python(code: str) -> subprocess.CompletedProcess:
     return _run("-c", code)
 
 
-def test_import_does_not_load_scipy_linalg():
-    # scipy.linalg is about half of the import time; only scipy.special is used.
-    result = _run_python("import sys, entrocal; print('scipy.linalg' in sys.modules)")
-    assert result.stdout.strip() == "False"
-
-
 _SCIPY_LOADED = "print(any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))"
 _HELP_RUN = (
     "import runpy, sys\n"
@@ -49,30 +43,30 @@ _HELP_RUN = (
 )
 
 
-def test_only_noisy_simulation_loads_scipy(tmp_path):
-    # Importing scipy.special costs about 0.3 s of start-up; only simulate with
-    # sigma > 0 needs it (ndtri).
+def test_no_command_loads_scipy(tmp_path):
+    # scipy is a test-only oracle: importing scipy.special alone costs about
+    # 0.3 s of start-up, and the simulator's inverse normal CDF is a numpy port.
     assert _run_python(f"import sys, entrocal; {_SCIPY_LOADED}").stdout == "False\n"
     assert _run_python(_HELP_RUN + _SCIPY_LOADED).stdout.endswith("False\n")
     gaussian = tmp_path / "g.json"
     gaussian.write_text('[{"mean": [0.0], "covariance": [[1.0]], "truth": [0.5]}]')
+    out = tmp_path / "s.csv"
     commands = [
         ["evaluate", "--input", str(ROOT / "tests" / "data" / "sample_predictions.csv")],
         ["gaussian", "--input", str(gaussian)],
         ["curve", "--grid", "11", "--output", str(tmp_path / "c.svg")],
         ["simulate", "--n", "50", "--seed", "1", "--output", str(tmp_path / "s0.csv")],
+        ["simulate", "--n", "1000", "--seed", "7", "--noise-sigma", "0.5",
+         "--include-true", "--output", str(out)],
+        ["suite", "--sigmas", "0,0.5,2", "--n", "200", "--seed", "1",
+         "--out-dir", str(tmp_path / "suite")],
     ]
     for argv in commands:
         code = f"import sys; from entrocal.cli import main; main({argv!r}); {_SCIPY_LOADED}"
         assert _run_python(code).stdout.endswith("False\n"), argv[0]
 
-    # The lazy import keeps the PCG64 draw order: these bytes were pinned while
-    # scipy.special was still imported at module level.
-    out = tmp_path / "s.csv"
-    argv = ["simulate", "--n", "1000", "--seed", "7", "--noise-sigma", "0.5",
-            "--include-true", "--output", str(out)]
-    code = f"import sys; from entrocal.cli import main; main({argv!r}); {_SCIPY_LOADED}"
-    assert _run_python(code).stdout.endswith("True\n")
+    # These bytes were pinned while the simulator drew its noise through
+    # scipy.special.ndtri: the port keeps the PCG64 draw order and the bits.
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "c732d39462d3ee11cc5c99311e21122aae1cff937dba5c605a9c5d17792fd92b"
     )
