@@ -13,9 +13,14 @@ global mean for any bin count; ``bin_stats`` verifies that identity at run
 time, so every report is checked. ECE has no such invariance: changing M
 changes the score.
 
-Rows are grouped by bin once: one stable sort by bin index puts each bin's
-members in dataset order, so every per-bin mean reduces the same array, and
-gives the same bits, as a per-bin mask would.
+Rows are grouped by bin once. Each bin index is computed by arithmetic,
+trunc(p*M) corrected by at most one step against the edges, and gives the
+same index as a binary search over them. One stable sort by that index puts
+each bin's members in dataset order, so every per-bin mean of the
+confidences and scores reduces the same array, and gives the same bits, as
+a per-bin mask would. The fraction of positives is a count of positive
+labels over the bin size: a pairwise sum of 0/1 values is an exact integer,
+so the count gives the bits of the pairwise mean.
 """
 
 from __future__ import annotations
@@ -102,23 +107,50 @@ class CalibrationReport:
         return len(self.bins)
 
 
+#: Rows per slice in :func:`bin_indices`, so its float temporary is 64 KiB.
+_INDEX_SLICE = 8192
+
+
 def bin_indices(probs: np.ndarray, spec: BinSpec) -> np.ndarray:
     """Index of the bin holding each probability; 1.0 maps to the last bin.
 
-    Probabilities must already be in [0, 1], as a :class:`Dataset` holds them.
+    Probabilities must already be in [0, 1], as a :class:`Dataset` holds them,
+    in a 1-D array or list. The result has the smallest unsigned dtype that
+    holds M, ``np.min_scalar_type(M)``, and equals
+    ``np.searchsorted(spec.interior_edges, probs, side="right")``: bin m holds
+    the p with fl(m/M) <= p < fl((m+1)/M), and the last bin is closed at 1.
+
+    The first guess is trunc(fl(p*M)), clamped to M - 1. Both fl(p*M) and
+    each edge fl(k/M) lie within half an ulp, a relative u = 2**-53, of p*M
+    and k/M. Let s be the searched index. A guess of s + 2 or more needs
+    p*M >= (s+2)*(1 - u), while p < fl((s+1)/M) <= (s+1)/M*(1 + u); both
+    hold only if (2s + 3)*u > 1. A guess of s - 2 or less needs
+    p*M < (s-1)*(1 + u), while p >= fl(s/M) >= s/M*(1 - u); both hold only
+    if (2s - 1)*u > 1. So the guess is off by at most one bin: one step down
+    if p lies below the guessed bin's lower edge, then one step up if p
+    reaches its upper edge, lands on the searched index.
     """
-    return np.searchsorted(spec.interior_edges, probs, side="right")
+    p = np.asarray(probs, dtype=np.float64)
+    m = spec.num_bins
+    edges = np.concatenate([[-np.inf], spec.interior_edges, [np.inf]])
+    lower, upper = edges[:-1], edges[1:]
+    out = np.empty(p.shape, dtype=np.min_scalar_type(m))
+    for start in range(0, p.size, _INDEX_SLICE):
+        chunk = p[start:start + _INDEX_SLICE]
+        idx = out[start:start + _INDEX_SLICE]
+        guess = np.multiply(chunk, m)
+        np.copyto(idx, np.minimum(guess, m - 1, out=guess), casting="unsafe")
+        idx -= chunk < lower[idx]
+        idx += chunk >= upper[idx]
+    return out
 
 
-def _bin_members(probs: np.ndarray, spec: BinSpec) -> list[np.ndarray]:
+def _bin_members(idx: np.ndarray, num_bins: int) -> list[np.ndarray]:
     """Per bin, the row numbers of its members in dataset order."""
-    idx = bin_indices(probs, spec)
-    counts = np.bincount(idx, minlength=spec.num_bins)
-    # numpy's stable sort is a radix sort for ints of 16 bits or less, so sort
-    # on the smallest type that holds every index rather than on intp.
-    keys = idx.astype(np.min_scalar_type(spec.num_bins))
-    del idx
-    return np.split(np.argsort(keys, kind="stable"), np.cumsum(counts)[:-1])
+    counts = np.bincount(idx, minlength=num_bins)
+    # numpy's stable sort is a radix sort for ints of 16 bits or less, which
+    # bin_indices returns for every M up to 65536.
+    return np.split(np.argsort(idx, kind="stable"), np.cumsum(counts)[:-1])
 
 
 def bin_stats(
@@ -132,14 +164,19 @@ def bin_stats(
     if len(data) < 1:
         raise ValueError("empty dataset")
     scores = ecd_sample_scores(data, policy)
+    idx = bin_indices(data.probs, spec)
+    groups = _bin_members(idx, spec.num_bins)
+    # Positives are counted after the sort, whose buffers set the peak memory,
+    # so that the label mask is not held alongside them.
+    positives = np.bincount(idx[data.labels == 1], minlength=spec.num_bins).tolist()
     out: list[BinStats] = []
-    for m, members in enumerate(_bin_members(data.probs, spec)):
+    for m, members in enumerate(groups):
         count = int(members.size)
         if count == 0:
             out.append(BinStats(index=m, count=0, populated=False))
             continue
         conf = pairwise_mean(data.probs[members])
-        frac = pairwise_mean(data.labels[members])
+        frac = positives[m] / count
         gap = frac - conf
         out.append(
             BinStats(

@@ -1,4 +1,6 @@
 import re
+import tracemalloc
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -218,9 +220,43 @@ def test_bin_indices_vectorized_matches_scalar():
         assert i == next(m for m in range(7) if p < (m + 1) / 7)
 
 
+# Every M from 1 to 64, and each side of the uint8, uint16 and uint32 limits.
+ORACLE_BIN_COUNTS = [*range(1, 65), 255, 256, 257, 1000, 4096, 65535, 65536, 65537]
+
+
+@pytest.mark.parametrize("num_bins", ORACLE_BIN_COUNTS)
+def test_bin_indices_match_a_binary_search(num_bins):
+    # Every edge fl(k/M) with both float neighbours, the extremes of [0, 1]
+    # and seeded uniforms, against numpy's binary search over the same edges.
+    spec = BinSpec(num_bins)
+    edges = np.arange(1, num_bins) / num_bins
+    probs = np.concatenate([
+        edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0),
+        [0.0, 5e-324, np.nextafter(1.0, 0.0), 1.0],
+        np.random.default_rng(num_bins).random(10**5),
+    ])
+    idx = bin_indices(probs, spec)
+    assert idx.dtype == np.min_scalar_type(num_bins)
+    np.testing.assert_array_equal(idx, np.searchsorted(edges, probs, side="right"))
+    np.testing.assert_array_equal(bin_indices(probs.tolist(), spec), idx)
+
+
+def test_bin_indices_memory_stays_near_its_result():
+    # The index is built in slices: its temporaries stay far below the 8 MB
+    # of one intp per row.
+    probs = np.random.default_rng(11).random(10**6)
+    tracemalloc.start()
+    try:
+        idx = bin_indices(probs, BinSpec(1000))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= idx.nbytes + 2**20
+
+
 def _reference_bin_stats(data, spec):
-    """The original grouping: one full mask pass per bin."""
-    idx = bin_indices(data.probs, spec)
+    """The original grouping: a binary search, then one full mask pass per bin."""
+    idx = np.searchsorted(np.arange(1, spec.num_bins) / spec.num_bins, data.probs, side="right")
     scores = ecd_sample_scores(data)
     out = []
     for m in range(spec.num_bins):
@@ -235,13 +271,30 @@ def _reference_bin_stats(data, spec):
     return out
 
 
+def _bits(stats):
+    """Each field of each bin, with every float as its exact bit pattern."""
+    return [
+        [(type(v).__name__, v.hex() if isinstance(v, float) else v) for v in astuple(b)]
+        for b in stats
+    ]
+
+
+def _label_sets(probs, num_bins, rng):
+    """Random labels, all 0, all 1, and whole bins alternately all 0 and all 1."""
+    parity = np.searchsorted(np.arange(1, num_bins) / num_bins, probs, side="right") % 2
+    n = probs.size
+    return [rng.integers(0, 2, n), np.zeros(n, np.int64), np.ones(n, np.int64), parity]
+
+
 @pytest.mark.parametrize("num_bins", [1, 2, 10, 255, 256, 257, 1000])
 def test_bin_stats_matches_mask_loop(num_bins):
     rng = np.random.default_rng(num_bins)
     spec = BinSpec(num_bins)
     for n in (1, 2, 37, 5000):
-        data = Dataset(rng.random(n), rng.integers(0, 2, n))
-        assert bin_stats(data, spec) == _reference_bin_stats(data, spec)
+        probs = rng.random(n)
+        for labels in _label_sets(probs, num_bins, rng):
+            data = Dataset(probs, labels)
+            assert _bits(bin_stats(data, spec)) == _bits(_reference_bin_stats(data, spec))
 
 
 @pytest.mark.parametrize("num_bins", [1, 3, 7, 10, 256, 1000])
@@ -251,11 +304,11 @@ def test_bin_stats_matches_mask_loop_on_edges(num_bins):
     rng = np.random.default_rng(7)
     edges = np.arange(num_bins + 1) / num_bins
     probs = rng.permutation(np.concatenate([edges, edges, [0.0, 1.0]]))
-    labels = rng.integers(0, 2, probs.size)
     spec = BinSpec(num_bins)
-    for n in (1, 3, probs.size):
-        data = Dataset(probs[:n], labels[:n])
-        assert bin_stats(data, spec) == _reference_bin_stats(data, spec)
+    for labels in _label_sets(probs, num_bins, rng):
+        for n in (1, 3, probs.size):
+            data = Dataset(probs[:n], labels[:n])
+            assert _bits(bin_stats(data, spec)) == _bits(_reference_bin_stats(data, spec))
 
 
 def test_histogram_counts_match_report():
