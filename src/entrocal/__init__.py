@@ -2,8 +2,9 @@
 
 Library surface:
 
-- :mod:`entrocal.metrics`: per-datum and aggregate scores (binary and
-  discrete ECD, NLL, entropy, Brier, the score curve).
+- :mod:`entrocal.metrics`: per-datum and aggregate scores (binary ECD over
+  (N,) probabilities, K-class ECD and its entropy and log-likelihood terms
+  over (N, K) rows, NLL, Brier, the score curve).
 - :mod:`entrocal.binning`: reliability-diagram binning and the calibration
   report (ECE, ESCE and ECD).
 - :mod:`entrocal.gaussian`: NEES and Gaussian ECD for state estimates.
@@ -24,7 +25,7 @@ from .metrics import *  # noqa: F403
 from .report_io import *  # noqa: F403
 from .simulation import *  # noqa: F403
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "__version__",

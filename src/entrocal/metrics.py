@@ -34,7 +34,6 @@ from ._accumulate import pairwise_mean, pairwise_sum_rows
 __all__ = [
     "ClipPolicy",
     "Dataset",
-    "DiscreteDistribution",
     "ECD_BINARY_LOWER_BOUND",
     "ecd_sample_binary",
     "ecd_sample_scores",
@@ -117,21 +116,6 @@ class Dataset:
         return f"Dataset(n={len(self)})"
 
 
-@dataclass(frozen=True)
-class DiscreteDistribution:
-    """Probability vector over K >= 2 classes."""
-
-    probs: tuple
-
-    def __init__(self, probs: Sequence[float]) -> None:
-        p = _distribution_rows(np.asarray(probs, dtype=np.float64).reshape(1, -1))[0]
-        object.__setattr__(self, "probs", tuple(float(v) for v in p))
-
-    @property
-    def num_classes(self) -> int:
-        return len(self.probs)
-
-
 def _require_nonempty(n: int) -> None:
     if n < 1:
         raise ValueError("empty dataset")
@@ -178,89 +162,74 @@ def ecd_binary(data: Dataset, policy: ClipPolicy = DEFAULT_CLIP) -> float:
     return pairwise_mean(ecd_sample_scores(data, policy))
 
 
-def _discrete_terms(
-    rows: np.ndarray, labels: np.ndarray, policy: ClipPolicy
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row negative entropy and log-likelihood of ``labels`` for (N, K) rows.
+def _distribution_rows(probs) -> np.ndarray:
+    """The (N, K) float64 rows of ``probs``, validated; rows sum to 1 by the pairwise tree.
 
-    The one expression behind every discrete score: the per-sample ECD is
-    the first minus the second, and the scalar functions are its N = 1 view.
+    A shape error concerns the whole array; any other error names its first bad row.
     """
-    whole = np.isfinite(labels) & (np.floor(labels) == labels)  # 1.0 is class 1
-    if not whole.all():
-        raise ValueError(f"label {labels[~whole][0]} is not an integer class index")
-    bad = (labels < 0) | (labels >= rows.shape[1])
-    if bad.any():
-        raise ValueError(
-            f"label {labels[bad][0]} out of range for {rows.shape[1]}-class distribution"
-        )
-    c = np.clip(rows, policy.epsilon, 1.0 - policy.epsilon)
-    log_lik = np.log(c[np.arange(c.shape[0]), labels.astype(np.int64)])
-    return pairwise_sum_rows(c * np.log(c)), log_lik
-
-
-def negative_entropy(dist: DiscreteDistribution, policy: ClipPolicy = DEFAULT_CLIP) -> float:
-    """Sum of p_k * ln(p_k) over the clipped entries; always <= 0."""
-    return float(_discrete_terms(np.array([dist.probs]), np.zeros(1), policy)[0][0])
-
-
-def log_likelihood(
-    dist: DiscreteDistribution, label: int, policy: ClipPolicy = DEFAULT_CLIP
-) -> float:
-    """Natural log of the clipped probability assigned to the true class."""
-    return float(_discrete_terms(np.array([dist.probs]), np.array([label]), policy)[1][0])
-
-
-def _distribution_rows(matrix: np.ndarray) -> np.ndarray:
-    """Validate (N, K) row distributions; rows sum to 1 by the pairwise tree."""
-    rows = np.asarray(matrix, dtype=np.float64)
+    rows = np.asarray(probs, dtype=np.float64)
     if rows.ndim != 2:
         raise ValueError(f"expected an (N, K) array, got shape {rows.shape}")
     if rows.shape[1] < 2:
         raise ValueError(f"need at least 2 classes, got {rows.shape[1]}")
-    if not np.all((rows >= 0.0) & (rows <= 1.0)):  # NaN fails both comparisons
-        raise ValueError("entries must be finite and within [0, 1]")
-    if rows.size and np.abs(pairwise_sum_rows(rows) - 1.0).max() > 1e-9:
-        raise ValueError("each row must sum to 1 within 1e-9")
+    bad = ~((rows >= 0.0) & (rows <= 1.0)).all(axis=1)  # NaN fails both comparisons
+    if bad.any():
+        raise ValueError(f"row {bad.argmax()}: entries must be finite and within [0, 1]")
+    bad = np.abs(pairwise_sum_rows(rows) - 1.0) > 1e-9
+    if bad.any():
+        raise ValueError(f"row {bad.argmax()}: each row must sum to 1 within 1e-9")
     return rows
 
 
-def ecd_discrete(
-    dists,
-    labels: Sequence[int],
-    policy: ClipPolicy = DEFAULT_CLIP,
-) -> float:
-    """General K-class ECD: mean of negative entropy minus log-likelihood.
+def _discrete_terms(
+    rows: np.ndarray, labels, policy: ClipPolicy
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row negative entropy and log-likelihood of ``labels`` for validated (N, K) rows.
 
-    ``dists`` is an (N, K) array of row distributions or a sequence of
-    :class:`DiscreteDistribution`, the validated N = 1 view of such a row.
-    A sequence must share one K; it is stacked into one (N, K) array, so
-    both forms run the same arithmetic and give the same bits. For
-    two-class distributions (1 - p, p) the result reduces algebraically to
+    The one expression behind every discrete score: the per-sample ECD is
+    the first minus the second. A label error names its first bad row.
+    """
+    y = np.asarray(labels).ravel()
+    if rows.shape[0] != y.size:
+        raise ValueError(f"length mismatch: {rows.shape[0]} distributions, {y.size} labels")
+    bad = ~(np.isfinite(y) & (np.floor(y) == y))  # 1.0 is class 1
+    if bad.any():
+        i = bad.argmax()
+        raise ValueError(f"row {i}: label {y[i]} is not an integer class index")
+    bad = (y < 0) | (y >= rows.shape[1])
+    if bad.any():
+        i = bad.argmax()
+        raise ValueError(
+            f"row {i}: label {y[i]} out of range for {rows.shape[1]}-class distribution"
+        )
+    c = np.clip(rows, policy.epsilon, 1.0 - policy.epsilon)
+    log_lik = np.log(c[np.arange(c.shape[0]), y.astype(np.int64)])
+    return pairwise_sum_rows(c * np.log(c)), log_lik
+
+
+def negative_entropy(probs, policy: ClipPolicy = DEFAULT_CLIP) -> np.ndarray:
+    """Per-row sum of p_k * ln(p_k) over the clipped entries of (N, K) rows; each <= 0."""
+    rows = _distribution_rows(probs)
+    return _discrete_terms(rows, np.zeros(rows.shape[0]), policy)[0]
+
+
+def log_likelihood(
+    probs, labels: Sequence[int], policy: ClipPolicy = DEFAULT_CLIP
+) -> np.ndarray:
+    """Per-row natural log of the clipped probability assigned to the true class."""
+    return _discrete_terms(_distribution_rows(probs), labels, policy)[1]
+
+
+def ecd_discrete(probs, labels: Sequence[int], policy: ClipPolicy = DEFAULT_CLIP) -> float:
+    """General K-class ECD over (N, K) rows: mean of negative entropy minus log-likelihood.
+
+    For two-class rows (1 - p, p) the result reduces algebraically to
     :func:`ecd_binary` on (p, label); the pair serves as a mutual check.
     """
-    y = np.asarray(labels)
-    rows = _distribution_rows(dists) if isinstance(dists, np.ndarray) else _stack(dists)
-    n = rows.shape[0]
-    if n != y.size:
-        raise ValueError(f"length mismatch: {n} distributions, {y.size} labels")
-    _require_nonempty(n)
-    neg_entropy, log_lik = _discrete_terms(rows, y, policy)
+    rows = _distribution_rows(probs)
+    neg_entropy, log_lik = _discrete_terms(rows, labels, policy)
+    _require_nonempty(rows.shape[0])
     return pairwise_mean(neg_entropy - log_lik)
-
-
-def _stack(dists: Sequence[DiscreteDistribution]) -> np.ndarray:
-    """The (N, K) rows of already validated distributions, which must share K."""
-    dists = list(dists)
-    if not all(isinstance(d, DiscreteDistribution) for d in dists):
-        raise TypeError("dists must be DiscreteDistribution objects or an (N, K) array")
-    k = dists[0].num_classes if dists else 0
-    for i, d in enumerate(dists):
-        if d.num_classes != k:
-            raise ValueError(
-                f"mixed class counts: distribution {i} has K={d.num_classes}, expected {k}"
-            )
-    return np.array([d.probs for d in dists], dtype=np.float64).reshape(len(dists), k)
 
 
 def nll(data: Dataset, policy: ClipPolicy = DEFAULT_CLIP) -> float:

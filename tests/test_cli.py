@@ -803,12 +803,19 @@ def test_gaussian_reads_the_sign_of_zero_as_json_does(tmp_path, capsys):
         '[{"mean": [1], "covariance": [[1]], "\ttruth": [0]}]',
         '[{"mean": [1], "covari\nance": [[1]], "truth": [0]}]',
         '{"pre dictions": [{"mean": [1], "covariance": [[1]], "truth": [0]}]}',
+        # Numbers that float reads but JSON does not spell.
+        '[{"mean": [.5], "covariance": [[1]], "truth": [0]}]',
+        '[{"mean": [-.5], "covariance": [[1]], "truth": [0]}]',
+        '[{"mean": [+1], "covariance": [[1]], "truth": [0]}]',
+        '[{"mean": [01], "covariance": [[1]], "truth": [0]}]',
+        '[{"mean": [1.], "covariance": [[1]], "truth": [0]}]',
     ],
     ids=["scalar-shorthand", "int-over-20-digits", "nan", "overflow", "exponent-out-of-range",
          "extra-key", "key-order-differs", "escaped-key", "trailing-text", "two-numbers-in-a-slot",
          "key-spelling", "number-in-key", "wrapper-extra-key", "duplicate-key", "bom", "empty",
          "empty-vectors", "space-ending-key", "space-in-key", "tab-starting-key",
-         "newline-in-key", "space-in-wrapper-key"],
+         "newline-in-key", "space-in-wrapper-key", "no-integer-part", "signed-no-integer-part",
+         "plus-sign", "leading-zero", "no-fraction-digits"],
 )
 def test_gaussian_array_reader_declines_other_files(payload):
     assert cli._gaussian_stacks(payload.encode()) is None

@@ -10,7 +10,6 @@ from entrocal import (
     ECD_BINARY_LOWER_BOUND,
     ClipPolicy,
     Dataset,
-    DiscreteDistribution,
     brier,
     ecd_binary,
     ecd_curve,
@@ -142,7 +141,7 @@ def test_clip_policy_bounds(eps):
 )
 def test_discrete_distribution_rejects(probs):
     with pytest.raises(ValueError):
-        DiscreteDistribution(probs)
+        negative_entropy([probs])
 
 
 # ---------------------------------------------------------------------------
@@ -273,51 +272,52 @@ def test_ecd_sample_scores_matches_scalar():
 
 
 def test_negative_entropy_examples():
-    assert negative_entropy(DiscreteDistribution([0.5, 0.5])) == pytest.approx(
-        math.log(0.5), abs=1e-12
-    )
-    one_hot = DiscreteDistribution([1.0, 0.0])
-    assert negative_entropy(one_hot) == pytest.approx(-0.0010210290370309323, abs=1e-12)
-    uniform4 = DiscreteDistribution([0.25] * 4)
-    assert negative_entropy(uniform4) == pytest.approx(math.log(0.25), abs=1e-12)
+    values = negative_entropy(np.array([[0.5, 0.5], [1.0, 0.0]]))
+    assert values.shape == (2,)
+    assert values[0] == pytest.approx(math.log(0.5), abs=1e-12)
+    assert values[1] == pytest.approx(-0.0010210290370309323, abs=1e-12)
+    uniform4 = negative_entropy([[0.25] * 4])
+    assert uniform4[0] == pytest.approx(math.log(0.25), abs=1e-12)
 
 
 @given(p=st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
 def test_negative_entropy_nonpositive(p):
-    dist = DiscreteDistribution([p, 1.0 - p])
-    assert negative_entropy(dist) < 0.0  # strictly, because clipping keeps entries interior
+    (value,) = negative_entropy([[p, 1.0 - p]])
+    assert value < 0.0  # strictly, because clipping keeps entries interior
 
 
 def test_log_likelihood_examples():
-    assert log_likelihood(DiscreteDistribution([0.5, 0.5]), 1) == pytest.approx(
-        math.log(0.5), abs=1e-12
-    )
-    dist = DiscreteDistribution([0.1, 0.9])
-    assert log_likelihood(dist, 1) == pytest.approx(math.log(0.9), abs=1e-12)
-    assert log_likelihood(dist, 0) == pytest.approx(math.log(0.1), abs=1e-12)
+    rows = np.array([[0.5, 0.5], [0.1, 0.9], [0.1, 0.9]])
+    values = log_likelihood(rows, [1, 1, 0])
+    assert values.shape == (3,)
+    assert values[0] == pytest.approx(math.log(0.5), abs=1e-12)
+    assert values[1] == pytest.approx(math.log(0.9), abs=1e-12)
+    assert values[2] == pytest.approx(math.log(0.1), abs=1e-12)
     with pytest.raises(ValueError):
-        log_likelihood(dist, 2)
+        log_likelihood(rows[1:2], [2])
 
 
 def test_ecd_discrete_examples():
-    uniform = [DiscreteDistribution([0.5, 0.5])] * 4
+    uniform = np.full((4, 2), 0.5)
     assert ecd_discrete(uniform, [0, 1, 1, 0]) == pytest.approx(0.0, abs=1e-15)
-    single = ecd_discrete([DiscreteDistribution([0.1, 0.9])], [0])
-    brute = negative_entropy(DiscreteDistribution([0.1, 0.9])) - math.log(0.1)
+    single = ecd_discrete(np.array([[0.1, 0.9]]), [0])
+    brute = negative_entropy(np.array([[0.1, 0.9]]))[0] - math.log(0.1)
     assert single == pytest.approx(brute, abs=1e-12)
     assert single == pytest.approx(ecd_sample_binary(0.9, 0), abs=1e-12)
 
 
 def test_ecd_discrete_errors():
-    dist = DiscreteDistribution([0.5, 0.5])
+    rows = np.array([[0.5, 0.5]])
     with pytest.raises(ValueError, match="length mismatch"):
-        ecd_discrete([dist], [0, 1])
+        ecd_discrete(rows, [0, 1])
     with pytest.raises(ValueError, match="empty"):
-        ecd_discrete([], [])
+        ecd_discrete(np.empty((0, 3)), [])
     with pytest.raises(ValueError):
-        ecd_discrete(np.array([[0.5, 0.5]]), [3])
-    with pytest.raises(TypeError):
-        ecd_discrete([(0.5, 0.5)], [0])
+        ecd_discrete(rows, [3])
+    with pytest.raises(ValueError):  # rows of two class counts are no (N, K) array
+        ecd_discrete([[0.2, 0.3, 0.5], [0.4, 0.6]], [2, 0])
+    # Any array-like of (N, K) rows is read as the array it converts to.
+    assert ecd_discrete([(0.5, 0.5)], [0]) == ecd_discrete(rows, [0])
 
 
 def test_ecd_discrete_rejects_an_array_that_is_not_n_by_k():
@@ -325,45 +325,45 @@ def test_ecd_discrete_rejects_an_array_that_is_not_n_by_k():
         ecd_discrete(np.array([0.5, 0.5]), [0, 1])
 
 
+@pytest.mark.parametrize(
+    "rows, labels, message",
+    [
+        ([[1.0], [1.0]], [0, 0], "need at least 2 classes, got 1"),  # the whole array's shape
+        ([[0.5, 0.5], [0.5, np.nan], [2.0, -1.0]], [0] * 3,
+         "row 1: entries must be finite and within [0, 1]"),
+        ([[0.5, 0.5], [0.5, 0.6], [0.9, 0.9]], [0] * 3,
+         "row 1: each row must sum to 1 within 1e-9"),
+        ([[0.5, 0.5]] * 4, [0, 1, 0.5, 1.5], "row 2: label 0.5 is not an integer class index"),
+        ([[0.5, 0.5]] * 3, [0, 2, -1], "row 1: label 2 out of range for 2-class distribution"),
+    ],  # each names the first of its bad rows
+    ids=["class-count", "entry-range", "row-sum", "non-integer-label", "label-out-of-range"],
+)
+def test_discrete_errors_name_the_first_bad_row(rows, labels, message):
+    calls = [lambda: ecd_discrete(rows, labels), lambda: log_likelihood(rows, labels)]
+    if "label" not in message:  # a row error, which the label-free function gives too
+        calls.append(lambda: negative_entropy(rows))
+    for call in calls:
+        with pytest.raises(ValueError) as excinfo:
+            call()
+        assert str(excinfo.value) == message
+
+
 @pytest.mark.parametrize("label", [0.5, 1.7, -0.5, float("nan"), float("inf")])
 def test_discrete_labels_must_be_whole_numbers(label):
     # A label is a class index; one that is not a whole number is named, not truncated.
     message = re.escape(f"label {label} is not an integer class index")
-    dist = DiscreteDistribution([0.2, 0.8])
+    rows = np.array([[0.2, 0.8]])
     with pytest.raises(ValueError, match=message):
-        ecd_discrete(np.array([[0.2, 0.8]]), [label])
+        ecd_discrete(rows, [label])
     with pytest.raises(ValueError, match=message):
-        ecd_discrete([dist], [label])
-    with pytest.raises(ValueError, match=message):
-        log_likelihood(dist, label)
+        log_likelihood(rows, [label])
 
 
 def test_discrete_labels_accept_integer_valued_floats():
-    dist = DiscreteDistribution([0.2, 0.8])
     rows = np.array([[0.2, 0.8]])
     assert ecd_discrete(rows, [1.0]) == ecd_discrete(rows, [1])
-    assert ecd_discrete([dist], np.array([0.0])) == ecd_discrete([dist], [0])
-    assert log_likelihood(dist, 1.0) == log_likelihood(dist, 1)
-
-
-def test_ecd_discrete_mixed_class_counts():
-    # A list is one (N, K) stack, so the first distribution of another K is named.
-    dists = [DiscreteDistribution([0.2, 0.3, 0.5])] * 2 + [DiscreteDistribution([0.4, 0.6])]
-    with pytest.raises(ValueError) as excinfo:
-        ecd_discrete(dists, [2, 0, 1])
-    assert str(excinfo.value) == "mixed class counts: distribution 2 has K=2, expected 3"
-
-
-@pytest.mark.parametrize("k", [2, 3, 7])
-def test_ecd_discrete_object_list_matches_per_object_terms(k):
-    rng = np.random.default_rng(8 + k)
-    raw = rng.random((41, k))
-    dists = [DiscreteDistribution(row / pairwise_sum(row)) for row in raw]
-    labels = rng.integers(0, k, 41).tolist()
-    expected = pairwise_mean(
-        [negative_entropy(d) - log_likelihood(d, y) for d, y in zip(dists, labels)]
-    )
-    assert ecd_discrete(dists, labels) == expected
+    assert ecd_discrete(rows, np.array([0.0])) == ecd_discrete(rows, [0])
+    assert np.array_equal(log_likelihood(rows, [1.0]), log_likelihood(rows, [1]))
 
 
 # Rows whose sum is within rounding of the 1e-9 tolerance, where a plain
@@ -381,6 +381,7 @@ EDGE_ROWS = [
 
 @pytest.mark.parametrize("row", EDGE_ROWS, ids=lambda r: f"K{len(r)}")
 def test_discrete_object_and_array_forms_agree_on_edge_rows(row):
+    # A list of Python floats and an ndarray of the same row are accepted alike.
     def accepts(build) -> bool:
         try:
             build()
@@ -388,18 +389,9 @@ def test_discrete_object_and_array_forms_agree_on_edge_rows(row):
             return False
         return True
 
-    as_object = accepts(lambda: DiscreteDistribution(row))
+    as_object = accepts(lambda: negative_entropy([row]))
     as_array = accepts(lambda: ecd_discrete(np.array([row]), [0]))
     assert as_object == as_array == (abs(pairwise_sum(row) - 1.0) <= 1e-9)
-
-
-def test_ecd_discrete_array_path_matches_object_path():
-    rng = np.random.default_rng(7)
-    raw = rng.random((50, 3))
-    rows = raw / raw.sum(axis=1, keepdims=True)
-    labels = rng.integers(0, 3, 50)
-    objs = [DiscreteDistribution(row) for row in rows]
-    assert ecd_discrete(rows, labels) == ecd_discrete(objs, labels)
 
 
 @settings(max_examples=200)
@@ -407,10 +399,9 @@ def test_ecd_discrete_array_path_matches_object_path():
     st.lists(st.tuples(probs_st, labels_st), min_size=1, max_size=60),
 )
 def test_ecd_discrete_equals_ecd_binary(pairs):
-    probs = [p for p, _ in pairs]
+    probs = np.array([p for p, _ in pairs])
     labels = [x for _, x in pairs]
-    dists = [DiscreteDistribution([1.0 - p, p]) for p in probs]
-    assert ecd_discrete(dists, labels) == pytest.approx(
+    assert ecd_discrete(np.column_stack([1.0 - probs, probs]), labels) == pytest.approx(
         ecd_binary(Dataset(probs, labels)), abs=1e-12
     )
 
@@ -475,9 +466,7 @@ def test_decomposition_identity(pairs):
     probs = [p for p, _ in pairs]
     labels = [x for _, x in pairs]
     data = Dataset(probs, labels)
-    neg_ent = pairwise_mean(
-        [negative_entropy(DiscreteDistribution([1.0 - p, p])) for p in probs]
-    )
+    neg_ent = pairwise_mean(negative_entropy(np.column_stack([1.0 - data.probs, data.probs])))
     total = ecd_binary(data)
     assert total == pytest.approx(nll(data) + neg_ent, abs=1e-12)
     assert total <= nll(data) + 1e-15

@@ -169,6 +169,15 @@ def test_module_exports_are_package_exports():
     assert sorted(entrocal.__all__) == sorted(exported)
 
 
+def test_package_version_matches_pyproject():
+    # A regex, not tomllib, which Python 3.10 lacks.
+    import entrocal
+
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    project = pyproject.split("\n[project]\n", 1)[1].split("\n[", 1)[0]
+    assert re.search(r'^version = "([^"]+)"$', project, re.M).group(1) == entrocal.__version__
+
+
 def test_public_names_are_documented():
     # Every name a module exports must exist, and every public function and
     # class of the package must say what it is.
