@@ -16,22 +16,41 @@ Library surface:
 Each library module's ``__all__`` is its part of the package surface: the
 package re-exports exactly those names, and names a module keeps out of its
 ``__all__`` (such as ``metrics.DEFAULT_CLIP``) are imported from the module.
-"""
 
-from . import binning, gaussian, metrics, report_io, simulation
-from .binning import *  # noqa: F403
-from .gaussian import *  # noqa: F403
-from .metrics import *  # noqa: F403
-from .report_io import *  # noqa: F403
-from .simulation import *  # noqa: F403
+The package imports lazily (PEP 562): ``import entrocal`` loads neither numpy
+nor a library module. The first access to a public name, to ``__all__`` or to
+a library module imports the five modules and binds their names here, so the
+command line can choose numpy's thread settings before numpy loads.
+"""
 
 __version__ = "0.2.0"
 
-__all__ = [
-    "__version__",
-    *binning.__all__,
-    *gaussian.__all__,
-    *metrics.__all__,
-    *report_io.__all__,
-    *simulation.__all__,
-]
+_MODULES = ("binning", "gaussian", "metrics", "report_io", "simulation")
+
+
+def _load() -> None:
+    """Import the library modules and bind their public names and ``__all__`` here."""
+    import importlib
+
+    names = ["__version__"]
+    for name in _MODULES:
+        module = importlib.import_module(f".{name}", __name__)
+        names += module.__all__
+        globals().update((n, getattr(module, n)) for n in module.__all__)
+    globals()["__all__"] = names  # last: its presence marks the load as done
+
+
+def __getattr__(name: str):
+    # Private names never load (the import system probes ``_floattext`` and
+    # the like before importing them as submodules).
+    if "__all__" not in globals() and (name == "__all__" or not name.startswith("_")):
+        _load()
+        if name in globals():
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list:
+    if "__all__" not in globals():
+        _load()
+    return list(globals())

@@ -23,10 +23,17 @@ import itertools
 import json
 import math
 import os
-import secrets
 import sys
 from contextlib import contextmanager
 from pathlib import Path
+
+# numpy's OpenBLAS starts a worker thread on import that spins while idle, and
+# the only BLAS or LAPACK call a command makes is gaussian's small batched
+# Cholesky, so a command runs on one thread. The variable is read once, when
+# numpy loads: a caller's own setting wins, and a process that loaded numpy
+# first (a library caller) keeps its threads and its environment.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
@@ -76,6 +83,8 @@ def _resolve_seed(seed) -> int:
     if seed is not None:
         return seed
     if sys.stdout.isatty():
+        import secrets  # loads OpenSSL's libcrypto, which only this branch needs
+
         drawn = secrets.randbits(63)
         print(f"note: no --seed given, using {drawn}", file=sys.stderr)
         return drawn

@@ -167,7 +167,14 @@ def _distribution_rows(probs) -> np.ndarray:
 
     A shape error concerns the whole array; any other error names its first bad row.
     """
-    rows = np.asarray(probs, dtype=np.float64)
+    try:
+        rows = np.asarray(probs, dtype=np.float64)
+    except ValueError:  # rows of unequal lengths have no (N, K) shape
+        sizes = [np.size(row) for row in probs]
+        i = next((i for i, size in enumerate(sizes) if size != sizes[0]), None)
+        if i is None:
+            raise
+        raise ValueError(f"row {i}: length {sizes[i]} differs from row 0's {sizes[0]}") from None
     if rows.ndim != 2:
         raise ValueError(f"expected an (N, K) array, got shape {rows.shape}")
     if rows.shape[1] < 2:
@@ -192,6 +199,11 @@ def _discrete_terms(
     y = np.asarray(labels).ravel()
     if rows.shape[0] != y.size:
         raise ValueError(f"length mismatch: {rows.shape[0]} distributions, {y.size} labels")
+    if y.dtype.kind not in "biuf":  # text or objects: name the first entry that is no number
+        for i, label in enumerate(y.tolist()):
+            if not isinstance(label, (int, float)):
+                raise ValueError(f"row {i}: label {label!r} is not an integer class index")
+        y = y.astype(np.float64)
     bad = ~(np.isfinite(y) & (np.floor(y) == y))  # 1.0 is class 1
     if bad.any():
         i = bad.argmax()

@@ -62,7 +62,6 @@ import io
 import json
 import math
 import os
-import secrets
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import BinaryIO, Optional, Sequence, TextIO, Union
@@ -333,7 +332,7 @@ def _write_text(dest: Union[str, Path, TextIO], text: str) -> None:
         return
     path = Path(dest)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
     fh = open(tmp, "x", encoding="utf-8")  # mode from the umask, unlike mkstemp's 0600
     try:
         with fh:

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import random
+import secrets
 import sys
 from pathlib import Path
 
@@ -175,7 +176,7 @@ def test_simulate_seed_required_non_tty(tmp_path, capsys):
 def test_simulate_on_a_terminal_announces_the_seed_it_draws(tmp_path, capsys, monkeypatch):
     # An interactive run without --seed draws one and prints it, so the run can be repeated.
     monkeypatch.setattr(sys.stdout, "isatty", lambda: True)
-    monkeypatch.setattr(cli.secrets, "randbits", lambda bits: 12345)
+    monkeypatch.setattr(secrets, "randbits", lambda bits: 12345)
     drawn, seeded = tmp_path / "drawn.csv", tmp_path / "seeded.csv"
     code, out, err = run_cli(capsys, "simulate", "--n", "200", "--output", str(drawn))
     assert (code, out) == (0, "")

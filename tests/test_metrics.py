@@ -314,8 +314,6 @@ def test_ecd_discrete_errors():
         ecd_discrete(np.empty((0, 3)), [])
     with pytest.raises(ValueError):
         ecd_discrete(rows, [3])
-    with pytest.raises(ValueError):  # rows of two class counts are no (N, K) array
-        ecd_discrete([[0.2, 0.3, 0.5], [0.4, 0.6]], [2, 0])
     # Any array-like of (N, K) rows is read as the array it converts to.
     assert ecd_discrete([(0.5, 0.5)], [0]) == ecd_discrete(rows, [0])
 
@@ -329,14 +327,18 @@ def test_ecd_discrete_rejects_an_array_that_is_not_n_by_k():
     "rows, labels, message",
     [
         ([[1.0], [1.0]], [0, 0], "need at least 2 classes, got 1"),  # the whole array's shape
+        ([[0.2, 0.3, 0.5], [0.4, 0.6]], [2, 0], "row 1: length 2 differs from row 0's 3"),
         ([[0.5, 0.5], [0.5, np.nan], [2.0, -1.0]], [0] * 3,
          "row 1: entries must be finite and within [0, 1]"),
         ([[0.5, 0.5], [0.5, 0.6], [0.9, 0.9]], [0] * 3,
          "row 1: each row must sum to 1 within 1e-9"),
         ([[0.5, 0.5]] * 4, [0, 1, 0.5, 1.5], "row 2: label 0.5 is not an integer class index"),
         ([[0.5, 0.5]] * 3, [0, 2, -1], "row 1: label 2 out of range for 2-class distribution"),
+        ([[0.5, 0.5]], ["a"], "row 0: label 'a' is not an integer class index"),
+        ([[0.5, 0.5]] * 2, [1, None], "row 1: label None is not an integer class index"),
     ],  # each names the first of its bad rows
-    ids=["class-count", "entry-range", "row-sum", "non-integer-label", "label-out-of-range"],
+    ids=["class-count", "ragged-rows", "entry-range", "row-sum", "non-integer-label",
+         "label-out-of-range", "text-label", "object-label"],
 )
 def test_discrete_errors_name_the_first_bad_row(rows, labels, message):
     calls = [lambda: ecd_discrete(rows, labels), lambda: log_likelihood(rows, labels)]

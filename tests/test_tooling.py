@@ -5,6 +5,7 @@ import ast
 import hashlib
 import importlib
 import inspect
+import json
 import os
 import pkgutil
 import re
@@ -13,12 +14,18 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _run(*args: str, **kwargs) -> subprocess.CompletedProcess:
-    """Run a fresh interpreter with ``args``, importing the package from src/."""
-    env = dict(os.environ)
+def _run(*args: str, env=None, **kwargs) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter with ``args``, importing the package from src/.
+
+    Its environment is ``env``, or this process's environment by default.
+    """
+    env = dict(os.environ if env is None else env)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
@@ -70,6 +77,105 @@ def test_no_command_loads_scipy(tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "c732d39462d3ee11cc5c99311e21122aae1cff937dba5c605a9c5d17792fd92b"
     )
+
+
+def test_commands_that_draw_no_seed_load_no_openssl(tmp_path):
+    # secrets imports hmac, whose _hashlib maps OpenSSL's libcrypto: about
+    # 3.5 MiB of peak memory. Temp-file names come from os.urandom, and only an
+    # interactive seed draw imports secrets. simulate and suite still load
+    # _hashlib, through numpy's SeedSequence, so they are not checked here.
+    loaded = "print('_hashlib' in sys.modules)"
+    assert _run_python(f"import sys, entrocal; {loaded}").stdout == "False\n"
+    assert _run_python(_HELP_RUN + loaded).stdout.endswith("False\n")
+    gaussian = tmp_path / "g.json"
+    gaussian.write_text('[{"mean": [0.0], "covariance": [[1.0]], "truth": [0.5]}]')
+    commands = [
+        ["evaluate", "--input", str(ROOT / "tests" / "data" / "sample_predictions.csv"),
+         "--plots-dir", str(tmp_path / "plots")],
+        ["gaussian", "--input", str(gaussian)],
+        ["curve", "--grid", "11", "--output", str(tmp_path / "c.svg")],
+    ]
+    for argv in commands:
+        code = f"import sys; from entrocal.cli import main; main({argv!r}); {loaded}"
+        assert _run_python(code).stdout.endswith("False\n"), argv[0]
+    assert (tmp_path / "c.svg").is_file() and any((tmp_path / "plots").iterdir())
+
+
+def _env_blas_threads(value) -> dict:
+    """This environment with OPENBLAS_NUM_THREADS set to ``value``, or removed if None.
+
+    The test session may have set it already: importing entrocal.cli before
+    numpy does.
+    """
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if value is not None:
+        env["OPENBLAS_NUM_THREADS"] = value
+    return env
+
+
+def test_import_entrocal_loads_no_numpy_until_a_name_is_used():
+    code = (
+        "import sys, entrocal\n"
+        "print('numpy' in sys.modules, sorted(m for m in sys.modules if m.startswith('entrocal')))\n"
+        "entrocal.Dataset\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    assert _run_python(code).stdout == "False ['entrocal']\nTrue\n"
+
+
+def test_cli_import_runs_numpy_on_one_blas_thread_unless_set():
+    code = (
+        "import os, sys, entrocal.cli\n"
+        "tasks = '/proc/self/task'\n"
+        "print(os.environ['OPENBLAS_NUM_THREADS'], "
+        "len(os.listdir(tasks)) if os.path.isdir(tasks) else 1)\n"
+    )
+    assert _run("-c", code, env=_env_blas_threads(None)).stdout == "1 1\n"
+    # A caller's own setting wins.
+    assert _run("-c", code, env=_env_blas_threads("3")).stdout.split()[0] == "3"
+    # A library caller that loaded numpy first keeps its environment.
+    first = "import numpy, os, entrocal.cli; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+    assert _run("-c", first, env=_env_blas_threads(None)).stdout == "None\n"
+
+
+def test_star_import_and_dir_give_the_package_names():
+    code = (
+        "import entrocal\n"
+        "names = {}\n"
+        "exec('from entrocal import *', names)\n"
+        "del names['__builtins__']\n"
+        "print(sorted(names) == sorted(entrocal.__all__), len(entrocal.__all__),\n"
+        "      set(entrocal.__all__) <= set(dir(entrocal)))\n"
+    )
+    assert _run_python(code).stdout == "True 41 True\n"
+
+
+def test_unknown_package_name_is_an_attribute_error():
+    import entrocal
+
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        getattr(entrocal, "no_such_name")
+
+
+def test_gaussian_output_does_not_depend_on_blas_threads(tmp_path):
+    # d = 3 factors by LAPACK, the only BLAS or LAPACK call a command makes.
+    rng = np.random.default_rng(23)
+    n, d = 2000, 3
+    a = rng.normal(size=(n, d, d))
+    covs = a @ a.transpose(0, 2, 1) + 0.5 * np.eye(d)
+    means = rng.normal(0.0, 10.0, (n, d))
+    truths = means + rng.normal(size=(n, d))
+    path = tmp_path / "g3.json"
+    path.write_text(json.dumps([
+        {"mean": m, "covariance": c, "truth": t}
+        for m, c, t in zip(means.tolist(), covs.tolist(), truths.tolist())
+    ]))
+    outs = {
+        _run("-m", "entrocal.cli", "gaussian", "--input", str(path),
+             env=_env_blas_threads(threads)).stdout
+        for threads in ("1", "2", None)
+    }
+    assert len(outs) == 1 and '"d": 3' in outs.pop()
 
 
 def test_csv_kernel_tables_are_built_on_first_read_or_write(tmp_path):
