@@ -38,9 +38,9 @@ if "numpy" not in sys.modules:
 import numpy as np
 
 from .binning import BinSpec, build_report, reliability_points
-from .gaussian import _InvalidPrediction, _nees, _validate
-# Not called here: bench/tracer.py times the Gaussian path by wrapping these names in this module.
-from .gaussian import GaussianPrediction, ecd_gaussian, nees  # noqa: F401
+from .gaussian import GaussianPrediction, _InvalidPrediction, nees
+# Not called here: bench/tracer.py times the Gaussian path by wrapping this name in this module.
+from .gaussian import ecd_gaussian  # noqa: F401
 from .metrics import ClipPolicy, Dataset, ecd_curve
 from .report_io import (
     REPORT_FORMATS,
@@ -260,11 +260,11 @@ def _gaussian_arrays(payload: list, source: str) -> list:
     1. every record's JSON structure (types, a repeated key, a covariance's
        rows), here;
     2. record by record, its dimensions, any int too large for float64 and its
-       covariance values: here, one record at a time, when the records do not
-       stack, else by ``_validate`` on the stacks;
+       covariance values, by :class:`GaussianPrediction`: here, one record at a
+       time, when the records do not stack, else on the stacks;
     3. one dimension across all records, here;
     4. the first record with a NaN or infinite mean or truth, then the first
-       whose ``truth - mean`` overflows, by ``_nees``.
+       whose ``truth - mean`` overflows, by :func:`nees`.
     """
     records = []
     for i, rec in enumerate(payload):
@@ -292,7 +292,7 @@ def _gaussian_arrays(payload: list, source: str) -> list:
         pass
     for i, record in enumerate(records):
         try:
-            _validate(*(np.array([values], dtype=np.float64) for values in record))
+            GaussianPrediction(*(np.array([values], dtype=np.float64) for values in record))
         except _InvalidPrediction as exc:
             raise DataError(f"record {i}: {exc.reason}") from None
         except OverflowError as exc:  # an int beyond float64
@@ -446,15 +446,15 @@ def _cmd_gaussian(args) -> int:
     stacks = _gaussian_stacks(data)
     if stacks is None:
         stacks = _gaussian_arrays(_gaussian_json(data, args.input), args.input)
-    mean, cov, truth = stacks
     try:
-        nees_value = _nees(_validate(mean, cov, truth), truth, mean)
+        pred = GaussianPrediction(*stacks)
+        nees_value = nees(pred)
     except _InvalidPrediction as exc:
         raise DataError(f"record {exc.index}: {exc.reason}") from None
     except ValueError as exc:
         raise DataError(f"{args.input}: {exc}") from None
-    d = mean.shape[1]
-    result = {"n": len(mean), "d": d, "nees": nees_value, "ecd": (nees_value - d) / 2.0}
+    n, d = pred.mean.shape
+    result = {"n": n, "d": d, "nees": nees_value, "ecd": (nees_value - d) / 2.0}
     sys.stdout.write(json.dumps(result) + "\n")
     return 0
 

@@ -7,8 +7,8 @@ zero for a consistent estimator, positive when the reported covariance is too
 small (over-confidence), negative when it is too large.
 
 The same value falls out of the generic entropy-minus-likelihood form:
-``gaussian_negative_entropy(C) - gaussian_log_density(pred)`` equals
-``mahalanobis_sq(pred)/2 - d/2`` per sample, which the tests exploit as an
+``gaussian_negative_entropy(pred.covariance) - gaussian_log_density(pred)``
+equals ``mahalanobis_sq(pred)/2 - d/2`` per record, which the tests exploit as an
 independent route.
 
 Quadratic forms and log-determinants are computed from a Cholesky
@@ -19,18 +19,18 @@ model. NaN or inf in a mean, covariance or truth is a hard error too, and so
 is a residual ``truth - mean``, a squared distance or a NEES that overflows
 to inf.
 
-Every record goes through one stacked validator, :func:`_validate`, over
-means and truths (N, d) and covariances (N, d, d): the ``gaussian`` command
-validates a whole file at once, and :class:`GaussianPrediction` is its N = 1
-view. Every quadratic form is one numpy kernel, :func:`_mahalanobis_sq_rows`,
-a forward substitution over stacked factors, called once per list.
+A prediction is a stack, as :class:`GaussianPrediction` holds it: means and
+truths (N, d), covariances (N, d, d). One stacked validator, :func:`_validate`,
+checks and factors the covariances of a whole stack at once, and every
+quadratic form is one numpy kernel, :func:`_mahalanobis_sq_rows`, a forward
+substitution over the stacked factors. The scores of records are (N,) arrays,
+and NEES and ECD are floats over the stack.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -95,12 +95,11 @@ def _validate(mean: np.ndarray, cov: np.ndarray, truth: np.ndarray) -> np.ndarra
                     break
     last = chol[:, -1, -1]
     # Whole-stack checks first. A factor exists where its last pivot is in (0,
-    # inf), which for d = 1, sqrt(C), also says C is finite; Python compares the
-    # N pivots, as one numpy reduction costs more at N = 1, the stack of every
-    # GaussianPrediction. For d >= 2, NaN or inf makes a gap |C_ij - C_ji| NaN
-    # (C_ii - C_ii too), and a gap within SYMMETRY_TOL is within every record's
-    # bound, SYMMETRY_TOL * max(1, max |C_ij|).
-    if all(0.0 < x < math.inf for x in last.tolist()) and (
+    # inf), which for d = 1, sqrt(C), also says C is finite (NaN fails both
+    # comparisons). For d >= 2, NaN or inf makes a gap |C_ij - C_ji| NaN (C_ii
+    # - C_ii too), and a gap within SYMMETRY_TOL is within every record's bound,
+    # SYMMETRY_TOL * max(1, max |C_ij|).
+    if ((0.0 < last) & (last < math.inf)).all() and (
             d == 1 or np.abs(cov - cov.swapaxes(1, 2)).max() <= SYMMETRY_TOL):
         return chol
     amax = np.abs(cov).max(axis=(1, 2))
@@ -118,10 +117,13 @@ def _validate(mean: np.ndarray, cov: np.ndarray, truth: np.ndarray) -> np.ndarra
 
 @dataclass(frozen=True, eq=False, init=False)
 class GaussianPrediction:
-    """Predicted mean and covariance for one estimate, with the true state.
+    """A stack of N predicted Gaussians of dimension d, with the true states.
 
-    The covariance must be symmetric positive-definite; its Cholesky factor
-    is computed once at construction and reused by every score.
+    ``mean`` and ``truth`` are (N, d) and ``covariance`` (N, d, d), N >= 1. Each
+    covariance must be symmetric positive-definite; the Cholesky factors
+    ``chol`` (N, d, d) are computed once at construction and reused by every
+    score. A ValueError names the shapes, or ``prediction i``, the first record
+    whose covariance is invalid.
     """
 
     mean: np.ndarray
@@ -130,19 +132,18 @@ class GaussianPrediction:
     chol: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __init__(self, mean, covariance, truth) -> None:
-        mean = np.asarray(mean, dtype=np.float64).ravel()
-        truth = np.asarray(truth, dtype=np.float64).ravel()
-        cov = np.asarray(covariance, dtype=np.float64)
-        try:
-            chol = _validate(mean[None], cov[None], truth[None])[0]
-        except _InvalidPrediction as exc:  # one record: no index to name
-            raise ValueError(exc.reason) from None
+        mean, cov, truth = (np.asarray(a, dtype=np.float64) for a in (mean, covariance, truth))
+        if not (mean.ndim == truth.ndim == 2 and cov.ndim == 3
+                and len(mean) == len(cov) == len(truth) >= 1):
+            raise ValueError("expected mean (N, d), covariance (N, d, d) and truth (N, d) with "
+                             f"N >= 1, got {mean.shape}, {cov.shape} and {truth.shape}")
+        chol = _validate(mean, cov, truth)
         # Frozen: set the fields once, past the dataclass __setattr__ guard.
         self.__dict__.update(mean=mean, covariance=cov, truth=truth, chol=chol)
 
     @property
     def dim(self) -> int:
-        return int(self.mean.size)
+        return self.mean.shape[1]
 
 
 # Finite input can still overflow (a tiny variance, a huge residual); it is
@@ -171,71 +172,59 @@ def _mahalanobis_sq_rows(chol: np.ndarray, resid: np.ndarray) -> np.ndarray:
     return total
 
 
-@np.errstate(over="ignore")
-def _nees(chol: np.ndarray, truth: np.ndarray, mean: np.ndarray) -> float:
-    """NEES of validated factors (N, d, d) for truths and means (N, d).
+@np.errstate(over="ignore")  # an overflow is reported, so numpy need not warn
+def mahalanobis_sq(pred: GaussianPrediction) -> np.ndarray:
+    """Squared Mahalanobis distance (N,) of each truth from its predicted Gaussian.
 
-    Raises :class:`_InvalidPrediction` for the first row with NaN or inf in its truth or
-    mean, then for the first whose residual overflows (values about 1.8e308 apart).
+    Computed as ||L^-1 (x - mu)||^2 with L the Cholesky factor: >= 0, and 0
+    exactly where truth equals mean. A ValueError names the first record with
+    NaN or inf in its mean or truth, then the first whose residual (values
+    about 1.8e308 apart) or distance overflows.
     """
-    finite = np.isfinite(truth).all(axis=1) & np.isfinite(mean).all(axis=1)
+    if not isinstance(pred, GaussianPrediction):
+        raise TypeError(f"expected a GaussianPrediction, got {type(pred).__name__}")
+    finite = np.isfinite(pred.truth).all(axis=1) & np.isfinite(pred.mean).all(axis=1)
     if not finite.all():
         raise _InvalidPrediction(int(np.argmin(finite)), "mean and truth must be finite")
-    resid = truth - mean
+    resid = pred.truth - pred.mean
     finite = np.isfinite(resid).all(axis=1)
     if not finite.all():
         raise _InvalidPrediction(int(np.argmin(finite)), "truth - mean overflows")
-    value = pairwise_mean(_mahalanobis_sq_rows(chol, resid))
+    return _mahalanobis_sq_rows(pred.chol, resid)
+
+
+@np.errstate(over="ignore")  # the sum can overflow; it is reported
+def nees(pred: GaussianPrediction) -> float:
+    """Mean squared Mahalanobis distance of the stack; expectation is d when consistent."""
+    value = pairwise_mean(mahalanobis_sq(pred))
     if not math.isfinite(value):
         raise ValueError("NEES overflows: the sum of squared Mahalanobis distances is not finite")
     return value
 
 
-def mahalanobis_sq(pred: GaussianPrediction) -> float:
-    """Squared Mahalanobis distance of the truth from the predicted Gaussian.
-
-    Computed as ||L^-1 (x - mu)||^2 with L the Cholesky factor, the NEES of
-    one prediction; >= 0, and 0 exactly when truth equals mean.
-    """
-    return _nees(pred.chol[None], pred.truth[None], pred.mean[None])
-
-
-def nees(preds: Sequence[GaussianPrediction]) -> float:
-    """Mean Mahalanobis-squared residual; expectation is d when consistent."""
-    if len(preds) < 1:
-        raise ValueError("empty prediction list")
-    n, d = len(preds), preds[0].dim
-    for i, p in enumerate(preds):
-        if p.dim != d:
-            raise ValueError(f"mixed dimensions: prediction {i} has d={p.dim}, expected {d}")
-    chol = np.concatenate([p.chol for p in preds]).reshape(n, d, d)
-    truth = np.concatenate([p.truth for p in preds]).reshape(n, d)
-    mean = np.concatenate([p.mean for p in preds]).reshape(n, d)
-    return _nees(chol, truth, mean)
-
-
-def ecd_gaussian(preds: Sequence[GaussianPrediction]) -> float:
+def ecd_gaussian(pred: GaussianPrediction) -> float:
     """Gaussian ECD, computed as (nees - d) / 2.
 
     Zero for a consistent estimator; positive when residuals are large
     relative to the reported covariance (over-confidence), negative when
     the covariance over-states the error (under-confidence).
     """
-    return (nees(preds) - preds[0].dim) / 2.0
+    return (nees(pred) - pred.dim) / 2.0
 
 
-def gaussian_log_density(pred: GaussianPrediction) -> float:
-    """Log density of the truth under the predicted Gaussian."""
-    logdet = 2.0 * float(np.sum(np.log(np.diag(pred.chol))))
-    return -0.5 * (pred.dim * _LOG_2PI + logdet + mahalanobis_sq(pred))
+def gaussian_log_density(pred: GaussianPrediction) -> np.ndarray:
+    """Log density (N,) of each truth under its predicted Gaussian."""
+    maha = mahalanobis_sq(pred)
+    logdet = 2.0 * np.log(np.diagonal(pred.chol, axis1=1, axis2=2)).sum(axis=1)
+    return -0.5 * (pred.dim * _LOG_2PI + logdet + maha)
 
 
-def gaussian_negative_entropy(covariance) -> float:
-    """Negative differential entropy of a Gaussian with the given covariance."""
+def gaussian_negative_entropy(covariance) -> np.ndarray:
+    """Negative differential entropy (N,) of each Gaussian of a covariance stack (N, d, d)."""
     cov = np.asarray(covariance, dtype=np.float64)
-    if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
-        raise ValueError(f"covariance must be a square matrix, got shape {cov.shape}")
-    d = cov.shape[0]
-    chol = GaussianPrediction(np.zeros(d), cov, np.zeros(d)).chol
-    logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
+    if cov.ndim != 3 or len(cov) < 1 or cov.shape[1] != cov.shape[2]:
+        raise ValueError(f"expected covariance (N, d, d) with N >= 1, got {cov.shape}")
+    d = cov.shape[1]
+    zeros = np.zeros(cov.shape[:2])
+    logdet = 2.0 * np.log(np.diagonal(_validate(zeros, cov, zeros), axis1=1, axis2=2)).sum(axis=1)
     return -0.5 * (d * _LOG_2PI + logdet + d)

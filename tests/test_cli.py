@@ -694,20 +694,26 @@ def test_gaussian_scalar_shorthand_stdout_is_pinned(tmp_path, capsys):
 
 
 def test_gaussian_scores_the_stack_once(tmp_path, capsys, monkeypatch):
-    # No object per record, one quadratic-form kernel call, ECD from that NEES.
+    # One stacked GaussianPrediction and one quadratic-form kernel call per file,
+    # for the array reader and for the json fallback; ECD from that NEES.
     import entrocal.cli as cli
     import entrocal.gaussian as gaussian
 
     calls = []
     kernel = gaussian._mahalanobis_sq_rows
     monkeypatch.setattr(gaussian, "_mahalanobis_sq_rows",
-                        lambda *args: calls.append(1) or kernel(*args))
-    for name in ("GaussianPrediction", "nees", "ecd_gaussian"):
-        monkeypatch.setattr(cli, name, None)
-    _, code, out, _ = _gaussian_run(tmp_path, capsys, _seeded_records(43, 50, 3))
-    assert code == 0 and len(calls) == 1
-    result = json.loads(out)
-    assert result["ecd"] == (result["nees"] - 3) / 2
+                        lambda *args: calls.append("kernel") or kernel(*args))
+    monkeypatch.setattr(cli, "GaussianPrediction",
+                        lambda *args: calls.append("prediction")
+                        or gaussian.GaussianPrediction(*args))
+    for reader in (cli._gaussian_stacks, lambda data: None):
+        monkeypatch.setattr(cli, "_gaussian_stacks", reader)
+        calls.clear()
+        _, code, out, _ = _gaussian_run(tmp_path, capsys, _seeded_records(43, 50, 3))
+        assert code == 0 and calls == ["prediction", "kernel"]
+        result = json.loads(out)
+        assert (result["n"], result["d"]) == (50, 3)
+        assert result["ecd"] == (result["nees"] - 3) / 2
 
 
 def _json_load_fails(*args, **kwargs):

@@ -251,6 +251,30 @@ def test_bench_library_pass_writes_the_fixture_report(tmp_path):
     assert (out / "report-10.json").read_bytes() == expected
 
 
+def test_bench_traces_one_gaussian_prediction_and_nees_per_run(tmp_path):
+    # The gaussian-json workload's gaussian.prediction and gaussian.nees spans
+    # wrap the names the command calls, so each run records one of each: one
+    # stacked prediction and one NEES. -B and tmp_path outputs keep bench/ untouched.
+    rng = np.random.default_rng(24)
+    for d in (2, 3):
+        a = rng.normal(size=(200, d, d))
+        covs = a @ a.transpose(0, 2, 1) + 0.5 * np.eye(d)
+        means = rng.normal(0.0, 10.0, (200, d))
+        truths = means + rng.normal(size=(200, d))
+        path = tmp_path / f"g{d}.json"
+        path.write_text(json.dumps([
+            {"mean": m, "covariance": c, "truth": t}
+            for m, c, t in zip(means.tolist(), covs.tolist(), truths.tolist())
+        ]))
+        spans = tmp_path / f"g{d}.spans.json"
+        run = _run("-B", str(ROOT / "bench" / "tracer.py"), str(spans), "1", "cli",
+                   "gaussian", "--input", str(path), cwd=tmp_path)
+        assert f'"d": {d}' in run.stdout
+        doc = json.loads(spans.read_text(encoding="utf-8"))
+        names = [doc["names"][span[0]] for span in doc["spans"]]
+        assert (names.count("gaussian.prediction"), names.count("gaussian.nees")) == (1, 1)
+
+
 def _package_modules() -> list:
     """The package and each of its modules."""
     import entrocal
