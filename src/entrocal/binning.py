@@ -13,26 +13,36 @@ global mean for any bin count; ``bin_stats`` verifies that identity at run
 time, so every report is checked. ECE has no such invariance: changing M
 changes the score.
 
-Rows are grouped by bin once. Each bin index is computed by arithmetic,
-trunc(p*M) corrected by at most one step against the edges, and gives the
-same index as a binary search over them. One stable sort by that index puts
-each bin's members in dataset order, so every per-bin mean of the
-confidences and scores reduces the same array, and gives the same bits, as
-a per-bin mask would. The fraction of positives is a count of positive
-labels over the bin size: a pairwise sum of 0/1 values is an exact integer,
-so the count gives the bits of the pairwise mean.
+A report is built from running sums, fed a block of rows at a time in row
+order (:class:`_ReportSums`): per bin, the count, the positives and the sums
+of the confidences and scores; over all rows, the sums of the scores and of
+the Brier and NLL terms. Each sum is an :class:`entrocal._accumulate._Fold`,
+whose total has the bits of the pairwise sum of its values in row order, so a
+report of blocks is the report of their concatenation, bit for bit, and holds
+one block at a time. A :class:`Dataset` is one block, taken in slices of
+``_FOLD_ROWS`` rows.
+
+Within a slice, each bin index is computed by arithmetic, trunc(p*M)
+corrected by at most one step against the edges, and gives the same index as
+a binary search over them. One stable sort by that index puts each bin's
+members in row order, and one gather of the confidences and scores gives each
+bin a slice of them. The fraction of positives is a count of positive labels
+over the bin size: a pairwise sum of 0/1 values is an exact integer, so the
+count gives the bits of the pairwise mean.
 """
 
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from ._accumulate import pairwise_mean, pairwise_sum
-from .metrics import DEFAULT_CLIP, ClipPolicy, Dataset, brier, ecd_sample_scores, nll
+from ._accumulate import _Fold, pairwise_sum
+# Not called here: bench/tracer.py times pairwise means by wrapping this name in this module.
+from ._accumulate import pairwise_mean  # noqa: F401
+from .metrics import DEFAULT_CLIP, ClipPolicy, Dataset, _brier_terms, _nll_terms, ecd_sample_scores
 
 __all__ = [
     "BinSpec",
@@ -145,12 +155,73 @@ def bin_indices(probs: np.ndarray, spec: BinSpec) -> np.ndarray:
     return out
 
 
-def _bin_members(idx: np.ndarray, num_bins: int) -> list[np.ndarray]:
-    """Per bin, the row numbers of its members in dataset order."""
-    counts = np.bincount(idx, minlength=num_bins)
-    # numpy's stable sort is a radix sort for ints of 16 bits or less, which
-    # bin_indices returns for every M up to 65536.
-    return np.split(np.argsort(idx, kind="stable"), np.cumsum(counts)[:-1])
+#: Rows a :class:`_ReportSums` takes at a time, so that its temporaries stay about 8 MiB.
+_FOLD_ROWS = 1 << 18
+
+
+class _ReportSums:
+    """The running sums of a report of a :class:`Dataset`, or of its blocks in row order.
+
+    Per bin, the positives and a fold of (probability, score) pairs, whose count
+    is the bin's; over all rows, folds of the scores, Brier terms and NLL terms.
+    """
+
+    def __init__(self, data: Union[Dataset, Iterable[Dataset]], spec: BinSpec,
+                 policy: ClipPolicy) -> None:
+        self.spec, self.policy = spec, policy
+        self.positives = np.zeros(spec.num_bins, dtype=np.int64)
+        self.by_bin = [_Fold((2,)) for _ in range(spec.num_bins)]
+        self.scores, self.brier, self.nll = _Fold(), _Fold(), _Fold()
+        for block in [data] if isinstance(data, Dataset) else data:
+            for lo in range(0, len(block), _FOLD_ROWS):
+                rows = slice(lo, lo + _FOLD_ROWS)
+                self._add(Dataset(block.probs[rows], block.labels[rows], _owned=True))
+            del block  # so that the next block is read without this one
+
+    def _add(self, data: Dataset) -> None:
+        probs, labels = data.probs, data.labels
+        self.brier.add(_brier_terms(probs, labels))
+        self.nll.add(_nll_terms(probs, labels, self.policy))
+        scores = ecd_sample_scores(data, self.policy)
+        self.scores.add(scores)
+        idx = bin_indices(probs, self.spec)
+        counts = np.bincount(idx, minlength=self.spec.num_bins)
+        self.positives += np.bincount(idx[labels == 1], minlength=self.spec.num_bins)
+        # One stable sort puts each bin's rows in row order, and one gather of
+        # the pairs gives each bin a slice. numpy's stable sort is a radix sort
+        # for ints of 16 bits or less, which bin_indices returns for M <= 65536.
+        order = np.argsort(idx, kind="stable")
+        del idx
+        pairs = np.empty((2, len(order)))  # rows, so that each tree level runs along them
+        np.take(probs, order, out=pairs[0], mode="clip")  # "clip" writes unbuffered
+        np.take(scores, order, out=pairs[1], mode="clip")
+        del order, scores
+        ends = np.cumsum(counts).tolist()
+        for m in np.flatnonzero(counts).tolist():
+            self.by_bin[m].add(pairs[:, ends[m] - counts[m] : ends[m]].T)
+
+    def stats(self) -> list[BinStats]:
+        """The bins, after a check of their count-weighted ECD against the global mean."""
+        n = self.scores.count
+        if n < 1:
+            raise ValueError("empty dataset")
+        out: list[BinStats] = []
+        for m, (fold, positives) in enumerate(zip(self.by_bin, self.positives.tolist())):
+            count = fold.count
+            if count == 0:
+                out.append(BinStats(index=m, count=0, populated=False))
+                continue
+            conf, ecd = (total / count for total in fold.total().tolist())
+            frac = positives / count
+            out.append(BinStats(m, count, True, conf, frac, abs(frac - conf), frac - conf, ecd))
+        ecd_weighted = _weighted(out, n, "ecd_bin")
+        ecd_global = float(self.scores.total()) / n
+        if abs(ecd_weighted - ecd_global) > ECD_CONSISTENCY_TOL:
+            raise AssertionError(
+                "count-weighted per-bin ECD diverged from the global mean: "
+                f"{ecd_weighted!r} vs {ecd_global!r}"
+            )
+        return out
 
 
 def bin_stats(
@@ -161,43 +232,7 @@ def bin_stats(
     Raises ``AssertionError`` if the count-weighted per-bin ECD differs from
     the global per-datum mean by more than ``ECD_CONSISTENCY_TOL``.
     """
-    if len(data) < 1:
-        raise ValueError("empty dataset")
-    scores = ecd_sample_scores(data, policy)
-    idx = bin_indices(data.probs, spec)
-    groups = _bin_members(idx, spec.num_bins)
-    # Positives are counted after the sort, whose buffers set the peak memory,
-    # so that the label mask is not held alongside them.
-    positives = np.bincount(idx[data.labels == 1], minlength=spec.num_bins).tolist()
-    out: list[BinStats] = []
-    for m, members in enumerate(groups):
-        count = int(members.size)
-        if count == 0:
-            out.append(BinStats(index=m, count=0, populated=False))
-            continue
-        conf = pairwise_mean(data.probs[members])
-        frac = positives[m] / count
-        gap = frac - conf
-        out.append(
-            BinStats(
-                index=m,
-                count=count,
-                populated=True,
-                conf=conf,
-                frac_pos=frac,
-                ece_bin=abs(gap),
-                esce_bin=gap,
-                ecd_bin=pairwise_mean(scores[members]),
-            )
-        )
-    ecd_weighted = _weighted(out, len(data), "ecd_bin")
-    ecd_global = pairwise_mean(scores)
-    if abs(ecd_weighted - ecd_global) > ECD_CONSISTENCY_TOL:
-        raise AssertionError(
-            "count-weighted per-bin ECD diverged from the global mean: "
-            f"{ecd_weighted!r} vs {ecd_global!r}"
-        )
-    return out
+    return _ReportSums(data, spec, policy).stats()
 
 
 def _weighted(bins: Sequence[BinStats], n_total: int, field: str) -> float:
@@ -206,24 +241,31 @@ def _weighted(bins: Sequence[BinStats], n_total: int, field: str) -> float:
 
 
 def build_report(
-    data: Dataset, spec: BinSpec = BinSpec(), policy: ClipPolicy = DEFAULT_CLIP
+    data: Union[Dataset, Iterable[Dataset]],
+    spec: BinSpec = BinSpec(),
+    policy: ClipPolicy = DEFAULT_CLIP,
 ) -> CalibrationReport:
     """Assemble the full calibration report for one dataset.
 
-    The report ECD is the count-weighted sum of per-bin means; ``bin_stats``
-    checks it against the global per-datum mean (the bin structure is
-    reporting-only and must not change the score).
+    ``data`` is a :class:`Dataset`, or an iterable of them taken as blocks of
+    one dataset in row order, which gives the same report as their
+    concatenation, bit for bit, and holds one block at a time.
+
+    The report ECD is the count-weighted sum of per-bin means; it is checked
+    against the global per-datum mean (the bin structure is reporting-only and
+    must not change the score).
     """
-    stats = bin_stats(data, spec, policy)
-    n = len(data)
+    sums = _ReportSums(data, spec, policy)
+    stats = sums.stats()
+    n = sums.scores.count
     return CalibrationReport(
         bins=tuple(stats),
         n_total=n,
         ece=_weighted(stats, n, "ece_bin"),
         esce=_weighted(stats, n, "esce_bin"),
         ecd=_weighted(stats, n, "ecd_bin"),
-        brier=brier(data),
-        nll=nll(data, policy),
+        brier=float(sums.brier.total()) / n,
+        nll=float(sums.nll.total()) / n,
     )
 
 

@@ -39,13 +39,12 @@ import numpy as np
 
 from .binning import BinSpec, build_report, reliability_points
 from .gaussian import GaussianPrediction, _InvalidPrediction, nees
-# Not called here: bench/tracer.py times the Gaussian path by wrapping this name in this module.
-from .gaussian import ecd_gaussian  # noqa: F401
-from .metrics import ClipPolicy, Dataset, ecd_curve
+from .metrics import ClipPolicy, ecd_curve
 from .report_io import (
     REPORT_FORMATS,
+    _dataset_blocks,
+    _histogram_svg,
     _write_text,
-    load_csv,
     render_ecd_curve_svg,
     render_histogram_svg,
     render_reliability_svg,
@@ -53,6 +52,10 @@ from .report_io import (
     write_simulated_csv,
 )
 from .simulation import SimulationConfig, run_noise_suite, simulate
+
+# Not called here: bench/tracer.py wraps these names in this module to time their stages.
+from .gaussian import ecd_gaussian  # noqa: F401
+from .report_io import load_csv  # noqa: F401
 
 OUT_DIR_ENV = "ENTROCAL_OUT_DIR"
 
@@ -105,15 +108,6 @@ def _write(dest, text: str) -> None:
         _write_text(dest, text)
 
 
-def _load_dataset(path: str) -> Dataset:
-    try:
-        return load_csv(path)
-    except OSError as exc:
-        raise DataError(f"cannot read '{path}': {exc.strerror or exc}") from None
-    except ValueError as exc:
-        raise DataError(f"{path}: {exc}") from None
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -122,10 +116,12 @@ def _load_dataset(path: str) -> Dataset:
 def _cmd_evaluate(args) -> int:
     policy = _from_flags(ClipPolicy, args.clip)
     spec = _from_flags(BinSpec, args.bins)
-    data = _load_dataset(args.input)
-    if len(data) < 1:
-        raise DataError(f"{args.input}: empty dataset")
-    report = build_report(data, spec, policy)
+    try:  # the CSV is read and scored a block at a time, so its errors surface here
+        report = build_report(_dataset_blocks(args.input), spec, policy)
+    except OSError as exc:
+        raise DataError(f"cannot read '{args.input}': {exc.strerror or exc}") from None
+    except ValueError as exc:  # a bad row, or no rows: "empty dataset"
+        raise DataError(f"{args.input}: {exc}") from None
     doc = render_report(report, args.format)
     if args.output:
         _write(args.output, doc.content)
@@ -135,7 +131,7 @@ def _cmd_evaluate(args) -> int:
         plots = Path(args.plots_dir)
         _write(plots / "reliability.svg",
                render_reliability_svg(reliability_points(report.bins)))
-        _write(plots / "histogram.svg", render_histogram_svg(data, args.bins))
+        _write(plots / "histogram.svg", _histogram_svg([b.count for b in report.bins]))
     return 0
 
 
@@ -292,7 +288,8 @@ def _gaussian_arrays(payload: list, source: str) -> list:
         pass
     for i, record in enumerate(records):
         try:
-            GaussianPrediction(*(np.array([values], dtype=np.float64) for values in record))
+            GaussianPrediction(*(np.array([values], dtype=np.float64) for values in record),
+                               _owned=True)
         except _InvalidPrediction as exc:
             raise DataError(f"record {i}: {exc.reason}") from None
         except OverflowError as exc:  # an int beyond float64
@@ -447,7 +444,7 @@ def _cmd_gaussian(args) -> int:
     if stacks is None:
         stacks = _gaussian_arrays(_gaussian_json(data, args.input), args.input)
     try:
-        pred = GaussianPrediction(*stacks)
+        pred = GaussianPrediction(*stacks, _owned=True)
         nees_value = nees(pred)
     except _InvalidPrediction as exc:
         raise DataError(f"record {exc.index}: {exc.reason}") from None

@@ -123,7 +123,8 @@ class GaussianPrediction:
     covariance must be symmetric positive-definite; the Cholesky factors
     ``chol`` (N, d, d) are computed once at construction and reused by every
     score. A ValueError names the shapes, or ``prediction i``, the first record
-    whose covariance is invalid.
+    whose covariance is invalid. The stacks are copied, and they and the factors
+    are read-only, so no later write reaches a validated prediction.
     """
 
     mean: np.ndarray
@@ -131,13 +132,18 @@ class GaussianPrediction:
     truth: np.ndarray
     chol: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __init__(self, mean, covariance, truth) -> None:
-        mean, cov, truth = (np.asarray(a, dtype=np.float64) for a in (mean, covariance, truth))
+    def __init__(self, mean, covariance, truth, *, _owned: bool = False) -> None:
+        # _owned: the CLI hands over fresh float64 stacks that no one else holds,
+        # which are frozen as they are rather than copied.
+        take = np.asarray if _owned else np.array  # np.array copies
+        mean, cov, truth = (take(a, dtype=np.float64) for a in (mean, covariance, truth))
         if not (mean.ndim == truth.ndim == 2 and cov.ndim == 3
                 and len(mean) == len(cov) == len(truth) >= 1):
             raise ValueError("expected mean (N, d), covariance (N, d, d) and truth (N, d) with "
                              f"N >= 1, got {mean.shape}, {cov.shape} and {truth.shape}")
         chol = _validate(mean, cov, truth)
+        for a in (mean, cov, truth, chol):
+            a.setflags(write=False)
         # Frozen: set the fields once, past the dataclass __setattr__ guard.
         self.__dict__.update(mean=mean, covariance=cov, truth=truth, chol=chol)
 

@@ -244,24 +244,36 @@ def ecd_discrete(probs, labels: Sequence[int], policy: ClipPolicy = DEFAULT_CLIP
     return pairwise_mean(neg_entropy - log_lik)
 
 
+def _nll_terms(probs: np.ndarray, labels: np.ndarray, policy: ClipPolicy) -> np.ndarray:
+    """Per-datum ``-(x ln q + (1 - x) ln(1 - q))`` on the clipped q, in two arrays of N.
+
+    While 1 - epsilon < 1 both logs are finite, so the term is -ln q where x is 1
+    and -ln(1 - q) where it is 0, exactly. A smaller epsilon lets q be 1, where
+    x = 1 gives 0 * ln 0, NaN.
+    """
+    q = np.clip(probs, policy.epsilon, 1.0 - policy.epsilon)
+    terms = np.log(q)
+    np.copyto(terms, np.log(np.subtract(1.0, q, out=q), out=q), where=labels == 0)
+    if 1.0 - policy.epsilon == 1.0:
+        terms[(q == -np.inf) & (labels == 1)] = np.nan
+    return np.negative(terms, out=terms)
+
+
+def _brier_terms(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Per-datum squared error ``(p - x) ** 2`` of the raw probabilities."""
+    return (probs - labels) ** 2
+
+
 def nll(data: Dataset, policy: ClipPolicy = DEFAULT_CLIP) -> float:
     """Mean negative log-likelihood of the labels under the clipped probabilities."""
     _require_nonempty(len(data))
-    q = np.clip(data.probs, policy.epsilon, 1.0 - policy.epsilon)
-    # -(x ln q + (1 - x) ln(1 - q)), in two arrays of N: while 1 - epsilon < 1 both
-    # logs are finite, so the term is ln q where x is 1 and ln(1 - q) where it is 0,
-    # exactly. A smaller epsilon lets q be 1, where x = 1 gives 0 * ln 0, NaN.
-    terms = np.log(q)
-    np.copyto(terms, np.log(np.subtract(1.0, q, out=q), out=q), where=data.labels == 0)
-    if 1.0 - policy.epsilon == 1.0:
-        terms[(q == -np.inf) & (data.labels == 1)] = np.nan
-    return pairwise_mean(np.negative(terms, out=terms))
+    return pairwise_mean(_nll_terms(data.probs, data.labels, policy))
 
 
 def brier(data: Dataset) -> float:
     """Mean squared error between raw probabilities and outcomes, in [0, 1]."""
     _require_nonempty(len(data))
-    return pairwise_mean((data.probs - data.labels) ** 2)
+    return pairwise_mean(_brier_terms(data.probs, data.labels))
 
 
 def ecd_curve(

@@ -33,7 +33,8 @@ a time with ``float``, counting rows on from the blocks before it, so every
 error carries its row number; invalid UTF-8 is an error of its row too. The
 two parsers give the same bits, so which one ran shows only in the time
 taken. The header line ends at LF, CRLF or a bare CR, as body lines do in
-the row parser. A caller's stream is left open.
+the row parser. A caller's stream is left open. :func:`load_csv` joins the
+blocks' rows; ``evaluate`` scores them a block at a time, as they are read.
 
 Rows are written with the bytes of ``%.17g`` for each float, 16,384 rows at
 a time, into a NUL-padded array of fixed-width slots that one
@@ -104,29 +105,40 @@ def load_csv(source: Source) -> Dataset:
     for the first malformed value (missing or duplicate column, unparsable
     number, probability out of range, non-binary label, invalid UTF-8).
     """
+    parts = list(_dataset_blocks(source))
+    if not parts:
+        return Dataset([], [])
+    return Dataset(np.concatenate([part.probs for part in parts]),
+                   np.concatenate([part.labels for part in parts]), _owned=True)
+
+
+def _dataset_blocks(source: Source):
+    """The rows of a prediction CSV as one validated :class:`Dataset` per block, in order.
+
+    Reads ``source`` once, as :func:`load_csv` does and with its errors, each
+    raised when its block is reached: each block by :func:`_parse_block`, or
+    else by the row parser.
+    """
     if isinstance(source, (str, Path)):
         with open(source, "rb") as fh:
-            return _load_binary(fh)
+            yield from _dataset_blocks(fh)
+        return
     if isinstance(source.read(0), str):
         source = io.BytesIO(source.read().encode("utf-8", "surrogatepass"))
-    return _load_binary(source)
+    columns, rest = _header(source)
+    rownum = 2
 
-
-def _load_binary(fh) -> Dataset:
-    """Read ``fh`` once: each block by :func:`_parse_block`, or else by the row parser."""
-    columns, rest = _header(fh)
-    parts, rownum = [], 2
-    for block in _blocks(fh, rest):
+    def rows(block: bytes) -> Dataset:
+        nonlocal rownum
         part = _parse_block(block, *columns)
         if part is None:
             *part, rownum = _row_block(block, rownum, columns)
         else:
             rownum += len(part[0])  # one row a line: the array parser declines blank lines
-        parts.append(part)
-    if not parts:
-        return Dataset([], [])
-    probs, labels = zip(*parts)
-    return Dataset(np.concatenate(probs), np.concatenate(labels, dtype=np.int64), _owned=True)
+        return Dataset(*part, _owned=True)
+
+    # No frame here keeps a block's bytes or rows while the caller works on them.
+    yield from map(rows, _blocks(source, rest))
 
 
 def _header(fh) -> tuple[tuple[int, int, int], bytes]:
@@ -153,6 +165,9 @@ def _header(fh) -> tuple[tuple[int, int, int], bytes]:
 #: Bytes read per block; a block ends at its last LF and the rest opens the next.
 _BLOCK_SIZE = 4 << 20
 _BLOCK_BYTES = b"0123456789.,eE+-\n"
+#: ``bytes.translate`` table of the array parser: 1 for a separator (``,`` or LF), 0 for
+#: any other byte of ``_BLOCK_BYTES`` and 2 for a byte outside them.
+_BYTE_KINDS = bytes(1 if c in b",\n" else 0 if c in _BLOCK_BYTES else 2 for c in range(256))
 
 
 def _blocks(fh, head: bytes):
@@ -164,9 +179,11 @@ def _blocks(fh, head: bytes):
     while chunk := fh.read(_BLOCK_SIZE):
         cut = chunk.rfind(b"\n") + 1
         if cut:
-            yield b"".join([*pending, memoryview(chunk)[:cut]])
-            pending = []
-        pending.append(chunk[cut:])
+            pending = [b"".join([*pending, memoryview(chunk)[:cut]]), chunk[cut:]]
+            del chunk
+            yield pending.pop(0)  # popped: the caller alone holds the block
+        else:
+            pending.append(chunk)
     if tail := b"".join(pending):  # a last line without its newline
         yield tail + b"\n"
 
@@ -181,10 +198,12 @@ def _parse_block(block: bytes, k: int, prob_col: int, label_col: int):
     """
     if b"\r" in block:
         block = block.replace(b"\r\n", b"\n")
-    if block.translate(None, _BLOCK_BYTES):
+    byte_kinds = np.frombuffer(block.translate(_BYTE_KINDS), dtype=np.uint8)
+    if byte_kinds.max(initial=0) > 1:
         return None
+    seps = np.flatnonzero(byte_kinds.view(np.bool_))  # nonzero over bools is numpy's fast path
+    del byte_kinds  # a block's size
     raw = np.frombuffer(block, dtype=np.uint8)
-    seps = np.flatnonzero((raw == ord(",")) | (raw == ord("\n")))
     if seps.size % k:
         return None
     seps = seps.reshape(-1, k)
@@ -197,6 +216,7 @@ def _parse_block(block: bytes, k: int, prob_col: int, label_col: int):
         (label_bytes != ord("0")) & (label_bytes != ord("1"))
     ).any():
         return None
+    del kinds, label_start  # before the float kernel, whose temporaries set the peak
     from ._floattext import get_floats  # builds its tables; only CSV reads and writes need them
 
     probs = get_floats(raw, *_field(seps, prob_col))
@@ -635,11 +655,16 @@ def render_histogram_svg(
     spec = BinSpec(bins)
     if len(data) < 1:
         raise ValueError("empty dataset")
-    counts = np.bincount(bin_indices(data.probs, spec), minlength=bins).tolist()
+    return _histogram_svg(np.bincount(bin_indices(data.probs, spec), minlength=bins).tolist(),
+                          title)
+
+
+def _histogram_svg(counts: Sequence[int], title: str = "Estimated probability histogram") -> str:
+    """The bar chart of :func:`render_histogram_svg` from its per-bin counts, not all zero."""
     top = max(counts)
     parts, (x0, y0, x1, y1), _ = _svg_frame(420, 320, title, "estimated probability", "count",
                                             4, (1, 0), y_span=top)
-    bar_w = (x1 - x0) / bins
+    bar_w = (x1 - x0) / len(counts)
     for m, count in enumerate(counts):
         bh = (count / top) * (y0 - y1)
         bx = x0 + m * bar_w

@@ -17,8 +17,9 @@ from entrocal import (
     ecd_binary,
     reliability_points,
     render_histogram_svg,
+    render_report,
 )
-from entrocal._accumulate import pairwise_mean, pairwise_sum
+from entrocal._accumulate import _Fold, pairwise_mean, pairwise_sum
 from entrocal.binning import ECD_CONSISTENCY_TOL, bin_indices
 from entrocal.metrics import ecd_sample_scores
 from entrocal.simulation import SimulationConfig, simulate
@@ -311,6 +312,35 @@ def test_bin_stats_matches_mask_loop_on_edges(num_bins):
             assert _bits(bin_stats(data, spec)) == _bits(_reference_bin_stats(data, spec))
 
 
+def _blocks(data: Dataset, cuts) -> list:
+    """``data`` as consecutive blocks split at ``cuts``; a repeated cut gives an empty block."""
+    return [Dataset(p, y) for p, y in zip(np.split(data.probs, cuts), np.split(data.labels, cuts))]
+
+
+@pytest.mark.parametrize("num_bins", [1, 10, 1000])
+@pytest.mark.parametrize("fold_rows", [None, 1000])
+def test_report_of_blocks_is_the_report_of_their_concatenation(num_bins, fold_rows, monkeypatch):
+    # Every chunking of the rows gives the report JSON of the whole dataset, byte
+    # for byte: whole, one-row and empty blocks, seeded cuts, and slices of 1000
+    # rows within a block.
+    if fold_rows is not None:
+        monkeypatch.setattr(entrocal.binning, "_FOLD_ROWS", fold_rows)
+    rng = np.random.default_rng(num_bins)
+    n = 30_000
+    data = Dataset(rng.beta(0.3, 0.3, n), rng.integers(0, 2, n))
+    spec = BinSpec(num_bins)
+    whole = render_report(build_report(data, spec), "json").content
+    for cuts in ([], [0, 1, 1, 2, n - 1], np.sort(rng.integers(0, n, 25)), range(1024, n, 1024)):
+        blocks = _blocks(data, cuts)
+        assert render_report(build_report(iter(blocks), spec), "json").content == whole
+
+
+def test_report_of_no_blocks_is_an_empty_dataset_error():
+    for blocks in ([], [Dataset([], [])]):
+        with pytest.raises(ValueError, match="^empty dataset$"):
+            build_report(blocks)
+
+
 def test_histogram_counts_match_report():
     rng = np.random.default_rng(5)
     data = Dataset(rng.random(2000) ** 3, rng.integers(0, 2, 2000))
@@ -334,8 +364,9 @@ def test_build_report_scores_each_datum_once(monkeypatch):
 
 
 def test_bin_stats_checks_ecd_identity(monkeypatch):
-    # A per-bin mean that drifts from the global mean must trip the check.
-    monkeypatch.setattr(entrocal.binning, "pairwise_mean",
-                        lambda x: pairwise_mean(x) + (1e-9 if len(x) == 2 else 0.0))
+    # A per-bin sum that drifts from the global sum must trip the check.
+    total = _Fold.total
+    monkeypatch.setattr(_Fold, "total",
+                        lambda fold: total(fold) + (1e-9 if fold.count == 2 else 0.0))
     with pytest.raises(AssertionError, match="diverged from the global mean"):
         build_report(Dataset([0.1, 0.15, 0.9], [0, 1, 1]))

@@ -9,8 +9,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from entrocal import BinSpec, build_report, load_csv, report_from_json
-from entrocal import cli
+from entrocal import (
+    BinSpec,
+    build_report,
+    load_csv,
+    reliability_points,
+    render_histogram_svg,
+    render_reliability_svg,
+    render_report,
+    report_from_json,
+)
+from entrocal import cli, report_io
 from entrocal.cli import main
 
 
@@ -89,6 +98,40 @@ def test_evaluate_output_file_and_plots(tmp_path, capsys):
     assert out_file.exists()
     assert (plots / "reliability.svg").read_text().startswith("<svg")
     assert (plots / "histogram.svg").read_text().startswith("<svg")
+
+
+@pytest.mark.parametrize("block_size", [64, 4096, None])
+def test_evaluate_output_does_not_depend_on_the_block_size(tmp_path, capsys, monkeypatch,
+                                                           block_size):
+    # evaluate reads and scores its CSV a block at a time (None: the default
+    # size). No byte of its output shows the blocks: every report format, and
+    # the SVGs, which are those of the whole dataset.
+    rng = np.random.default_rng(25)
+    csv = tmp_path / "d.csv"
+    write_fixture_csv(csv, rng.beta(0.4, 0.4, 3000), rng.integers(0, 2, 3000))
+    data = load_csv(csv)
+    report = build_report(data, BinSpec(7))
+    if block_size is not None:
+        monkeypatch.setattr(report_io, "_BLOCK_SIZE", block_size)
+    for fmt in ("markdown", "json", "csv"):
+        plots = tmp_path / fmt
+        code, out, _ = run_cli(capsys, "evaluate", "--input", str(csv), "--bins", "7",
+                               "--format", fmt, "--plots-dir", str(plots))
+        assert (code, out) == (0, render_report(report, fmt).content)
+        assert (plots / "histogram.svg").read_text() == render_histogram_svg(data, 7)
+        assert (plots / "reliability.svg").read_text() == render_reliability_svg(
+            reliability_points(report.bins))
+
+
+def test_evaluate_names_a_bad_row_of_a_later_block_and_writes_nothing(tmp_path, capsys,
+                                                                      monkeypatch):
+    monkeypatch.setattr(report_io, "_BLOCK_SIZE", 64)  # a block of a few rows
+    csv = tmp_path / "d.csv"
+    write_fixture_csv(csv, [0.5] * 100 + [1.5], [1] * 101)
+    out_file = tmp_path / "report.md"
+    assert run_cli(capsys, "evaluate", "--input", str(csv), "--output", str(out_file)) == (
+        2, "", f"entrocal: error: {csv}: row 102: prob out of range: 1.5\n")
+    assert not out_file.exists()
 
 
 def test_evaluate_malformed_csv_exit_2(tmp_path, capsys):
@@ -704,8 +747,8 @@ def test_gaussian_scores_the_stack_once(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(gaussian, "_mahalanobis_sq_rows",
                         lambda *args: calls.append("kernel") or kernel(*args))
     monkeypatch.setattr(cli, "GaussianPrediction",
-                        lambda *args: calls.append("prediction")
-                        or gaussian.GaussianPrediction(*args))
+                        lambda *args, **kwargs: calls.append("prediction")
+                        or gaussian.GaussianPrediction(*args, **kwargs))
     for reader in (cli._gaussian_stacks, lambda data: None):
         monkeypatch.setattr(cli, "_gaussian_stacks", reader)
         calls.clear()

@@ -101,6 +101,24 @@ def test_scores_take_a_prediction_only():
                 score(other)
 
 
+def test_prediction_keeps_its_own_read_only_copies():
+    # A write to the caller's arrays after construction reaches neither the
+    # prediction nor its scores, and the prediction's own arrays are read-only.
+    mean, cov, truth = np.zeros((1, 2)), np.eye(2)[None].copy(), np.ones((1, 2))
+    pred = GaussianPrediction(mean, cov, truth)
+    assert nees(pred) == 2.0
+    cov *= 4.0
+    cov[0] = -np.eye(2)  # not positive-definite: must not be scored either
+    mean += 1.0
+    assert nees(pred) == 2.0
+    np.testing.assert_array_equal(pred.covariance, np.eye(2)[None])
+    np.testing.assert_array_equal(pred.mean, np.zeros((1, 2)))
+    for name in ("mean", "covariance", "truth", "chol"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(pred, name)[0, 0] = 5.0
+    assert nees(pred) == 2.0
+
+
 def test_accepts_tiny_asymmetry():
     cov = np.array([[[1.0, 0.5], [0.5 + 1e-12, 1.0]]])
     p = GaussianPrediction(mean=np.zeros((1, 2)), covariance=cov, truth=np.zeros((1, 2)))

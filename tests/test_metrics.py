@@ -1,5 +1,6 @@
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,7 +21,8 @@ from entrocal import (
     negative_entropy,
     nll,
 )
-from entrocal._accumulate import pairwise_mean, pairwise_sum, pairwise_sum_rows
+from entrocal import _accumulate
+from entrocal._accumulate import _Fold, pairwise_mean, pairwise_sum, pairwise_sum_rows
 
 LN9 = math.log(9.0)
 
@@ -74,6 +76,51 @@ def test_pairwise_sum_rows_matches_scalar():
         rows = pairwise_sum_rows(mat)
         for i in range(mat.shape[0]):
             assert rows[i] == pairwise_sum(mat[i]) == _reference_pairwise_sum(mat[i])
+
+
+def _bits(value) -> bytes:
+    """The float64 bits of a sum, so that -0.0 differs from 0.0."""
+    return np.asarray(value, dtype=np.float64).tobytes()
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), width=st.sampled_from([2, 4, 8, 1024]), seed=st.integers(0, 2**32 - 1))
+def test_fold_total_is_the_pairwise_sum_of_any_chunking(data, width, seed):
+    # Seeded values of mixed magnitudes, whose sums round, so that any change of
+    # order shows; some replaced by both zeros, a subnormal or a value near the
+    # float range; lengths across several powers of the block width; and any
+    # cut points, repeated ones giving empty chunks and adjacent ones one-value
+    # chunks.
+    rng = np.random.default_rng(seed)
+    n = data.draw(st.integers(0, 300))
+    x = rng.normal(size=n) * 10.0 ** rng.integers(-8, 9, n)
+    if n:
+        for i, value in data.draw(st.lists(st.tuples(
+                st.integers(0, n - 1), st.sampled_from([0.0, -0.0, 5e-324, 1e300, -1e300])))):
+            x[i] = value
+    cuts = sorted(data.draw(st.lists(st.integers(0, n), max_size=12)))
+    with mock.patch.object(_accumulate, "_WIDTH", width):
+        fold = _Fold()
+        for chunk in np.split(x, cuts):
+            fold.add(chunk)
+        assert fold.count == n
+        assert _bits(fold.total()) == _bits(pairwise_sum(x))
+
+
+def test_fold_total_is_the_pairwise_sum_at_scale():
+    # The default width over lengths around 2**10 and 2**20, in seeded chunkings,
+    # with two columns summed elementwise as the report's bins sum theirs.
+    rng = np.random.default_rng(12)
+    for n in (1023, 1024, 1025, 5000, 2**20, 2**20 + 3 * 1024 + 5):
+        x = rng.normal(size=n) * 10.0 ** rng.integers(-12, 12, n)
+        pairs = np.stack([x, rng.random(n)])
+        fold, fold_pairs = _Fold(), _Fold((2,))
+        cuts = np.sort(rng.integers(0, n, 40))
+        for chunk, rows in zip(np.split(x, cuts), np.split(pairs, cuts, axis=1)):
+            fold.add(chunk)
+            fold_pairs.add(rows.T)
+        assert _bits(fold.total()) == _bits(pairwise_sum(x))
+        assert _bits(fold_pairs.total()) == _bits(pairwise_sum_rows(pairs))
 
 
 def test_pairwise_mean_empty_raises():

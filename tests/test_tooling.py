@@ -275,6 +275,36 @@ def test_bench_traces_one_gaussian_prediction_and_nees_per_run(tmp_path):
         assert (names.count("gaussian.prediction"), names.count("gaussian.nees")) == (1, 1)
 
 
+#: Run the command in argv in a child and print its exit code and ``ru_maxrss`` (KiB).
+#: This small interpreter starts it, so that the child's peak does not count the
+#: pages of a large parent, as a child forked from the test session would.
+_PEAK_RSS = (
+    "import os, subprocess, sys\n"
+    "proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)\n"
+    "_, status, usage = os.wait4(proc.pid, 0)\n"
+    "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
+)
+
+
+def test_evaluate_peak_memory_does_not_grow_with_rows(tmp_path):
+    # evaluate scores its CSV a 4 MiB block at a time, so 10**6 rows peak
+    # within a few MiB of 2.5 * 10**5. Holding every row, the peak grew by
+    # about 39 MiB per 10**6 rows.
+    from entrocal import Dataset, write_dataset_csv
+
+    rng = np.random.default_rng(26)
+    peaks = []
+    for n in (250_000, 1_000_000):
+        path = tmp_path / f"{n}.csv"
+        write_dataset_csv(Dataset(rng.random(n), rng.integers(0, 2, n)), path)
+        run = _run("-c", _PEAK_RSS, sys.executable, "-m", "entrocal.cli", "evaluate",
+                   "--input", str(path))
+        code, maxrss_kib = map(int, run.stdout.split())
+        assert code == 0
+        peaks.append(maxrss_kib / 1024)
+    assert abs(peaks[1] - peaks[0]) < 6.0, f"peaks {peaks} MiB"
+
+
 def _package_modules() -> list:
     """The package and each of its modules."""
     import entrocal
