@@ -52,7 +52,7 @@ another speed, with the same bits.
 
 The tables are built when this module is imported, which
 :mod:`entrocal.report_io` does on its first CSV read or write, and
-:mod:`entrocal.cli` on its first Gaussian JSON read, so that
+on its first Gaussian JSON read, so that
 ``import entrocal`` does not pay for them.
 """
 

@@ -749,7 +749,7 @@ def test_gaussian_scores_the_stack_once(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "GaussianPrediction",
                         lambda *args, **kwargs: calls.append("prediction")
                         or gaussian.GaussianPrediction(*args, **kwargs))
-    for reader in (cli._gaussian_stacks, lambda data: None):
+    for reader in (report_io._gaussian_stacks, lambda data: None):
         monkeypatch.setattr(cli, "_gaussian_stacks", reader)
         calls.clear()
         _, code, out, _ = _gaussian_run(tmp_path, capsys, _seeded_records(43, 50, 3))
@@ -765,8 +765,8 @@ def _json_load_fails(*args, **kwargs):
 
 def _both_readers(data: bytes) -> tuple:
     """The arrays of the array reader and of ``json.load``, each as its bytes (None: declined)."""
-    stacks = cli._gaussian_stacks(data)
-    arrays = cli._gaussian_arrays(cli._gaussian_json(data, "g.json"), "g.json")
+    stacks = report_io._gaussian_stacks(data)
+    arrays = report_io._gaussian_arrays(report_io._gaussian_json(data, "g.json"), "g.json")
     return (None if stacks is None else [(a.shape, a.tobytes()) for a in stacks],
             [(a.shape, a.tobytes()) for a in arrays])
 
@@ -819,7 +819,7 @@ def test_gaussian_reads_the_sign_of_zero_as_json_does(tmp_path, capsys):
                '"truth": [-0e0, 0.0, -0]}]')
     stacks, arrays = _both_readers(payload.encode())
     assert stacks == arrays
-    mean, _, truth = cli._gaussian_stacks(payload.encode())
+    mean, _, truth = report_io._gaussian_stacks(payload.encode())
     assert np.signbit(mean).tolist() == [[False, True, False]]
     assert np.signbit(truth).tolist() == [[True, False, False]]
     assert _gaussian_run(tmp_path, capsys, payload)[1:] == (
@@ -868,7 +868,7 @@ def test_gaussian_reads_the_sign_of_zero_as_json_does(tmp_path, capsys):
          "plus-sign", "leading-zero", "no-fraction-digits"],
 )
 def test_gaussian_array_reader_declines_other_files(payload):
-    assert cli._gaussian_stacks(payload.encode()) is None
+    assert report_io._gaussian_stacks(payload.encode()) is None
 
 
 def test_gaussian_array_reader_takes_no_file_that_json_reads_otherwise():
@@ -894,10 +894,11 @@ def test_gaussian_array_reader_takes_no_file_that_json_reads_otherwise():
                 del data[i]
             else:
                 data[i] = byte
-        stacks = cli._gaussian_stacks(bytes(data))
+        stacks = report_io._gaussian_stacks(bytes(data))
         if stacks is not None:
             taken += 1
-            arrays = cli._gaussian_arrays(cli._gaussian_json(bytes(data), "g.json"), "g.json")
+            payload = report_io._gaussian_json(bytes(data), "g.json")
+            arrays = report_io._gaussian_arrays(payload, "g.json")
             assert [(a.shape, a.tobytes()) for a in stacks] == [
                 (a.shape, a.tobytes()) for a in arrays], bytes(data)
     assert taken > 100
