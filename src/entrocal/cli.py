@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import io
 import json
 import math
 import os
@@ -35,15 +36,16 @@ if "numpy" not in sys.modules:
 
 import numpy as np
 
+from ._accumulate import _Fold
 from .binning import BinSpec, build_report, reliability_points
-from .gaussian import GaussianPrediction, _InvalidPrediction, nees
+from .gaussian import GaussianPrediction, _InvalidPrediction, mahalanobis_sq, nees
 from .metrics import ClipPolicy, ecd_curve
 from .report_io import (
     REPORT_FORMATS,
     _dataset_blocks,
     _gaussian_arrays,
+    _gaussian_blocks,
     _gaussian_json,
-    _gaussian_stacks,
     _histogram_svg,
     _write_text,
     render_ecd_curve_svg,
@@ -230,26 +232,50 @@ def _cmd_suite(args) -> int:
     return 0
 
 
+def _folded_nees(blocks):
+    """(N, d, NEES) of the array reader's blocks, folded a block at a time, or None.
+
+    The squared distances of each block go into one running pairwise sum, so NEES
+    has ``nees``' bits for any blocking. None if a block is declined or cannot be
+    scored, or NEES is not finite: the whole-file ``json`` path then names the
+    first error in its order, which a later block may hold.
+    """
+    fold = _Fold()
+    for stacks in blocks:
+        if stacks is None:
+            return None
+        try:
+            pred = GaussianPrediction(*stacks, _owned=True)
+            fold.add(mahalanobis_sq(pred))
+        except ValueError:
+            return None
+    value = float(fold.total()) / fold.count
+    return (fold.count, pred.dim, value) if math.isfinite(value) else None
+
+
 def _cmd_gaussian(args) -> int:
     try:
         with open(args.input, "rb") as fh:
-            data = fh.read()
+            source = fh if fh.seekable() else io.BytesIO(fh.read())  # a pipe is read once
+            folded = _folded_nees(_gaussian_blocks(source))
+            if folded is None:
+                source.seek(0)
+                data = source.read()
     except OSError as exc:
         raise DataError(f"cannot read '{args.input}': {exc.strerror or exc}") from None
-    stacks = _gaussian_stacks(data)
-    if stacks is None:
+    if folded is None:
         try:  # each error names its record, or the file
             stacks = _gaussian_arrays(_gaussian_json(data, args.input), args.input)
         except ValueError as exc:
             raise DataError(str(exc)) from None
-    try:
-        pred = GaussianPrediction(*stacks, _owned=True)
-        nees_value = nees(pred)
-    except _InvalidPrediction as exc:
-        raise DataError(f"record {exc.index}: {exc.reason}") from None
-    except ValueError as exc:
-        raise DataError(f"{args.input}: {exc}") from None
-    n, d = pred.mean.shape
+        try:
+            pred = GaussianPrediction(*stacks, _owned=True)
+            folded = (*pred.mean.shape, nees(pred))
+        except _InvalidPrediction as exc:
+            raise DataError(f"record {exc.index}: {exc.reason}") from None
+        except ValueError as exc:
+            raise DataError(f"{args.input}: {exc}") from None
+    n, d, nees_value = folded
     result = {"n": n, "d": d, "nees": nees_value, "ecd": (nees_value - d) / 2.0}
     sys.stdout.write(json.dumps(result) + "\n")
     return 0

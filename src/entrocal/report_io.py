@@ -36,6 +36,12 @@ taken. The header line ends at LF, CRLF or a bare CR, as body lines do in
 the row parser. A caller's stream is left open. :func:`load_csv` joins the
 blocks' rows; ``evaluate`` scores them a block at a time, as they are read.
 
+Gaussian JSON, the input of ``gaussian``, is read by arrays a block of whole
+records at a time when the file has the regular shape :func:`_gaussian_blocks`
+takes, and ``gaussian`` scores each block as it is read. Any other file is read
+whole by ``json`` (:func:`_gaussian_json`, then :func:`_gaussian_arrays`), which
+gives every error, each naming its record, in a fixed order.
+
 Rows are written with the bytes of ``%.17g`` for each float, 16,384 rows at
 a time, into a NUL-padded array of fixed-width slots that one
 ``bytes.translate`` compacts; :mod:`entrocal._floattext` fills the slots.
@@ -106,11 +112,13 @@ def load_csv(source: Source) -> Dataset:
     for the first malformed value (missing or duplicate column, unparsable
     number, probability out of range, non-binary label, invalid UTF-8).
     """
-    parts = list(_dataset_blocks(source))
-    if not parts:
+    probs, labels = [], []
+    for part in _dataset_blocks(source):  # labels held as uint8, and widened once by Dataset
+        probs.append(part.probs)
+        labels.append(part.labels.astype(np.uint8))
+    if not probs:
         return Dataset([], [])
-    return Dataset(np.concatenate([part.probs for part in parts]),
-                   np.concatenate([part.labels for part in parts]), _owned=True)
+    return Dataset(np.concatenate(probs), np.concatenate(labels), _owned=True)
 
 
 def _dataset_blocks(source: Source):
@@ -488,92 +496,117 @@ _RECORD_KEYS = (b'"mean"', b'"covariance"', b'"truth"')
 #: JSON whitespace, 3 for the bytes 1 and 2, and every other byte itself.
 _SKELETON = bytes(1 if b in b"0123456789.eE+-" else 2 if b in b" \t\n\r" else 3 if b in (1, 2)
                   else b for b in range(256))
-#: Bytes of a file the array reader handles at a time: each temporary stays under the
-#: 1 MiB mmap threshold that ``main`` pins, so glibc reuses it from the heap.
+#: Bytes of a file the array reader reads at a time. A block is about that size, unless a
+#: record is longer, so each of its temporaries stays under the 1 MiB mmap threshold
+#: that ``main`` pins, and glibc reuses it from the heap.
 _JSON_STEP = 1 << 18
 
 
-def _json_skeleton(data: bytes):
-    """The file's skeleton and the (starts, ends) of its numbers, or None.
+def _json_skeleton(block: bytes):
+    """The block's skeleton and the (starts, ends) of its numbers, or None.
 
-    The skeleton is the file with each number cut to one ``#`` and JSON whitespace
-    dropped. A run of number bytes that starts with e or E is a letter of a key,
-    such as the e of mean, and stays text, provided it is one byte. Only a key
-    holds letters, so a whitespace byte next to a letter lies inside a key, where
-    it counts: such a file is declined. The file is read a slice at a time, each
-    cut after a comma, which no number holds.
+    The skeleton is the block with each number cut to one ``#`` and JSON
+    whitespace dropped. A run of number bytes that starts with e or E is a letter
+    of a key, such as the e of mean, and stays text, provided it is one byte.
+    Only a key holds letters, so a whitespace byte next to a letter lies inside a
+    key, where it counts: such a block is declined.
     """
-    pieces, starts, ends = [], [], []
-    a = 0
-    while a < len(data):
-        b = len(data) if len(data) - a <= _JSON_STEP else data.rfind(b",", a, a + _JSON_STEP) + 1
-        if b <= a:
-            return None
-        raw = np.frombuffer(data, np.uint8, b - a, a)
-        text = np.frombuffer(data[a:b].translate(_SKELETON), np.uint8).copy()
-        edges = np.flatnonzero(np.diff(text == 1, prepend=False, append=False))
-        first, last = edges[0::2], edges[1::2]
-        letter = (raw.take(first) | 0x20) == ord("e")
-        if (last[letter] - first[letter] != 1).any():
-            return None
-        text[first[letter]] = raw.take(first[letter])
-        space, letters = text == 2, (text | 0x20) - ord("a") < 26  # uint8 wraps below a
-        if (space[1:] & letters[:-1]).any() or (space[:-1] & letters[1:]).any():
-            return None
-        first, last = first[~letter], last[~letter]
-        text[first] = ord("#")
-        pieces.append(text.tobytes().translate(None, b"\x01\x02"))
-        starts.append(first + a)
-        ends.append(last + a)
-        a = b
-    return b"".join(pieces), np.concatenate(starts), np.concatenate(ends)
+    raw = np.frombuffer(block, np.uint8)
+    text = np.frombuffer(block.translate(_SKELETON), np.uint8).copy()
+    edges = np.flatnonzero(np.diff(text == 1, prepend=False, append=False))
+    first, last = edges[0::2], edges[1::2]
+    letter = (raw.take(first) | 0x20) == ord("e")
+    if (last[letter] - first[letter] != 1).any():
+        return None
+    text[first[letter]] = raw.take(first[letter])
+    space, letters = text == 2, (text | 0x20) - ord("a") < 26  # uint8 wraps below a
+    if (space[1:] & letters[:-1]).any() or (space[:-1] & letters[1:]).any():
+        return None
+    first, last = first[~letter], last[~letter]
+    text[first] = ord("#")
+    return text.tobytes().translate(None, b"\x01\x02"), first, last
 
 
-def _gaussian_stacks(data: bytes):
-    """:func:`_gaussian_arrays` of the file's records, read from its bytes by arrays, or None.
+def _gaussian_blocks(fh):
+    """:func:`_gaussian_arrays` of a Gaussian JSON file's records, by arrays a block at a time.
 
-    Takes an ASCII file holding an array of records, bare or as the one value of
-    ``{"predictions": ...}``: each record an object with the keys mean, covariance
-    and truth once each, spelled without escapes and in the first record's order,
-    holding d numbers, d lists of d numbers and d numbers, with JSON whitespace
-    anywhere between tokens. Its skeleton (see :func:`_json_skeleton`) must be exactly
-    that. The numbers are read by :func:`entrocal._floattext.get_floats`, which
-    takes JSON numbers only and declines the file for any it cannot read with
-    ``float``'s bits. An int ``-0`` is +0.0, as ``json`` reads it.
+    Yields (means, covariances, truths) stacks, one per block, or yields None
+    and stops at the first block it declines; the caller then reads the file by
+    :func:`_gaussian_json`. Takes an ASCII file holding an array of records,
+    bare or as the one value of ``{"predictions": ...}``: each record an object
+    with the keys mean, covariance and truth once each, spelled without escapes
+    and in the first record's order, holding d numbers, d lists of d numbers and
+    d numbers, with JSON whitespace anywhere between tokens.
+
+    ``fh`` is read ``_JSON_STEP`` bytes at a time, and a block ends after the
+    last ``}`` read, so that it holds whole records; it grows until one ends.
+    Each block's skeleton (see :func:`_json_skeleton`) must be exactly its part
+    of the file's: the array's opening and the first record (first block only),
+    then records as the first one, each after a comma, then the closing, after
+    which only whitespace may follow. No number spans a cut, so the blocks'
+    skeletons join to the file's. The numbers are read by
+    :func:`entrocal._floattext.get_floats`, which takes JSON numbers only and
+    declines the block for any it cannot read with ``float``'s bits. An int
+    ``-0`` is +0.0, as ``json`` reads it.
     """
-    found = _json_skeleton(data) if data and data.isascii() else None
-    if found is None:
-        return None
-    skeleton, starts, ends = found
-    lo, hi = 0, len(skeleton)  # the array of records
-    wrapper = b'{"predictions":['
-    if skeleton.startswith(wrapper) and skeleton.endswith(b"]}"):
-        lo, hi = len(wrapper) - 1, hi - 1
-    head = skeleton[lo + 1 : skeleton.find(b"}", lo) + 1]
-    order = sorted(_RECORD_KEYS, key=head.find)
-    width = head.count(b"#")  # d numbers, d * d, and d
-    d = math.isqrt(width + 1) - 1
-    if d < 1 or len(starts) % width:
-        return None
-    vector = b"[" + b",".join([b"#"] * d) + b"]"
-    fields = dict(zip(_RECORD_KEYS, (vector, b"[" + b",".join([vector] * d) + b"]", vector)))
-    record = b"{" + b",".join(key + b":" + fields[key] for key in order) + b"}"
-    n = len(starts) // width
-    if memoryview(skeleton)[lo:hi] != b"[" + b",".join([record] * n) + b"]":
-        return None
     from ._floattext import get_floats  # builds its tables; only file reads and writes need them
 
-    values = get_floats(np.frombuffer(data, np.uint8), starts, ends)
-    if values is None:
-        return None
-    values[(ends - starts <= 2) & (values == 0.0)] = 0.0  # the ints 0 and -0
-    table, columns, first = values.reshape(n, width), {}, 0
-    for key in order:
-        size = fields[key].count(b"#")
-        columns[key] = np.ascontiguousarray(table[:, first : first + size])
-        first += size
-    mean, cov, truth = map(columns.get, _RECORD_KEYS)
-    return mean, cov.reshape(n, d, d), truth
+    record, closed = None, False  # the first record's skeleton; whether the array has closed
+    pending = []  # the start of a record that no block has ended yet
+    while True:
+        chunk = fh.read(_JSON_STEP)
+        cut = chunk.rfind(b"}") + 1
+        if chunk and not cut:
+            pending.append(chunk)
+            continue
+        block = b"".join([*pending, memoryview(chunk)[:cut]])
+        pending = [chunk[cut:]]
+        found = _json_skeleton(block) if block.isascii() else None
+        if found is None:
+            break
+        skeleton, starts, ends = found
+        if record is None:  # the opening, then records each after a comma but the first
+            wrapper = b'{"predictions":'
+            lo = len(wrapper) if skeleton.startswith(wrapper + b"[") else 0
+            close = b"]}" if lo else b"]"
+            head = skeleton[lo + 1 : skeleton.find(b"}") + 1]
+            order = sorted(_RECORD_KEYS, key=head.find)
+            width = head.count(b"#")  # d numbers, d * d, and d
+            d = math.isqrt(width + 1) - 1
+            if d < 1:
+                break
+            vector = b"[" + b",".join([b"#"] * d) + b"]"
+            fields = dict(zip(_RECORD_KEYS, (vector, b"[" + b",".join([vector] * d) + b"]",
+                                             vector)))
+            record = b"{" + b",".join(key + b":" + fields[key] for key in order) + b"}"
+            body = memoryview(skeleton)[lo:]
+            records = b"[" + b",".join([record] * (len(starts) // width))
+        else:
+            body = memoryview(skeleton)
+            records = (b"," + record) * (len(starts) // width)
+        if closed:
+            if skeleton:
+                break
+        elif body == records + close:
+            closed = True
+        elif body != records or not chunk:  # the file ends before the array
+            break
+        if starts.size:
+            values = get_floats(np.frombuffer(block, np.uint8), starts, ends)
+            if values is None:
+                break
+            values[(ends - starts <= 2) & (values == 0.0)] = 0.0  # the ints 0 and -0
+            table, columns, first = values.reshape(-1, width), {}, 0
+            for key in order:
+                size = fields[key].count(b"#")
+                columns[key] = np.ascontiguousarray(table[:, first : first + size])
+                first += size
+            del block, values, table  # the caller alone holds the block's arrays
+            mean, cov, truth = map(columns.get, _RECORD_KEYS)
+            yield mean, cov.reshape(-1, d, d), truth
+        if not chunk:
+            return
+    yield None
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 import hashlib
+import io
 import json
 import os
 import random
 import secrets
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +21,7 @@ from entrocal import (
     render_report,
     report_from_json,
 )
-from entrocal import cli, report_io
+from entrocal import _floattext, cli, report_io
 from entrocal.cli import main
 
 
@@ -737,8 +739,8 @@ def test_gaussian_scalar_shorthand_stdout_is_pinned(tmp_path, capsys):
 
 
 def test_gaussian_scores_the_stack_once(tmp_path, capsys, monkeypatch):
-    # One stacked GaussianPrediction and one quadratic-form kernel call per file,
-    # for the array reader and for the json fallback; ECD from that NEES.
+    # One stacked GaussianPrediction and one quadratic-form kernel call for a file
+    # of one block, for the array reader and for the json fallback; ECD from that NEES.
     import entrocal.cli as cli
     import entrocal.gaussian as gaussian
 
@@ -749,8 +751,8 @@ def test_gaussian_scores_the_stack_once(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "GaussianPrediction",
                         lambda *args, **kwargs: calls.append("prediction")
                         or gaussian.GaussianPrediction(*args, **kwargs))
-    for reader in (report_io._gaussian_stacks, lambda data: None):
-        monkeypatch.setattr(cli, "_gaussian_stacks", reader)
+    for reader in (report_io._gaussian_blocks, _declines):
+        monkeypatch.setattr(cli, "_gaussian_blocks", reader)
         calls.clear()
         _, code, out, _ = _gaussian_run(tmp_path, capsys, _seeded_records(43, 50, 3))
         assert code == 0 and calls == ["prediction", "kernel"]
@@ -763,9 +765,27 @@ def _json_load_fails(*args, **kwargs):
     raise AssertionError("json.load ran")
 
 
+def _declines(fh):
+    """An array reader that declines every file, so that ``gaussian`` reads it by ``json``."""
+    yield None
+
+
+#: Bytes the array reader reads at a time, as the block-size tests patch it: every record
+#: longer than a block, some records longer than a block, and the default.
+BLOCK_STEPS = [64, 4096, report_io._JSON_STEP]
+
+
+def _array_reader(data: bytes):
+    """The array reader's block stacks of ``data`` joined into its three arrays, or None."""
+    blocks = list(report_io._gaussian_blocks(io.BytesIO(data)))
+    if blocks[-1] is None:
+        return None
+    return [np.concatenate(stacks) for stacks in zip(*blocks)]
+
+
 def _both_readers(data: bytes) -> tuple:
     """The arrays of the array reader and of ``json.load``, each as its bytes (None: declined)."""
-    stacks = report_io._gaussian_stacks(data)
+    stacks = _array_reader(data)
     arrays = report_io._gaussian_arrays(report_io._gaussian_json(data, "g.json"), "g.json")
     return (None if stacks is None else [(a.shape, a.tobytes()) for a in stacks],
             [(a.shape, a.tobytes()) for a in arrays])
@@ -774,15 +794,19 @@ def _both_readers(data: bytes) -> tuple:
 @pytest.mark.parametrize("d,expected", PINNED_STDOUT)
 def test_gaussian_array_reader_takes_regular_files(tmp_path, capsys, monkeypatch, d, expected):
     # Bare, wrapped in "predictions" and pretty-printed, with keys in another order:
-    # the array reader takes each file, with json.load's bits.
+    # the array reader takes each file, in blocks cut anywhere from inside every
+    # record to the whole file, and its joined blocks have json.load's bits.
     records = _seeded_records(40 + d, 300, d)
     reordered = [{"truth": r["truth"], "mean": r["mean"], "covariance": r["covariance"]}
                  for r in records]
     payloads = [json.dumps(records), json.dumps({"predictions": records}),
-                json.dumps(records, indent=2), json.dumps(reordered, separators=(",", ":"))]
-    for payload in payloads:
-        stacks, arrays = _both_readers(payload.encode())
-        assert stacks == arrays
+                json.dumps(records, indent=2), json.dumps(reordered, separators=(",", ":")),
+                json.dumps({"predictions": records}, indent=1) + "\n\n"]
+    for step in BLOCK_STEPS:
+        monkeypatch.setattr(report_io, "_JSON_STEP", step)
+        for payload in payloads:
+            stacks, arrays = _both_readers(payload.encode())
+            assert stacks == arrays, step
     monkeypatch.setattr(json, "load", _json_load_fails)
     for payload in payloads:
         assert _gaussian_run(tmp_path, capsys, payload)[1:] == (0, expected + "\n", "")
@@ -805,7 +829,7 @@ def test_gaussian_array_reader_takes_a_bench_shaped_file(tmp_path, capsys, monke
     payload = json.dumps(_bench_shaped_records(d, 5000, d))
     stacks, arrays = _both_readers(payload.encode())
     assert stacks == arrays
-    monkeypatch.setattr(cli, "_gaussian_stacks", lambda data: None)
+    monkeypatch.setattr(cli, "_gaussian_blocks", _declines)
     expected = _gaussian_run(tmp_path, capsys, payload)[1:]
     assert expected[0] == 0
     monkeypatch.undo()
@@ -819,7 +843,7 @@ def test_gaussian_reads_the_sign_of_zero_as_json_does(tmp_path, capsys):
                '"truth": [-0e0, 0.0, -0]}]')
     stacks, arrays = _both_readers(payload.encode())
     assert stacks == arrays
-    mean, _, truth = report_io._gaussian_stacks(payload.encode())
+    mean, _, truth = _array_reader(payload.encode())
     assert np.signbit(mean).tolist() == [[False, True, False]]
     assert np.signbit(truth).tolist() == [[True, False, False]]
     assert _gaussian_run(tmp_path, capsys, payload)[1:] == (
@@ -843,6 +867,8 @@ def test_gaussian_reads_the_sign_of_zero_as_json_does(tmp_path, capsys):
         '[{"mEan": [1], "covariance": [[1]], "truth": [0]}]',
         '[{"me5an": [1], "covariance": [[1]], "truth": [0]}]',
         '{"predictions": [{"mean": [1], "covariance": [[1]], "truth": [0]}], "x": 1}',
+        '{"predictions": [{"mean": [1], "covariance": [[1]], "truth": [0]}]}, '
+        '{"mean": [1], "covariance": [[1]], "truth": [0]}',
         '[{"mean": [1], "covariance": [[1]], "truth": [0], "mean": [2]}]',
         '\ufeff[{"mean": [1], "covariance": [[1]], "truth": [0]}]',
         '[]',
@@ -862,18 +888,21 @@ def test_gaussian_reads_the_sign_of_zero_as_json_does(tmp_path, capsys):
     ],
     ids=["scalar-shorthand", "int-over-20-digits", "nan", "overflow", "exponent-out-of-range",
          "extra-key", "key-order-differs", "escaped-key", "trailing-text", "two-numbers-in-a-slot",
-         "key-spelling", "number-in-key", "wrapper-extra-key", "duplicate-key", "bom", "empty",
-         "empty-vectors", "space-ending-key", "space-in-key", "tab-starting-key",
-         "newline-in-key", "space-in-wrapper-key", "no-integer-part", "signed-no-integer-part",
-         "plus-sign", "leading-zero", "no-fraction-digits"],
+         "key-spelling", "number-in-key", "wrapper-extra-key", "record-after-wrapper",
+         "duplicate-key", "bom", "empty", "empty-vectors", "space-ending-key", "space-in-key",
+         "tab-starting-key", "newline-in-key", "space-in-wrapper-key", "no-integer-part",
+         "signed-no-integer-part", "plus-sign", "leading-zero", "no-fraction-digits"],
 )
-def test_gaussian_array_reader_declines_other_files(payload):
-    assert report_io._gaussian_stacks(payload.encode()) is None
+def test_gaussian_array_reader_declines_other_files(monkeypatch, payload):
+    for step in (1, 7, report_io._JSON_STEP):
+        monkeypatch.setattr(report_io, "_JSON_STEP", step)
+        assert _array_reader(payload.encode()) is None, step
 
 
-def test_gaussian_array_reader_takes_no_file_that_json_reads_otherwise():
+def test_gaussian_array_reader_takes_no_file_that_json_reads_otherwise(monkeypatch):
     # Seeded edits of one to three bytes to regular files: every file the array
-    # reader takes, json.load takes too, with the same arrays.
+    # reader takes, whole or in blocks of 7 bytes, json.load takes too, with the
+    # same arrays.
     rng = random.Random(3)
     alphabet = b' \t\n\r"[]{},:#-+.eE0123456789aemnpt\\x'
     bases = [
@@ -882,6 +911,8 @@ def test_gaussian_array_reader_takes_no_file_that_json_reads_otherwise():
                                     {"truth": [1e-5], "mean": [-0.0], "covariance": [[3.25]]}]
                     }).encode(),
         json.dumps([{"mean": [1.5], "covariance": [[1]], "truth": [0]}], indent=2).encode(),
+        json.dumps({"predictions": [{"mean": [1.5], "covariance": [[1]], "truth": [0]}] * 3}
+                   ).encode() + b"\n",
     ]
     taken = 0
     for _ in range(4000):
@@ -894,14 +925,16 @@ def test_gaussian_array_reader_takes_no_file_that_json_reads_otherwise():
                 del data[i]
             else:
                 data[i] = byte
-        stacks = report_io._gaussian_stacks(bytes(data))
-        if stacks is not None:
-            taken += 1
-            payload = report_io._gaussian_json(bytes(data), "g.json")
-            arrays = report_io._gaussian_arrays(payload, "g.json")
-            assert [(a.shape, a.tobytes()) for a in stacks] == [
-                (a.shape, a.tobytes()) for a in arrays], bytes(data)
-    assert taken > 100
+        for step in (7, report_io._JSON_STEP):
+            monkeypatch.setattr(report_io, "_JSON_STEP", step)
+            stacks = _array_reader(bytes(data))
+            if stacks is not None:
+                taken += 1
+                payload = report_io._gaussian_json(bytes(data), "g.json")
+                arrays = report_io._gaussian_arrays(payload, "g.json")
+                assert [(a.shape, a.tobytes()) for a in stacks] == [
+                    (a.shape, a.tobytes()) for a in arrays], (step, bytes(data))
+    assert taken > 200
 
 
 def test_gaussian_errors_do_not_depend_on_the_array_reader(tmp_path, capsys, monkeypatch):
@@ -914,8 +947,101 @@ def test_gaussian_errors_do_not_depend_on_the_array_reader(tmp_path, capsys, mon
                 + [INT_BEYOND_FLOAT64])
     expected = [_gaussian_run(tmp_path, capsys, payload)[1:] for payload in payloads]
     assert all(code == 2 for code, _, _ in expected)
-    monkeypatch.setattr(cli, "_gaussian_stacks", lambda data: None)
+    monkeypatch.setattr(cli, "_gaussian_blocks", _declines)
     assert [_gaussian_run(tmp_path, capsys, payload)[1:] for payload in payloads] == expected
+
+
+@pytest.mark.parametrize("step", BLOCK_STEPS, ids=["64B", "4KiB", "default"])
+def test_gaussian_output_does_not_depend_on_the_block_size(tmp_path, capsys, monkeypatch, step):
+    # gaussian folds the squared distances a block of records at a time into one
+    # pairwise mean, so stdout is the json.load path's at every block size: d = 1,
+    # 2 and 3, a wrapped file, records longer than 4 KiB, and 1500 records.
+    payloads = [_seeded_records(40 + d, 300, d) for d in (1, 2, 3)]
+    payloads += [{"predictions": payloads[2]}, _seeded_records(9, 3, 40),
+                 _bench_shaped_records(5, 1500, 2)]
+    monkeypatch.setattr(cli, "_gaussian_blocks", _declines)
+    expected = [_gaussian_run(tmp_path, capsys, payload)[1:] for payload in payloads]
+    assert [out for _, out, _ in expected[:3]] == [out + "\n" for _, out in PINNED_STDOUT[:3]]
+    monkeypatch.undo()
+    monkeypatch.setattr(report_io, "_JSON_STEP", step)
+    monkeypatch.setattr(json, "load", _json_load_fails)
+    assert [_gaussian_run(tmp_path, capsys, payload)[1:] for payload in payloads] == expected
+
+
+PRECEDENCE_CASES = [
+    # The first block's truth - mean overflows, a later covariance is not positive-
+    # definite: the covariance comes first. The reader declines the first block,
+    # whose 1e+308 lies beyond the kernel's scale.
+    ({**G2, "mean": [-1e308, 0.0], "truth": [1e308, 0.0]},
+     {**G2, "covariance": [[0.0, 0.0], [0.0, 1.0]]}, False,
+     "record 31: covariance is not positive-definite"),
+    # The reader reads the first block, whose covariance fails to factor; a later
+    # record's structure comes first.
+    ({**G2, "covariance": [[0.0, 0.0], [0.0, 1.0]]}, {**G2, "truth": [0.5, True]}, True,
+     "record 31: truth must be a number or a list of numbers"),
+]
+
+
+@pytest.mark.parametrize("first,later,read,message", PRECEDENCE_CASES,
+                         ids=["overflow-then-covariance", "covariance-then-structure"])
+def test_gaussian_error_in_a_later_block_keeps_the_whole_file_order(
+        tmp_path, capsys, monkeypatch, first, later, read, message):
+    # A block that is declined or fails to score sends the file to the whole-file
+    # json.load path, which names the first error in the README's order, wherever
+    # it lies.
+    monkeypatch.setattr(report_io, "_JSON_STEP", 256)
+    payload = json.dumps([first, *[G2] * 30, later])
+    blocks = list(report_io._gaussian_blocks(io.BytesIO(payload.encode())))
+    assert len(blocks) > 2 if read else blocks == [None]
+    assert _gaussian_run(tmp_path, capsys, payload)[1:] == (
+        2, "", f"entrocal: error: {message}\n")
+    monkeypatch.setattr(cli, "_gaussian_blocks", _declines)
+    assert _gaussian_run(tmp_path, capsys, payload)[1:] == (
+        2, "", f"entrocal: error: {message}\n")
+
+
+def test_gaussian_declined_file_stops_at_its_first_declined_block(
+        tmp_path, capsys, monkeypatch):
+    # Every other record's keys in another order: the block holding record 1 is
+    # declined, and the reader reads no further, so the skeletons of at most two
+    # blocks and the numbers of at most one are read before json.load reads the file.
+    records = _seeded_records(43, 200, 3)
+    records[1::2] = [{"truth": r["truth"], "mean": r["mean"], "covariance": r["covariance"]}
+                     for r in records[1::2]]
+    monkeypatch.setattr(cli, "_gaussian_blocks", _declines)
+    path, *expected = _gaussian_run(tmp_path, capsys, records)
+    monkeypatch.undo()
+    calls, skeletons = [], []
+    get_floats, skeleton = _floattext.get_floats, report_io._json_skeleton
+    monkeypatch.setattr(_floattext, "get_floats",
+                        lambda *args: calls.append(1) or get_floats(*args))
+    monkeypatch.setattr(report_io, "_json_skeleton",
+                        lambda block: skeletons.append(len(block)) or skeleton(block))
+    monkeypatch.setattr(report_io, "_JSON_STEP", 256)
+    assert _gaussian_run(tmp_path, capsys, records)[1:] == tuple(expected)
+    assert expected[0] == 0 and len(calls) <= 1
+    assert sum(skeletons) < 2048 < path.stat().st_size // 16
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_gaussian_reads_a_pipe_once(tmp_path, capsys):
+    # A pipe cannot be read twice, so its bytes are held for the json.load path:
+    # a file the array reader takes and one it declines print as from a path.
+    records = _seeded_records(43, 50, 3)
+    reordered = [{"truth": r["truth"], "mean": r["mean"], "covariance": r["covariance"]}
+                 for r in records[:1]] + records[1:]
+    for payload in (json.dumps(records), json.dumps(reordered)):
+        expected = _gaussian_run(tmp_path, capsys, payload)[1:]
+        assert expected[0] == 0
+        pipe = tmp_path / "g.pipe"
+        os.mkfifo(pipe)
+        writer = threading.Thread(target=pipe.write_text, args=(payload,), daemon=True)
+        writer.start()
+        got = run_cli(capsys, "gaussian", "--input", str(pipe))
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        pipe.unlink()
+        assert got == expected
 
 
 def test_gaussian_duplicate_keys_exit_2(tmp_path, capsys):

@@ -251,28 +251,35 @@ def test_bench_library_pass_writes_the_fixture_report(tmp_path):
     assert (out / "report-10.json").read_bytes() == expected
 
 
-def test_bench_traces_one_gaussian_prediction_and_nees_per_run(tmp_path):
-    # The gaussian-json workload's gaussian.prediction and gaussian.nees spans
-    # wrap the names the command calls, so each run records one of each: one
-    # stacked prediction and one NEES. -B and tmp_path outputs keep bench/ untouched.
+def test_bench_traces_one_gaussian_prediction_per_block(tmp_path):
+    # The gaussian-json workload's gaussian.prediction span wraps the name the
+    # command calls, once for each block of records the array reader reads: once
+    # for a 200-record file, and once a block for a longer one. The command folds
+    # the blocks' squared distances itself, so gaussian.nees records no span.
+    # -B and tmp_path outputs keep bench/ untouched.
+    from entrocal import report_io
+
     rng = np.random.default_rng(24)
-    for d in (2, 3):
-        a = rng.normal(size=(200, d, d))
+    for d, n in ((2, 200), (3, 200), (3, 3000)):
+        a = rng.normal(size=(n, d, d))
         covs = a @ a.transpose(0, 2, 1) + 0.5 * np.eye(d)
-        means = rng.normal(0.0, 10.0, (200, d))
-        truths = means + rng.normal(size=(200, d))
-        path = tmp_path / f"g{d}.json"
+        means = rng.normal(0.0, 10.0, (n, d))
+        truths = means + rng.normal(size=(n, d))
+        path = tmp_path / f"g{d}-{n}.json"
         path.write_text(json.dumps([
             {"mean": m, "covariance": c, "truth": t}
             for m, c, t in zip(means.tolist(), covs.tolist(), truths.tolist())
         ]))
-        spans = tmp_path / f"g{d}.spans.json"
+        with open(path, "rb") as fh:
+            blocks = sum(1 for _ in report_io._gaussian_blocks(fh))
+        assert (blocks == 1) == (n == 200)
+        spans = tmp_path / f"g{d}-{n}.spans.json"
         run = _run("-B", str(ROOT / "bench" / "tracer.py"), str(spans), "1", "cli",
                    "gaussian", "--input", str(path), cwd=tmp_path)
-        assert f'"d": {d}' in run.stdout
+        assert f'"n": {n}, "d": {d}' in run.stdout
         doc = json.loads(spans.read_text(encoding="utf-8"))
         names = [doc["names"][span[0]] for span in doc["spans"]]
-        assert (names.count("gaussian.prediction"), names.count("gaussian.nees")) == (1, 1)
+        assert (names.count("gaussian.prediction"), names.count("gaussian.nees")) == (blocks, 0)
 
 
 #: Run the command in argv in a child and print its exit code and ``ru_maxrss`` (KiB).
@@ -303,6 +310,30 @@ def test_evaluate_peak_memory_does_not_grow_with_rows(tmp_path):
         assert code == 0
         peaks.append(maxrss_kib / 1024)
     assert abs(peaks[1] - peaks[0]) < 6.0, f"peaks {peaks} MiB"
+
+
+def test_gaussian_peak_memory_does_not_grow_with_records(tmp_path):
+    # gaussian reads and scores its JSON a 256 KiB block of records at a time, so
+    # 10**5 d = 3 records (a 34 MB file) peak within a few MiB of 2.5 * 10**4.
+    # Holding every record's stacks, the peak grew by about 1 KiB a record.
+    rng = np.random.default_rng(27)
+    peaks = []
+    for n in (25_000, 100_000):
+        a = rng.normal(size=(n, 3, 3))
+        covs = a @ a.transpose(0, 2, 1) + 0.5 * np.eye(3)
+        means = rng.normal(0.0, 10.0, (n, 3))
+        truths = means + rng.normal(size=(n, 3))
+        path = tmp_path / f"{n}.json"
+        path.write_text(json.dumps([
+            {"mean": m, "covariance": c, "truth": t}
+            for m, c, t in zip(means.tolist(), covs.tolist(), truths.tolist())
+        ]))
+        run = _run("-c", _PEAK_RSS, sys.executable, "-m", "entrocal.cli", "gaussian",
+                   "--input", str(path))
+        code, maxrss_kib = map(int, run.stdout.split())
+        assert code == 0
+        peaks.append(maxrss_kib / 1024)
+    assert abs(peaks[1] - peaks[0]) < 3.0, f"peaks {peaks} MiB"
 
 
 def _package_modules() -> list:
