@@ -23,7 +23,7 @@ a library module imports the five modules and binds their names here, so the
 command line can choose numpy's thread settings before numpy loads.
 """
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 _MODULES = ("binning", "gaussian", "metrics", "report_io", "simulation")
 

@@ -47,7 +47,7 @@ from .report_io import (
     _gaussian_blocks,
     _gaussian_json,
     _histogram_svg,
-    _write_text,
+    _write_chunks,
     render_ecd_curve_svg,
     render_histogram_svg,
     render_reliability_svg,
@@ -108,7 +108,7 @@ def _writing(dest):
 
 def _write(dest, text: str) -> None:
     with _writing(dest):
-        _write_text(dest, text)
+        _write_chunks(dest, [text.encode()])
 
 
 # ---------------------------------------------------------------------------
@@ -198,37 +198,23 @@ def _cmd_suite(args) -> int:
         "| Sigma | Seed | ECE | ESCE | ECD | Brier | NLL |",
         "|-------|------|-----|------|-----|-------|-----|",
     ]
-    for run in runs:
-        sub = root / _run_dir(run.sigma)
-        dataset_csv = sub / "dataset.csv"
-        with _writing(dataset_csv):
-            write_simulated_csv(run.data, dataset_csv, include_true_probs=True)
-        _write(sub / "report.json", render_report(run.report, "json").content)
+    while run := _from_flags(next, runs, None):  # simulated here: its ValueError is a usage error
+        sub, r, label = root / _run_dir(run.sigma), run.report, f"sigma={run.sigma:g}"
+        with _writing(sub / "dataset.csv"):
+            write_simulated_csv(run.data, sub / "dataset.csv", include_true_probs=True)
+        _write(sub / "report.json", render_report(r, "json").content)
         if args.format != "json":
             ext = "md" if args.format == "markdown" else args.format
-            _write(sub / f"report.{ext}",
-                   render_report(run.report, args.format).content)
-        _write(
-            sub / "reliability.svg",
-            render_reliability_svg(
-                reliability_points(run.report.bins),
-                title=f"Reliability diagram (sigma={run.sigma:g})",
-            ),
-        )
-        _write(
-            sub / "histogram.svg",
-            render_histogram_svg(
-                run.data.dataset(), args.bins,
-                title=f"Estimated probability histogram (sigma={run.sigma:g})",
-            ),
-        )
-        r = run.report
-        comparison.append(
-            f"| {run.sigma:g} | {run.config.seed} | {r.ece:.4f} | {r.esce:.4f} "
-            f"| {r.ecd:.4f} | {r.brier:.4f} | {r.nll:.4f} |"
-        )
+            _write(sub / f"report.{ext}", render_report(r, args.format).content)
+        _write(sub / "reliability.svg", render_reliability_svg(
+            reliability_points(r.bins), title=f"Reliability diagram ({label})"))
+        _write(sub / "histogram.svg", render_histogram_svg(
+            run.data.dataset(), args.bins, title=f"Estimated probability histogram ({label})"))
+        comparison.append(f"| {run.sigma:g} | {run.config.seed} | {r.ece:.4f} | {r.esce:.4f} "
+                          f"| {r.ecd:.4f} | {r.brier:.4f} | {r.nll:.4f} |")
+        del run  # before the next run is simulated: one run's arrays are held at a time
     _write(root / "comparison.md", "\n".join(comparison) + "\n")
-    print(f"wrote {len(runs)} runs under {out_dir} (base seed {seed})", file=sys.stderr)
+    print(f"wrote {len(sigmas)} runs under {out_dir} (base seed {seed})", file=sys.stderr)
     return 0
 
 

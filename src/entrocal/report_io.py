@@ -72,7 +72,7 @@ import math
 import os
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import BinaryIO, Optional, Sequence, TextIO, Union
+from typing import BinaryIO, Iterable, Optional, Sequence, TextIO, Union
 
 import numpy as np
 
@@ -288,12 +288,12 @@ def _parse_rows(lines, first: int, k: int, prob_col: int, label_col: int):
     return np.array(probs, dtype=np.float64), np.array(labels, dtype=np.int64), rownum + 1
 
 
-#: Rows per chunk of :func:`_dataset_csv_text`, so its byte array stays about 1 MiB.
+#: Rows per chunk of :func:`_dataset_csv_chunks`, so its byte array stays about 1 MiB.
 _WRITE_CHUNK_ROWS = 16384
 
 
-def _dataset_csv_text(probs, labels, true_probs=None) -> str:
-    """CSV text with the bytes of ``f"{p:.17g},{int(y)}"`` rows (and ``,{t:.17g}``).
+def _dataset_csv_chunks(probs, labels, true_probs=None):
+    """CSV bytes with ``f"{p:.17g},{int(y)}"`` rows (and ``,{t:.17g}``), a chunk at a time.
 
     Rows are built ``_WRITE_CHUNK_ROWS`` at a time in a NUL-padded uint32
     array: a 28-byte slot per float, written by the array kernel of
@@ -307,32 +307,30 @@ def _dataset_csv_text(probs, labels, true_probs=None) -> str:
     labels = np.asarray(labels)
     if not ((labels == 0) | (labels == 1)).all():
         raise ValueError("labels must be 0 or 1")
-    labels = labels.astype(np.intp)
-    header = "prob,label\n"
+    header = b"prob,label\n"
     seps = np.frombuffer(b",0\n\0,1\n\0", np.uint32)
     width = 8  # uint32 cells a row: a float slot (7), then a label cell
     if true_probs is not None:
         true_probs = np.asarray(true_probs, dtype=np.float64)
-        header = "prob,label,true_prob\n"
+        header = b"prob,label,true_prob\n"
         seps = np.frombuffer(b",0,\0,1,\0", np.uint32)
         width = 16
-    parts = [header]
+    yield header
     for lo in range(0, len(probs), _WRITE_CHUNK_ROWS):
         hi = min(lo + _WRITE_CHUNK_ROWS, len(probs))
         rows = np.empty((hi - lo, width), np.uint32)
         row_bytes = rows.view(np.uint8)
         put_floats(probs[lo:hi], row_bytes[:, :FIELD])
-        rows[:, 7] = seps[labels[lo:hi]]
+        rows[:, 7] = seps[labels[lo:hi].astype(np.intp)]
         if true_probs is not None:
             put_floats(true_probs[lo:hi], row_bytes[:, 32 : 32 + FIELD])
             rows[:, 15] = np.frombuffer(b"\n\0\0\0", np.uint32)[0]
-        parts.append(rows.tobytes().translate(None, b"\0").decode("ascii"))
-    return "".join(parts)
+        yield rows.tobytes().translate(None, b"\0")
 
 
 def write_dataset_csv(data: Dataset, dest: Union[str, Path, TextIO]) -> None:
     """Write ``prob,label`` rows; floats carry 17 significant digits."""
-    _write_text(dest, _dataset_csv_text(data.probs, data.labels))
+    _write_chunks(dest, _dataset_csv_chunks(data.probs, data.labels))
 
 
 def write_simulated_csv(
@@ -346,26 +344,23 @@ def write_simulated_csv(
     ``include_true_probs`` a third ``true_prob`` column is appended (loaders
     ignore it).
     """
-    text = _dataset_csv_text(
-        sim.estimated_probs,
-        sim.labels,
-        sim.true_probs if include_true_probs else None,
-    )
-    _write_text(dest, text)
+    true_probs = sim.true_probs if include_true_probs else None
+    _write_chunks(dest, _dataset_csv_chunks(sim.estimated_probs, sim.labels, true_probs))
 
 
-def _write_text(dest: Union[str, Path, TextIO], text: str) -> None:
-    """Write ``text`` to a stream, or to a path through a temp file and a rename."""
+def _write_chunks(dest: Union[str, Path, TextIO], chunks: Iterable[bytes]) -> None:
+    """Write ``chunks`` of bytes, decoded to a text stream, or to a path via a temp file."""
     if not isinstance(dest, (str, Path)):
-        dest.write(text)
+        for chunk in chunks:
+            dest.write(chunk.decode("utf-8"))
         return
     path = Path(dest)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
-    fh = open(tmp, "x", encoding="utf-8")  # mode from the umask, unlike mkstemp's 0600
+    fh = open(tmp, "xb")  # mode from the umask, unlike mkstemp's 0600
     try:
         with fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -240,23 +240,22 @@ class SigmaRun:
     report: CalibrationReport
 
 
-def run_noise_suite(
-    base: SimulationConfig,
-    sigmas: Sequence[float],
-    spec: BinSpec = BinSpec(),
-    policy: ClipPolicy = DEFAULT_CLIP,
-) -> list[SigmaRun]:
+def run_noise_suite(base: SimulationConfig, sigmas: Sequence[float], spec: BinSpec = BinSpec(),
+                    policy: ClipPolicy = DEFAULT_CLIP) -> Iterator[SigmaRun]:
     """One simulate + report per noise level, with derived per-run seeds.
 
     Each run owns its own RNG stream (``derive_run_seed(base.seed, k)`` for
     the k-th sigma), so runs are independent and individually replayable.
+    An iterator from 0.4.0: every config is checked here; each run is simulated
+    when reached (a ``ValueError`` if its log-odds overflow), and not held once
+    yielded.
     """
     if len(sigmas) < 1:
         raise ValueError("sigma list must be non-empty")
-    runs: list[SigmaRun] = []
-    for k, sigma in enumerate(sigmas):
-        cfg = replace(base, noise_sigma=float(sigma), seed=derive_run_seed(base.seed, k))
+
+    def run(cfg):
         data = simulate(cfg)
-        report = build_report(data.dataset(), spec, policy)
-        runs.append(SigmaRun(sigma=float(sigma), config=cfg, data=data, report=report))
-    return runs
+        return SigmaRun(cfg.noise_sigma, cfg, data, build_report(data.dataset(), spec, policy))
+
+    return map(run, [replace(base, noise_sigma=float(sigma), seed=derive_run_seed(base.seed, k))
+                     for k, sigma in enumerate(sigmas)])

@@ -393,6 +393,20 @@ def test_suite_bad_sigmas_exit_1(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+def test_suite_error_in_a_later_run_exit_1_keeps_the_runs_before_it(tmp_path, capsys):
+    # Runs are simulated one at a time, so sigma-0/ is written in full before
+    # sigma 1000 pushes its estimates to exactly 0 or 1. No comparison.md.
+    args = ["suite", "--seed", "1", "--n", "50", "--out-dir"]
+    code, _, err = run_cli(capsys, *args, str(tmp_path / "x"), "--sigmas", "0,1000")
+    assert code == 1
+    assert err.startswith("entrocal: error: estimated_probs left (0, 1); ")
+    assert run_cli(capsys, *args, str(tmp_path / "y"), "--sigmas", "0")[0] == 0
+    written, alone = read_tree(tmp_path / "x"), read_tree(tmp_path / "y")
+    assert written == {k: v for k, v in alone.items() if k != "comparison.md"}
+    assert sorted(written) == [f"sigma-0/{name}" for name in (
+        "dataset.csv", "histogram.svg", "reliability.svg", "report.json", "report.md")]
+
+
 def test_suite_negative_zero_sigma_is_the_noiseless_run(tmp_path, capsys):
     args = ["suite", "--seed", "1", "--n", "50", "--out-dir"]
     assert run_cli(capsys, *args, str(tmp_path / "a"), "--sigmas=-0,0.5")[0] == 0

@@ -463,6 +463,24 @@ def test_path_writes_are_atomic(tmp_path, monkeypatch):
     path = tmp_path / "d.csv"
     path.write_bytes(b"old contents\n")
 
+    # A failure while a later chunk is made, after the first is written.
+    monkeypatch.setattr(report_io, "_WRITE_CHUNK_ROWS", 1)
+    put_floats, calls = _floattext.put_floats, []
+
+    def fail_second_chunk(values, out):
+        calls.append(len(values))
+        if len(calls) == 2:
+            raise ValueError("second chunk")
+        put_floats(values, out)
+
+    monkeypatch.setattr(_floattext, "put_floats", fail_second_chunk)
+    with pytest.raises(ValueError, match="second chunk"):
+        write_dataset_csv(data, path)
+    assert calls == [1, 1]
+    assert path.read_bytes() == b"old contents\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "new"]
+    monkeypatch.setattr(_floattext, "put_floats", put_floats)
+
     def fail(src, dst):
         raise OSError("rename failed")
 
@@ -504,9 +522,9 @@ def test_csv_writers_match_f_strings(tmp_path, offset):
     assert sink.getvalue() == expected
     write_dataset_csv(data, tmp_path / "d.csv")
     assert (tmp_path / "d.csv").read_bytes() == expected.encode()
-    assert report_io._dataset_csv_text(probs, labels, true_probs) == _f_string_csv(
+    assert b"".join(report_io._dataset_csv_chunks(probs, labels, true_probs)) == _f_string_csv(
         probs, labels, true_probs
-    )
+    ).encode()
 
     sim = simulate(SimulationConfig(seed=n, n=n, noise_sigma=0.5))
     for include in (False, True):
@@ -548,9 +566,10 @@ def test_csv_writer_matches_f_strings_on_edge_values():
     probs = _edge_table()
     labels = np.arange(len(probs)) % 2
     true_probs = probs[::-1].copy()
-    assert report_io._dataset_csv_text(probs, labels) == _f_string_csv(probs, labels)
-    assert report_io._dataset_csv_text(probs, labels, true_probs) == _f_string_csv(
-        probs, labels, true_probs)
+    assert b"".join(report_io._dataset_csv_chunks(probs, labels)) == _f_string_csv(
+        probs, labels).encode()
+    assert b"".join(report_io._dataset_csv_chunks(probs, labels, true_probs)) == _f_string_csv(
+        probs, labels, true_probs).encode()
 
 
 #: float64 values in [0, 1], drawn as bit patterns so that every binade is as likely.
@@ -565,8 +584,8 @@ def test_csv_writer_property_matches_f_strings(rows, three):
     probs = np.array([r[0] for r in rows], dtype=np.float64)
     labels = np.array([r[1] for r in rows], dtype=np.int64)
     true_probs = np.array([r[2] for r in rows], dtype=np.float64) if three else None
-    assert report_io._dataset_csv_text(probs, labels, true_probs) == _f_string_csv(
-        probs, labels, true_probs)
+    assert b"".join(report_io._dataset_csv_chunks(probs, labels, true_probs)) == _f_string_csv(
+        probs, labels, true_probs).encode()
 
 
 @pytest.mark.parametrize("n", range(12))
@@ -577,8 +596,8 @@ def test_csv_writer_chunk_boundaries(monkeypatch, n):
     probs = np.resize([0.25, 0.0, 0.1 + 0.2, 1.0, 1e-300, 1 / 3, 0.7], n)
     labels = np.arange(n) % 2
     for true_probs in (None, probs[::-1]):
-        assert report_io._dataset_csv_text(probs, labels, true_probs) == _f_string_csv(
-            probs, labels, true_probs)
+        chunks = report_io._dataset_csv_chunks(probs, labels, true_probs)
+        assert b"".join(chunks) == _f_string_csv(probs, labels, true_probs).encode()
 
 
 def test_csv_writer_without_extra_precision_formats_every_value_by_percent(monkeypatch):
@@ -587,8 +606,8 @@ def test_csv_writer_without_extra_precision_formats_every_value_by_percent(monke
     monkeypatch.setattr(_floattext, "GUARD", 0.5)
     probs = np.concatenate([_edge_table(), np.random.default_rng(3).random(1000)])
     labels = np.arange(len(probs)) % 2
-    assert report_io._dataset_csv_text(probs, labels, probs) == _f_string_csv(
-        probs, labels, probs)
+    assert b"".join(report_io._dataset_csv_chunks(probs, labels, probs)) == _f_string_csv(
+        probs, labels, probs).encode()
 
 
 def test_csv_kernel_tables_are_derived_from_longdouble():
@@ -627,7 +646,7 @@ def test_csv_writer_sends_about_2_percent_of_simulated_values_through_percent(
 
 def test_csv_writer_rejects_labels_other_than_0_or_1():
     with pytest.raises(ValueError, match="labels must be 0 or 1"):
-        report_io._dataset_csv_text(np.array([0.5]), np.array([2]))
+        next(report_io._dataset_csv_chunks(np.array([0.5]), np.array([2])))
 
 
 @settings(max_examples=100, deadline=None)

@@ -207,7 +207,7 @@ def test_derive_run_seed_deterministic_and_distinct():
 
 def test_run_noise_suite_structure():
     base = SimulationConfig(seed=42, n=400)
-    runs = run_noise_suite(base, [0.0, 0.5, 2.0], BinSpec(10))
+    runs = list(run_noise_suite(base, [0.0, 0.5, 2.0], BinSpec(10)))
     assert [r.sigma for r in runs] == [0.0, 0.5, 2.0]
     for k, run in enumerate(runs):
         assert run.config.seed == derive_run_seed(42, k)
@@ -242,7 +242,7 @@ def test_generator_is_calibrated_at_sigma_zero():
 
 def test_noise_strictly_degrades_calibration_sigma0_vs_2():
     for seed in range(20):
-        runs = run_noise_suite(SimulationConfig(seed=seed, n=4000), [0.0, 2.0])
+        runs = list(run_noise_suite(SimulationConfig(seed=seed, n=4000), [0.0, 2.0]))
         assert runs[1].report.ecd > runs[0].report.ecd
         assert runs[1].report.ece > runs[0].report.ece
 

@@ -336,6 +336,21 @@ def test_gaussian_peak_memory_does_not_grow_with_records(tmp_path):
     assert abs(peaks[1] - peaks[0]) < 3.0, f"peaks {peaks} MiB"
 
 
+def test_suite_peak_memory_does_not_grow_with_sigmas(tmp_path):
+    # suite simulates, writes and drops one run at a time, and writes each CSV a
+    # chunk at a time, so six sigmas at n = 125,000 peak within 2 MiB of one.
+    # Holding every run, the peak grew by about 4 MiB a sigma.
+    peaks = []
+    for sigmas in ("0", "0,0.25,0.5,1,1.5,2"):
+        run = _run("-c", _PEAK_RSS, sys.executable, "-m", "entrocal.cli", "suite",
+                   "--sigmas", sigmas, "--n", "125000", "--seed", "7",
+                   "--out-dir", str(tmp_path / sigmas))
+        code, maxrss_kib = map(int, run.stdout.split())
+        assert code == 0
+        peaks.append(maxrss_kib / 1024)
+    assert abs(peaks[1] - peaks[0]) < 2.0, f"peaks {peaks} MiB"
+
+
 def _package_modules() -> list:
     """The package and each of its modules."""
     import entrocal
