@@ -20,35 +20,33 @@ anything outside (0, 1) or below the table, a P below 1e16 or a D of 1e17
 no extra precision the guard is wider than 1/2, so every value takes ``%``.
 
 Reading decimals back exactly is the problem of Clinger (1990), *How to Read
-Floating Point Numbers Accurately*. :func:`get_floats` settles JSON numbers,
-``-?(0|[1-9][0-9]*)(\\.[0-9]+)?([eE][-+]?[0-9]+)?``, of at most :data:`WIDTH`
-bytes, :data:`DIGITS` significand digits (an integer part 0 not counted) and
-:data:`EXP_DIGITS` exponent digits. That is the grammar ``%.17g`` and ``repr``
-write every finite float in. Each token is D * 10**q, D its significand digits
-as an integer:
+Floating Point Numbers Accurately*. :func:`get_floats` gives ``float``'s bits
+for every token. It settles decimals, ``[-+]?[0-9]*(\\.[0-9]*)?([eE][-+]?[0-9]+)?``
+with a digit before or after the point, of at most :data:`WIDTH` bytes and
+:data:`EXP_DIGITS` exponent digits, which holds every spelling ``%.17g`` and
+``repr`` write a finite float in. Each token is D * 10**q, D its significand
+digits as an integer:
 
 - the :data:`WIDTH` bytes before each token's end are gathered through one
   ``sliding_window_view`` index, as three uint64 words;
 - the bytes that are not digits are found eight at a time in those words,
-  and must be a leading ``-``, a point, an exponent marker and its sign, each
-  at most once and in that order, with digits between them as the grammar
-  wants them (no leading zero, a digit on each side of the point);
+  and must be a leading sign, a point, an exponent marker and its sign, each
+  at most once and in that order;
 - the exponent's digits, and the significand's after the bytes before the
   point move one place over it, are summed eight at a time in uint64 words;
 - L = D / 10**k or D * 10**e in ``np.longdouble``, for |q| up to
   :data:`SCALE`, is one correct rounding, as D (below 10**19) and the power
   of ten are exact there. So L rounded to float64 is ``float``'s result
   unless a float64 midpoint lies between L and the decimal, which needs L
-  within half an ulp of one; an L within :data:`READ_GUARD` ulps of a
-  midpoint, as the low :data:`EXTRA` bits of its significand show, is read
-  by ``float`` instead. A sign then negates the float64, as it does in
+  within half an ulp of one. A sign then negates the float64, as it does in
   ``float``.
 
-A token of 20 significant digits (D of 10**19 or more) is read by ``float``
-too. Where ``np.longdouble`` is not x87 extended precision (:data:`EXTENDED`),
-the reader declines every token, as it does when any token is of another
-shape or out of its widths; the caller then parses them some other way, at
-another speed, with the same bits.
+``float`` itself reads each token the kernel cannot settle: one of another
+shape, beyond its widths or scale, with D of 10**19 or more, or whose L lies
+within :data:`READ_GUARD` ulps of a midpoint, as the low :data:`EXTRA` bits of
+its significand show. Where ``np.longdouble`` is not x87 extended precision
+(:data:`EXTENDED`), ``float`` reads every token. The reader gives None only
+when ``float`` rejects a token.
 
 The tables are built when this module is imported, which
 :mod:`entrocal.report_io` does on its first CSV read or write, and
@@ -146,22 +144,18 @@ def put_floats(values: np.ndarray, field: np.ndarray) -> None:
 
 #: True where np.longdouble is x87 extended precision as x86-64 stores it: a 64-bit
 #: significand in the first 8 of 16 little-endian bytes. The reader's exactness, its
-#: digit words and its guard assume that; elsewhere :func:`get_floats` declines.
+#: digit words and its guard assume that; elsewhere ``float`` reads every token.
 EXTENDED = (np.finfo(np.longdouble).nmant == 63 and np.dtype(np.longdouble).itemsize == 16
             and sys.byteorder == "little")
 
-#: Most significand digits of a token the reader takes, an integer part ``0`` not
-#: counted: ``%.17g`` writes 20 fraction digits for x in [1e-4, 1e-3).
-DIGITS = 20
-
-#: Bytes of the longest token the reader takes, three uint64 words: ``%.17g`` and
+#: Bytes of the longest token the kernel settles, three uint64 words: ``%.17g`` and
 #: ``repr`` write at most 24.
 WIDTH = 24
 
-#: Most exponent digits of a token the reader takes, one uint64 word.
+#: Most exponent digits of a token the kernel settles, one uint64 word.
 EXP_DIGITS = 8
 
-#: Largest |q| of a token D * 10**q the reader takes: 10**q is exact in np.longdouble.
+#: Largest |q| of a token D * 10**q the kernel settles: 10**q is exact in np.longdouble.
 SCALE = len(POWERS) - 1
 
 #: Bits of L's significand below float64's: a float64 midpoint has 1 and then zeros there.
@@ -217,29 +211,27 @@ def _digit_words(words: np.ndarray) -> np.ndarray:
 
 
 def get_floats(raw: np.ndarray, starts: np.ndarray, ends: np.ndarray):
-    """``float(raw[s:e])`` for each token bounds (s, e), or None to decline them all.
+    """``float(raw[s:e])`` for each token bounds (s, e), or None if ``float`` rejects one.
 
-    ``raw`` is a uint8 array. The reader takes the tokens only if :data:`EXTENDED`
-    holds and each is a JSON number of at most :data:`WIDTH` bytes,
-    :data:`DIGITS` significand digits and :data:`EXP_DIGITS` exponent digits,
-    whose value is D * 10**q with |q| at most :data:`SCALE`; every value it
-    gives is therefore finite.
+    ``raw`` is a contiguous uint8 array with a byte after each token. The kernel
+    settles what it can where :data:`EXTENDED` holds, and ``float`` reads the rest.
     """
-    if not EXTENDED:
-        return None
-    out = np.empty(len(ends))
+    out, text = np.empty(len(ends)), memoryview(raw)
     for lo in range(0, len(ends), READ_ROWS):
         part = slice(lo, lo + READ_ROWS)
-        if not _read(raw, starts[part], ends[part], out[part]):
+        slow = lo + (_read(raw, starts[part], ends[part], out[part]) if EXTENDED
+                     else np.arange(len(out[part])))
+        try:
+            out[slow] = [float(text[s:e]) for s, e in zip(starts[slow].tolist(),
+                                                          ends[slow].tolist())]
+        except ValueError:
             return None
     return out
 
 
-def _read(raw: np.ndarray, start: np.ndarray, end: np.ndarray, out: np.ndarray) -> bool:
-    """Write the tokens' values into ``out``, or return False to decline them."""
+def _read(raw: np.ndarray, start: np.ndarray, end: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write the tokens' values into ``out``, and return the rows it leaves to ``float``."""
     length = end - start
-    if not ((length >= 1) & (length <= WIDTH)).all():
-        return False
     base = start.min() - WIDTH  # every window below starts at or after it
     seg = raw[max(base, 0) : end.max()]
     if base < 0:
@@ -255,21 +247,22 @@ def _read(raw: np.ndarray, start: np.ndarray, end: np.ndarray, out: np.ndarray) 
     def byte(col):  # the token byte at each window column below WIDTH
         return raw.take(at + np.minimum(col, WIDTH - 1))
 
-    # The bytes other than digits: a leading minus, then the point, the exponent
+    # The bytes other than digits: a leading sign, then the point, the exponent
     # marker and the exponent's sign, each at most once and in that order.
-    lead = WIDTH - length
-    neg = raw.take(start) == ord("-")
-    rest = _specials(words) & ~((_U64(1) << (lead + neg).astype(_U64)) - _U64(1))
+    lead = WIDTH - np.minimum(length, WIDTH)
+    first = raw.take(start)
+    neg = first == ord("-")
+    signed = neg | (first == ord("+"))
+    rest = _specials(words) & ~((_U64(1) << (lead + signed).astype(_U64)) - _U64(1))
     col = _lowest(rest)
     dotted = byte(col) == ord(".")
     point = np.where(dotted, col, WIDTH)
     rest &= rest - dotted
     e_col = _lowest(rest)  # the exponent marker, or WIDTH
-    whole = np.minimum(point, e_col) - lead - neg
+    whole = np.minimum(point, e_col) - lead - signed
     frac = np.where(dotted, e_col - point - 1, 0)
-    zero = byte(lead + neg) == ord("0")  # a leading 0, the whole integer part if valid
-    valid = ((whole >= 1) & ~(zero & (whole > 1)) & (~dotted | (frac >= 1))
-             & (whole - zero + frac <= DIGITS))
+    bare = dotted & ((whole == 0) | (whole == 1) & (byte(lead + signed) == ord("0")))
+    valid = (whole + frac >= 1) & (length <= WIDTH)
     q, cut = -frac, np.flatnonzero(e_col < WIDTH)
     if cut.size:
         e, after = e_col[cut], rest[cut] & (rest[cut] - _U64(1))
@@ -281,31 +274,27 @@ def _read(raw: np.ndarray, start: np.ndarray, end: np.ndarray, out: np.ndarray) 
                        & (count >= 1) & (count <= EXP_DIGITS))
         x = _digit_words(words[cut, 2] & _NIBBLE[:, 2].take(np.minimum(count, 8))).view(np.int64)
         q[cut] += np.where(sign == ord("-"), -x, x)
-    if not (valid & (np.abs(q) <= SCALE)).all():
-        return False
     # The significand's window, which is the token's unless it has an exponent. Where an
-    # integer part other than 0 precedes a point, every byte before the fraction moves
-    # one place on, over the point, so that the digits lie together at the end.
+    # integer part, other than none or a lone 0, precedes a point, every byte before the
+    # fraction moves one place on, over the point, so that the digits lie together at the end.
     mantissa = words
     if cut.size:
         mantissa = words.copy()
         mantissa[cut] = before(end[cut] - WIDTH + e_col[cut])
-    if (dotted & ~zero).any():
+    if (dotted & ~bare).any():
         moved = mantissa << _U64(8)
         moved[:, 1:] |= mantissa[:, :-1] >> _U64(56)
         keep = np.where(dotted, frac, WIDTH)
         mantissa = moved ^ ((moved ^ mantissa) & (_NIBBLE.take(keep, axis=0) * _U64(0x11)))
-    digits = _digit_words(mantissa & _NIBBLE.take(whole + frac - (dotted & zero), axis=0))
+    digits = _digit_words(mantissa & _NIBBLE.take(np.where(bare, frac, whole + frac), axis=0))
     d = digits[:, 0] * _U64(10**16) + digits[:, 1] * _U64(10**8) + digits[:, 2]  # D, mod 2**64
     big = digits[:, 0] >= 1000  # D >= 10**19, which np.longdouble may not hold exactly
-    ratio = d.astype(np.longdouble) / POWERS[np.maximum(-q, 0)]  # L = D / 10**k
+    ratio = d.astype(np.longdouble) / POWERS.take(-q, mode="clip")  # L = D / 10**k
     up = np.flatnonzero(q > 0)
     if up.size:
-        ratio[up] = d[up].astype(np.longdouble) * POWERS[q[up]]  # L = D * 10**e
+        ratio[up] = d[up].astype(np.longdouble) * POWERS.take(q[up], mode="clip")  # L = D * 10**e
     low = (ratio.view(np.uint64)[::2] & _U64(2**EXTRA - 1)).view(np.int64)
-    slow = np.flatnonzero(big | (np.abs(low - 2 ** (EXTRA - 1)) < READ_GUARD))
     out[:] = ratio  # rounded to float64
     out *= 1.0 - 2.0 * neg
-    for r in slow.tolist():
-        out[r] = float(raw[start[r] : end[r]].tobytes())
-    return True
+    return np.flatnonzero(~valid | big | (np.abs(q) > SCALE)
+                          | (np.abs(low - 2 ** (EXTRA - 1)) < READ_GUARD))

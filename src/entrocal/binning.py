@@ -9,8 +9,8 @@ per-datum ECD of the members.
 The weighted sums reproduce the usual report scalars: ECE (absolute gaps),
 ESCE (signed gaps, which can cancel across bins), and ECD. Because ECD is
 an average of per-datum scores, its count-weighted per-bin sum equals the
-global mean for any bin count; ``bin_stats`` verifies that identity at run
-time, so every report is checked. ECE has no such invariance: changing M
+global mean for any bin count; ``_ReportSums.stats`` verifies that identity at
+run time, so every report is checked. ECE has no such invariance: changing M
 changes the score.
 
 A report is built from running sums, fed a block of rows at a time in row

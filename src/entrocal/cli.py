@@ -218,6 +218,7 @@ def _cmd_suite(args) -> int:
     return 0
 
 
+@np.errstate(over="ignore")  # an overflow is reported, so numpy need not warn
 def _folded_nees(blocks):
     """(N, d, NEES) of the array reader's blocks, folded a block at a time, or None.
 

@@ -20,17 +20,12 @@ about 4 MiB at a time, cut after the last LF, and each block is parsed by
 arrays or by rows. The array parser takes a block of only digits, ``.``,
 ``,``, ``e``, ``E``, ``+``, ``-`` and LF or CRLF line ends, with the header's
 field count on every line, labels exactly ``0`` or ``1`` and probabilities
-finite and in [0, 1]. Its probabilities are read by the array kernel of
-:func:`entrocal._floattext.get_floats` when every one of them is a JSON
-number (``0``, ``1``, ``0.25``, ``1.0``, ``5e-05``) of at most 24 bytes and
-20 significand digits, as ``%.17g`` and ``repr`` write them; the kernel
-declines any other block (``.5``, ``+0.5``, ``1.``, more digits, an exponent
-past 10**27 in all, or a platform whose ``np.longdouble`` is not x87
-extended precision), which ``np.loadtxt`` reads. Both give ``float``'s
-bits. Any other block (a bare CR, whitespace, quotes, blank
-lines, ``nan``, a bad row) goes to the row parser, which reads it a line at
-a time with ``float``, counting rows on from the blocks before it, so every
-error carries its row number; invalid UTF-8 is an error of its row too. The
+finite and in [0, 1], each read with ``float``'s bits by
+:func:`entrocal._floattext.get_floats`. Any other block (a bare CR,
+whitespace, quotes, blank lines, ``nan``, a probability ``float`` rejects, a
+bad row) goes to the row parser, which reads it a line at a time with
+``float``, counting rows on from the blocks before it, so every error
+carries its row number; invalid UTF-8 is an error of its row too. The
 two parsers give the same bits, so which one ran shows only in the time
 taken. The header line ends at LF, CRLF or a bare CR, as body lines do in
 the row parser. A caller's stream is left open. :func:`load_csv` joins the
@@ -202,8 +197,8 @@ def _parse_block(block: bytes, k: int, prob_col: int, label_col: int):
 
     Takes a subset of the row parser's input (``_BLOCK_BYTES`` only, k - 1 commas
     a line, labels ``0``/``1``, probabilities finite in [0, 1]) with its bits. A
-    CRLF ends a line as LF does; a bare CR declines the block. Probabilities are
-    read by the float kernel, or by ``np.loadtxt`` where the kernel declines.
+    CRLF ends a line as LF does; a bare CR declines the block, as does a probability
+    that ``float`` rejects.
     """
     if b"\r" in block:
         block = block.replace(b"\r\n", b"\n")
@@ -229,13 +224,8 @@ def _parse_block(block: bytes, k: int, prob_col: int, label_col: int):
     from ._floattext import get_floats  # builds its tables; only CSV reads and writes need them
 
     probs = get_floats(raw, *_field(seps, prob_col))
-    if probs is None:
-        try:
-            probs = np.loadtxt(io.BytesIO(block), dtype=np.float64, delimiter=",",
-                               comments=None, usecols=prob_col, ndmin=1, encoding="ascii")
-        except ValueError:
-            return None
-    if not (np.isfinite(probs).all() and probs.min() >= 0.0 and probs.max() <= 1.0):
+    if probs is None or not (np.isfinite(probs).all() and probs.min() >= 0.0
+                             and probs.max() <= 1.0):
         return None
     return probs, label_bytes - ord("0")
 
@@ -522,6 +512,20 @@ def _json_skeleton(block: bytes):
     return text.tobytes().translate(None, b"\x01\x02"), first, last
 
 
+def _json_spelled(raw: np.ndarray, starts: np.ndarray) -> bool:
+    """Whether the numbers at ``starts`` keep the rules of JSON's grammar that ``float``'s lacks.
+
+    Each starts with a digit, or ``-`` and a digit; a leading ``0`` is followed by
+    no digit; and every ``.`` of ``raw``, which lies in a number, has a digit on each side.
+    """
+    digit = raw - ord("0") < 10  # uint8 wraps below 0
+    lead = starts + (raw.take(starts) == ord("-"))
+    dots = np.flatnonzero(raw == ord("."))
+    zero_led = (raw.take(lead) == ord("0")) & digit.take(lead + 1)
+    return bool(digit.take(lead).all() and not zero_led.any() and digit.take(dots - 1).all()
+                and digit.take(dots + 1).all())
+
+
 def _gaussian_blocks(fh):
     """:func:`_gaussian_arrays` of a Gaussian JSON file's records, by arrays a block at a time.
 
@@ -539,10 +543,10 @@ def _gaussian_blocks(fh):
     of the file's: the array's opening and the first record (first block only),
     then records as the first one, each after a comma, then the closing, after
     which only whitespace may follow. No number spans a cut, so the blocks'
-    skeletons join to the file's. The numbers are read by
-    :func:`entrocal._floattext.get_floats`, which takes JSON numbers only and
-    declines the block for any it cannot read with ``float``'s bits. An int
-    ``-0`` is +0.0, as ``json`` reads it.
+    skeletons join to the file's. The numbers must be spelled as JSON has them
+    (:func:`_json_spelled`), and are read with ``float``'s bits by
+    :func:`entrocal._floattext.get_floats`; a block with one that is not finite is
+    declined. An int ``-0`` is +0.0, as ``json`` reads it.
     """
     from ._floattext import get_floats  # builds its tables; only file reads and writes need them
 
@@ -587,8 +591,9 @@ def _gaussian_blocks(fh):
         elif body != records or not chunk:  # the file ends before the array
             break
         if starts.size:
-            values = get_floats(np.frombuffer(block, np.uint8), starts, ends)
-            if values is None:
+            raw = np.frombuffer(block, np.uint8)
+            values = get_floats(raw, starts, ends) if _json_spelled(raw, starts) else None
+            if values is None or not np.isfinite(values).all():
                 break
             values[(ends - starts <= 2) & (values == 0.0)] = 0.0  # the ints 0 and -0
             table, columns, first = values.reshape(-1, width), {}, 0
@@ -596,7 +601,7 @@ def _gaussian_blocks(fh):
                 size = fields[key].count(b"#")
                 columns[key] = np.ascontiguousarray(table[:, first : first + size])
                 first += size
-            del block, values, table  # the caller alone holds the block's arrays
+            del block, raw, values, table  # the caller alone holds the block's arrays
             mean, cov, truth = map(columns.get, _RECORD_KEYS)
             yield mean, cov.reshape(-1, d, d), truth
         if not chunk:

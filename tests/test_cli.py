@@ -125,6 +125,25 @@ def test_evaluate_output_does_not_depend_on_the_block_size(tmp_path, capsys, mon
             reliability_points(report.bins))
 
 
+def test_evaluate_reads_every_decimal_spelling_by_arrays(tmp_path, capsys, monkeypatch):
+    # Spellings %.17g does not write are read by the float reader, whose report is
+    # that of the same values written by %.17g, byte for byte.
+    spellings = [".5", "+0.5", "1.", "00.5", "007.25e-1", "0.25", "-0."]
+    labels = [1, 0, 1, 1, 0, 1, 0]
+    csv, same = tmp_path / "d.csv", tmp_path / "same.csv"
+    csv.write_text("prob,label\n" + "".join(f"{p},{y}\n" for p, y in zip(spellings, labels)))
+    write_fixture_csv(same, [float(p) for p in spellings], labels)
+    expected = run_cli(capsys, "evaluate", "--input", str(same), "--format", "json")
+    assert expected[0] == 0
+    monkeypatch.setattr(report_io, "_parse_rows", _no_parser)
+    monkeypatch.setattr(np, "loadtxt", _no_parser)
+    assert run_cli(capsys, "evaluate", "--input", str(csv), "--format", "json") == expected
+
+
+def _no_parser(*args, **kwargs):
+    raise AssertionError("a parser other than the float reader ran")
+
+
 def test_evaluate_names_a_bad_row_of_a_later_block_and_writes_nothing(tmp_path, capsys,
                                                                       monkeypatch):
     monkeypatch.setattr(report_io, "_BLOCK_SIZE", 64)  # a block of a few rows
@@ -868,10 +887,8 @@ def test_gaussian_reads_the_sign_of_zero_as_json_does(tmp_path, capsys):
     "payload",
     [
         '[{"mean": 0.5, "covariance": 1, "truth": 0}]',  # scalar shorthand
-        '[{"mean": [1], "covariance": [[1]], "truth": [12345678901234567890123]}]',
         '[{"mean": [NaN], "covariance": [[1]], "truth": [0]}]',
         '[{"mean": [1e400], "covariance": [[1]], "truth": [0]}]',
-        '[{"mean": [1e-300], "covariance": [[1]], "truth": [0]}]',
         '[{"mean": [1], "covariance": [[1]], "truth": [0], "extra": 1}]',
         '[{"mean": [1], "covariance": [[1]], "truth": [0]}, {"truth": [0], "mean": [1], '
         '"covariance": [[1]]}]',
@@ -899,18 +916,42 @@ def test_gaussian_reads_the_sign_of_zero_as_json_does(tmp_path, capsys):
         '[{"mean": [+1], "covariance": [[1]], "truth": [0]}]',
         '[{"mean": [01], "covariance": [[1]], "truth": [0]}]',
         '[{"mean": [1.], "covariance": [[1]], "truth": [0]}]',
+        '[{"mean": [-01], "covariance": [[1]], "truth": [0]}]',
+        '[{"mean": [1.e5], "covariance": [[1]], "truth": [0]}]',
+        '[{"mean": [-0.], "covariance": [[1]], "truth": [0]}]',
+        '[{"mean": [.5e1], "covariance": [[1]], "truth": [0]}]',
     ],
-    ids=["scalar-shorthand", "int-over-20-digits", "nan", "overflow", "exponent-out-of-range",
-         "extra-key", "key-order-differs", "escaped-key", "trailing-text", "two-numbers-in-a-slot",
-         "key-spelling", "number-in-key", "wrapper-extra-key", "record-after-wrapper",
-         "duplicate-key", "bom", "empty", "empty-vectors", "space-ending-key", "space-in-key",
-         "tab-starting-key", "newline-in-key", "space-in-wrapper-key", "no-integer-part",
-         "signed-no-integer-part", "plus-sign", "leading-zero", "no-fraction-digits"],
+    ids=["scalar-shorthand", "nan", "overflow", "extra-key", "key-order-differs", "escaped-key",
+         "trailing-text", "two-numbers-in-a-slot", "key-spelling", "number-in-key",
+         "wrapper-extra-key", "record-after-wrapper", "duplicate-key", "bom", "empty",
+         "empty-vectors", "space-ending-key", "space-in-key", "tab-starting-key", "newline-in-key",
+         "space-in-wrapper-key", "no-integer-part", "signed-no-integer-part", "plus-sign",
+         "leading-zero", "no-fraction-digits", "signed-leading-zero",
+         "no-fraction-digits-before-exponent", "signed-no-fraction-digits",
+         "no-integer-part-with-exponent"],
 )
 def test_gaussian_array_reader_declines_other_files(monkeypatch, payload):
     for step in (1, 7, report_io._JSON_STEP):
         monkeypatch.setattr(report_io, "_JSON_STEP", step)
         assert _array_reader(payload.encode()) is None, step
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        '[{"mean": [1], "covariance": [[1]], "truth": [12345678901234567890123]}]',
+        '[{"mean": [1e-300], "covariance": [[1]], "truth": [0]}]',
+        '[{"mean": [-1e308], "covariance": [[1]], "truth": [0.1e-307]}]',
+    ],
+    ids=["int-over-20-digits", "exponent-out-of-range", "largest-exponents"],
+)
+def test_gaussian_array_reader_reads_numbers_beyond_the_kernel_as_json_does(monkeypatch, payload):
+    # Numbers that float reads for the kernel: the array reader takes the file, with
+    # json.load's bits.
+    for step in (1, 7, report_io._JSON_STEP):
+        monkeypatch.setattr(report_io, "_JSON_STEP", step)
+        stacks, arrays = _both_readers(payload.encode())
+        assert stacks == arrays, step
 
 
 def test_gaussian_array_reader_takes_no_file_that_json_reads_otherwise(monkeypatch):
@@ -984,10 +1025,10 @@ def test_gaussian_output_does_not_depend_on_the_block_size(tmp_path, capsys, mon
 
 PRECEDENCE_CASES = [
     # The first block's truth - mean overflows, a later covariance is not positive-
-    # definite: the covariance comes first. The reader declines the first block,
-    # whose 1e+308 lies beyond the kernel's scale.
+    # definite: the covariance comes first. The reader reads the first block, whose
+    # 1e+308 float reads for the kernel, and it fails to score.
     ({**G2, "mean": [-1e308, 0.0], "truth": [1e308, 0.0]},
-     {**G2, "covariance": [[0.0, 0.0], [0.0, 1.0]]}, False,
+     {**G2, "covariance": [[0.0, 0.0], [0.0, 1.0]]}, True,
      "record 31: covariance is not positive-definite"),
     # The reader reads the first block, whose covariance fails to factor; a later
     # record's structure comes first.

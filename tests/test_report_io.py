@@ -185,7 +185,7 @@ BLOCK_CASES = [
     (b"prob,label\n.5,1\n1.,0\n+0.125,1\n1E-1,0\n", _pinned([0.5, 1.0, 0.125, 0.1],
                                                            [1, 0, 1, 0])),
     (b"prob,label\r\n0.5,1\r\n0.25,0\r\n", _pinned([0.5, 0.25], [1, 0])),
-    # One token the float reader declines sends its block to np.loadtxt.
+    # Other spellings among %.17g's, and 21 digits, which float reads for the kernel.
     (b"prob,label\n0.25,0\n1,1\n", _pinned([0.25, 1.0], [0, 1])),
     (b"prob,label\n0,0\n0.25,1\n", _pinned([0.0, 0.25], [0, 1])),
     (b"prob,label\n0.25,0\n1.0,1\n", _pinned([0.25, 1.0], [0, 1])),
@@ -204,8 +204,8 @@ BLOCK_CASES = [
 ]
 
 
-# Tokens of the float reader's shape but for one byte: it and np.loadtxt decline
-# the block, and the row parser reports the row.
+# Tokens of the kernel's shape but for one byte: float rejects them, so the float
+# reader declines the block, and the row parser reports the row.
 SHAPE_CASES = [
     pytest.param(b"prob,label\n0.5,1\n0.5e,0\n",
                  ("error", "row 3: invalid prob value '0.5e'"), id="shape-exponent"),
@@ -660,19 +660,20 @@ def test_write_then_load_round_trips_every_float(rows):
     assert np.array_equal(loaded.labels, data.labels)
 
 
-# The float reader: JSON numbers by array arithmetic, any other token declined.
+# The float reader: float's bits for every token, by array arithmetic where the kernel
+# settles it, and declined (None) for any other token, one that float rejects.
 
-NUMBER = re.compile(rb"-?(0|[1-9][0-9]*)(?:\.([0-9]+))?(?:[eE]([-+]?[0-9]+))?")
+NUMBER = re.compile(rb"[-+]?([0-9]*)(?:\.([0-9]*))?(?:[eE]([-+]?[0-9]+))?")
 
 
 def _reader_takes(token: bytes) -> bool:
-    """Whether the reader takes ``token``: a JSON number within its widths and scale."""
+    """Whether the kernel settles ``token`` (but near a midpoint or with 20 significant
+    digits): a decimal within its widths and scale."""
     match = NUMBER.fullmatch(token)
     if not match or len(token) > _floattext.WIDTH:
         return False
     whole, frac, exp = (group or b"" for group in match.groups())
-    digits = len(frac) + (0 if whole == b"0" else len(whole))
-    return (digits <= _floattext.DIGITS and len(exp.lstrip(b"+-")) <= _floattext.EXP_DIGITS
+    return (whole + frac != b"" and len(exp.lstrip(b"+-")) <= _floattext.EXP_DIGITS
             and abs(int(exp or b"0") - len(frac)) <= _floattext.SCALE)
 
 
@@ -689,20 +690,25 @@ def _read_bits(*tokens: bytes):
 
 
 def _taken(tokens) -> list:
-    """``float``'s bits of each token, or None where the reader declines every token."""
-    if not _floattext.EXTENDED:
+    """``float``'s bits of each token, or None if ``float`` rejects one."""
+    try:
+        return np.array([float(t) for t in tokens]).view(np.int64).tolist()
+    except ValueError:
         return None
-    return np.array([float(t) for t in tokens]).view(np.int64).tolist()
 
 
 @pytest.mark.parametrize("token", [b".5", b"00.5", b"0.", b"0." + b"1" * 21, b"0.5e", b"0.-5",
                                    b"0..5", b"+0.5", b"1e-400", b"", b"0.1:", b"0.?", b"01",
                                    b"-01", b"1.", b"1e", b"1e+", b"--1", b"-", b"1.2.3",
                                    b"1" * 21, b"9" * 19 + b".25", b"1e123456789", b"0x1",
-                                   b" 1", b"1\0", b"\x001", b"1e5.5", b"1.5e+-5", b"e5"])
+                                   b" 1", b"1\0", b"\x001", b"1e5.5", b"1.5e+-5", b"e5",
+                                   b"007.25e-1", b"+.5e1", b"-1.e5"])
 def test_float_reader_declines_any_other_token(token):
-    assert _read_bits(b"0.25", token) is None
-    assert _read_bits(token, b"0.25") is None
+    # The other tokens are those float rejects: the reader declines exactly them.
+    # Every token float reads (spellings beyond JSON's, widths and scales beyond
+    # the kernel's, a space) it gives float's bits.
+    assert _read_bits(b"0.25", token) == _taken([b"0.25", token])
+    assert _read_bits(token, b"0.25") == _taken([token, b"0.25"])
 
 
 @pytest.mark.parametrize("token", [b"1", b"0", b"1.0", b"5e-05", b"-0.5", b"0.5e-3", b"0.1E1"])
@@ -749,7 +755,6 @@ def _shaped_tokens(seed: int, n: int) -> list:
     return tokens
 
 
-@pytest.mark.skipif(not _floattext.EXTENDED, reason="the reader declines every token")
 def test_float_reader_gives_floats_bits_on_every_shape():
     tokens = _shaped_tokens(5, _floattext.READ_ROWS + 11)
     lengths = {(len(NUMBER.fullmatch(t).group(1)), len(NUMBER.fullmatch(t).group(2) or b""))
@@ -779,7 +784,6 @@ def _paxson_tokens(seed: int, n: int) -> list:
     return tokens
 
 
-@pytest.mark.skipif(not _floattext.EXTENDED, reason="the reader declines every token")
 def test_float_reader_gives_floats_bits_next_to_midpoints():
     tokens = _paxson_tokens(6, 2000)
     taken = [t for t in tokens if _reader_takes(t)]
@@ -798,15 +802,52 @@ open_unit_floats = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(values=st.lists(st.tuples(open_unit_floats, st.integers(0, 17)), min_size=1, max_size=20))
 def test_float_reader_property_gives_floats_bits(values):
-    # Each value printed by repr (p = 0) or %.{p}g: the reader takes the tokens it
-    # accepts with float()'s bits, and declines any other token.
+    # Each value printed by repr (p = 0) or %.{p}g: the reader gives float()'s bits
+    # for every token, each alone and all together.
     tokens = [(repr(x) if p == 0 else format(x, f".{p}g")).encode() for x, p in values]
-    taken = [t for t in tokens if _reader_takes(t)]
-    if taken:
-        assert _read_bits(*taken) == _taken(taken)
+    assert _read_bits(*tokens) == _taken(tokens)
     for token in tokens:
-        if token not in taken:
-            assert _read_bits(token) is None
+        assert _read_bits(token) == _taken([token])
+
+
+def _spelled_tokens(seed: int, n: int) -> list:
+    """Seeded decimals in float's spellings: a sign or none, leading zeros, 1 to 25
+    digits with the point anywhere (``.5`` and ``1.`` too) or absent, and an exponent
+    of up to 400 either way, in every spelling, or none."""
+    rng = np.random.default_rng(seed)
+    tokens = []
+    for _ in range(n):
+        digits = "".join(rng.integers(0, 10, int(rng.integers(1, 26))).astype(str))
+        point = int(rng.integers(0, len(digits) + 1))
+        if rng.random() < 0.8:
+            digits = digits[:point] + "." + digits[point:]
+        token = rng.choice(["", "-", "+"]) + "0" * int(rng.integers(0, 3)) + digits
+        if rng.random() < 0.6:
+            token += f"{rng.choice(['e', 'E'])}{rng.choice(['', '+', '-'])}{rng.integers(0, 401)}"
+        tokens.append(token.encode())
+    return tokens
+
+
+@pytest.mark.parametrize("extended", [_floattext.EXTENDED, False], ids=["as-is", "no-extended"])
+def test_float_reader_agrees_with_float_on_every_token(monkeypatch, extended):
+    # Seeded tokens of 1 to 30 bytes over the reader's alphabet, and decimals in
+    # float's spellings, in a batch that crosses its slices: float's bits, or None
+    # exactly when float rejects a token, wherever that token lies.
+    monkeypatch.setattr(_floattext, "EXTENDED", extended)
+    rng = np.random.default_rng(12)
+    alphabet = np.frombuffer(b"0123456789.eE+-", np.uint8)
+    noise = [alphabet.take(rng.integers(0, 15, width)).tobytes()
+             for width in range(1, 31) for _ in range(100)]
+    rejected = [t for t in noise if _taken([t]) is None]
+    tokens = _spelled_tokens(13, 2 * _floattext.READ_ROWS + 5)
+    tokens += [t for t in noise if _taken([t]) is not None]
+    tokens = [tokens[i] for i in rng.permutation(len(tokens))]
+    assert len(rejected) > 1000 and len(tokens) - 2 * _floattext.READ_ROWS > 200
+    assert _read_bits(*tokens) == _taken(tokens)
+    for token in rejected:
+        assert _read_bits(b"0.25", token) is None
+    for at in (0, _floattext.READ_ROWS - 1, _floattext.READ_ROWS + 3, len(tokens)):
+        assert _read_bits(*tokens[:at], rejected[at % len(rejected)], *tokens[at:]) is None
 
 
 def _near_midpoint(x: float, j: int):
@@ -833,7 +874,7 @@ def test_float_reader_property_gives_floats_bits_next_to_midpoints(x, j):
     assert _read_bits(token, b"0.5") == _taken([token, b"0.5"])
 
 
-@pytest.mark.skipif(not _floattext.EXTENDED, reason="the reader declines every token")
+@pytest.mark.skipif(not _floattext.EXTENDED, reason="float reads every token")
 def test_float_reader_reads_tokens_within_two_ulps_of_a_midpoint_by_float(monkeypatch):
     # A token whose longdouble quotient L lies within 2 ulps of a float64
     # midpoint is read by float(); one 2 or more ulps away is not.
@@ -875,7 +916,6 @@ def _no_loadtxt(*args, **kwargs):
     raise AssertionError("np.loadtxt ran")
 
 
-@pytest.mark.skipif(not _floattext.EXTENDED, reason="the reader declines every token")
 @pytest.mark.parametrize("header,newline", [("prob,label", "\n"), ("prob,label", "\r\n"),
                                             ("id,prob,label", "\n"), ("label,prob", "\n")])
 @pytest.mark.parametrize("block_size", [4 << 20, 1 << 16])
@@ -889,20 +929,19 @@ def test_float_reader_takes_a_bench_shaped_body(monkeypatch, header, newline, bl
     assert _outcome(load_csv, body) == expected
 
 
-def test_csv_reader_without_extra_precision_parses_every_block_by_loadtxt(monkeypatch):
-    # Where np.longdouble is not x87 extended precision the float reader
-    # declines every block, and np.loadtxt reads each one, with the same bits.
+def test_csv_reader_without_extra_precision_reads_every_token_by_float(monkeypatch):
+    # Where np.longdouble is not x87 extended precision float reads every token,
+    # in every block, with the bits the kernel gives.
     body, _, _ = _bench_shaped_body(3000, 4)
     expected = _lines_outcome(body)
     monkeypatch.setattr(_floattext, "EXTENDED", False)
     monkeypatch.setattr(report_io, "_BLOCK_SIZE", 1 << 14)
+    monkeypatch.setattr(np, "loadtxt", _no_loadtxt)
+    monkeypatch.setattr(report_io, "_parse_rows", _no_row_parser)
     calls = []
-    loadtxt = np.loadtxt
-    monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(a) or loadtxt(*a, **k))
+    monkeypatch.setattr(_floattext, "float", lambda t: calls.append(t) or float(t), raising=False)
     assert _outcome(load_csv, body) == expected
-    fh = io.BytesIO(body)
-    columns, rest = report_io._header(fh)
-    assert len(calls) == len(list(report_io._blocks(fh, rest))) > 1
+    assert len(calls) == 3000
 
 
 def test_simulated_csv_round_trip_and_true_column(tmp_path):
