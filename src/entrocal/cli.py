@@ -38,12 +38,11 @@ import numpy as np
 
 from ._accumulate import _Fold
 from .binning import BinSpec, build_report, reliability_points
-from .gaussian import GaussianPrediction, _InvalidPrediction, mahalanobis_sq, nees
+from .gaussian import GaussianPrediction, _InvalidPrediction, mahalanobis_sq
 from .metrics import ClipPolicy, ecd_curve
 from .report_io import (
     REPORT_FORMATS,
     _dataset_blocks,
-    _gaussian_arrays,
     _gaussian_blocks,
     _gaussian_json,
     _histogram_svg,
@@ -57,7 +56,7 @@ from .report_io import (
 from .simulation import SimulationConfig, run_noise_suite, simulate
 
 # Not called here: bench/tracer.py wraps these names in this module to time their stages.
-from .gaussian import ecd_gaussian  # noqa: F401
+from .gaussian import ecd_gaussian, nees  # noqa: F401
 from .report_io import load_csv  # noqa: F401
 
 OUT_DIR_ENV = "ENTROCAL_OUT_DIR"
@@ -83,6 +82,19 @@ def _from_flags(make, *args, **kwargs):
         return make(*args, **kwargs)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+
+
+def _bin_spec(bins: int) -> BinSpec:
+    if bins > 65536:  # each bin costs memory before a row is read; indices stay 16-bit
+        raise UsageError(f"--bins must be at most 65536, got {bins}")
+    return _from_flags(BinSpec, bins)
+
+
+def _clip_policy(clip: float) -> ClipPolicy:
+    policy = _from_flags(ClipPolicy, clip)
+    if 1.0 - clip == 1.0:  # clip <= 2**-54: the upper clamp would be 1, where log(1 - p) is -inf
+        raise UsageError(f"--clip must be above 2**-54, so that 1 - clip is below 1; got {clip}")
+    return policy
 
 
 def _resolve_seed(seed) -> int:
@@ -117,8 +129,8 @@ def _write(dest, text: str) -> None:
 
 
 def _cmd_evaluate(args) -> int:
-    policy = _from_flags(ClipPolicy, args.clip)
-    spec = _from_flags(BinSpec, args.bins)
+    policy = _clip_policy(args.clip)
+    spec = _bin_spec(args.bins)
     try:  # the CSV is read and scored a block at a time, so its errors surface here
         report = build_report(_dataset_blocks(args.input), spec, policy)
     except OSError as exc:
@@ -185,8 +197,8 @@ def _cmd_suite(args) -> int:
         raise UsageError(f"--out-dir is required (or set {OUT_DIR_ENV})")
     sigmas = _parse_sigmas(args.sigmas)
     seed = _resolve_seed(args.seed)
-    policy = _from_flags(ClipPolicy, args.clip)
-    spec = _from_flags(BinSpec, args.bins)
+    policy = _clip_policy(args.clip)
+    spec = _bin_spec(args.bins)
     base = _from_flags(
         SimulationConfig,
         seed=seed, n=args.n, logodds_halfwidth=args.halfwidth, weight=args.weight,
@@ -219,57 +231,48 @@ def _cmd_suite(args) -> int:
 
 
 @np.errstate(over="ignore")  # an overflow is reported, so numpy need not warn
-def _folded_nees(blocks):
-    """(N, d, NEES) of the array reader's blocks, folded a block at a time, or None.
+def _folded_nees(blocks, source: str):
+    """(N, d, NEES) of a reader's (means, covariances, truths) blocks, folded a block at a time.
 
-    The squared distances of each block go into one running pairwise sum, so NEES
-    has ``nees``' bits for any blocking. None if a block is declined or cannot be
-    scored, or NEES is not finite: the whole-file ``json`` path then names the
-    first error in its order, which a later block may hold.
+    Each block's squared distances go into one running pairwise sum, so NEES has ``nees``'
+    bits for any blocking. A ValueError if a block is None or fails to score, or NEES is inf.
     """
     fold = _Fold()
     for stacks in blocks:
         if stacks is None:
-            return None
-        try:
-            pred = GaussianPrediction(*stacks, _owned=True)
-            fold.add(mahalanobis_sq(pred))
-        except ValueError:
-            return None
+            raise ValueError(f"{source}: declined by the array reader")
+        pred = GaussianPrediction(*stacks, _owned=True)
+        fold.add(mahalanobis_sq(pred))
     value = float(fold.total()) / fold.count
-    return (fold.count, pred.dim, value) if math.isfinite(value) else None
+    if not math.isfinite(value):
+        raise ValueError(f"{source}: NEES overflows: the sum of squared Mahalanobis distances "
+                         "is not finite")
+    return fold.count, pred.dim, value
 
 
 def _cmd_gaussian(args) -> int:
     try:
         with open(args.input, "rb") as fh:
             source = fh if fh.seekable() else io.BytesIO(fh.read())  # a pipe is read once
-            folded = _folded_nees(_gaussian_blocks(source))
-            if folded is None:
+            try:
+                n, d, value = _folded_nees(_gaussian_blocks(source), args.input)
+            except ValueError:  # read whole by json: an index here counts from its block, and
+                # a later block may hold an error that comes first in the README's order
                 source.seek(0)
-                data = source.read()
+                n, d, value = _folded_nees([_gaussian_json(source.read(), args.input)], args.input)
     except OSError as exc:
         raise DataError(f"cannot read '{args.input}': {exc.strerror or exc}") from None
-    if folded is None:
-        try:  # each error names its record, or the file
-            stacks = _gaussian_arrays(_gaussian_json(data, args.input), args.input)
-        except ValueError as exc:
-            raise DataError(str(exc)) from None
-        try:
-            pred = GaussianPrediction(*stacks, _owned=True)
-            folded = (*pred.mean.shape, nees(pred))
-        except _InvalidPrediction as exc:
-            raise DataError(f"record {exc.index}: {exc.reason}") from None
-        except ValueError as exc:
-            raise DataError(f"{args.input}: {exc}") from None
-    n, d, nees_value = folded
-    result = {"n": n, "d": d, "nees": nees_value, "ecd": (nees_value - d) / 2.0}
+    except _InvalidPrediction as exc:
+        raise DataError(f"record {exc.index}: {exc.reason}") from None
+    except ValueError as exc:  # each names its record, or the file
+        raise DataError(str(exc)) from None
+    result = {"n": n, "d": d, "nees": value, "ecd": (value - d) / 2.0}
     sys.stdout.write(json.dumps(result) + "\n")
     return 0
 
 
 def _cmd_curve(args) -> int:
-    policy = _from_flags(ClipPolicy, args.clip)
+    policy = _clip_policy(args.clip)
     svg = render_ecd_curve_svg(_from_flags(ecd_curve, args.grid, policy))
     _write(args.output, svg)
     print(f"wrote {args.output}", file=sys.stderr)

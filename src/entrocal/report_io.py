@@ -34,8 +34,8 @@ blocks' rows; ``evaluate`` scores them a block at a time, as they are read.
 Gaussian JSON, the input of ``gaussian``, is read by arrays a block of whole
 records at a time when the file has the regular shape :func:`_gaussian_blocks`
 takes, and ``gaussian`` scores each block as it is read. Any other file is read
-whole by ``json`` (:func:`_gaussian_json`, then :func:`_gaussian_arrays`), which
-gives every error, each naming its record, in a fixed order.
+whole by :func:`_gaussian_json`, by ``json`` and then :func:`_gaussian_arrays`,
+which gives every error, each naming its record, in a fixed order.
 
 Rows are written with the bytes of ``%.17g`` for each float, 16,384 rows at
 a time, into a NUL-padded array of fixed-width slots that one
@@ -174,21 +174,23 @@ _BLOCK_BYTES = b"0123456789.,eE+-\n"
 _BYTE_KINDS = bytes(1 if c in b",\n" else 0 if c in _BLOCK_BYTES else 2 for c in range(256))
 
 
-def _blocks(fh, head: bytes):
-    """Whole lines of ``head`` then ``fh``, each ending in LF, a block at a time.
+def _blocks(fh, head: bytes, end: bytes = b"\n", size: Optional[int] = None):
+    """Whole pieces of ``head`` then ``fh``, each ending in ``end``, a block at a time.
 
-    A line longer than a block is gathered piece by piece, so the work stays linear.
+    Reads ``size`` (default ``_BLOCK_SIZE``) bytes at a time and cuts after the last
+    ``end``; a non-empty tail comes last with an LF appended. A piece longer than a
+    block is gathered read by read, so the work stays linear.
     """
-    pending = [head]  # the start of a line that no block has ended yet
-    while chunk := fh.read(_BLOCK_SIZE):
-        cut = chunk.rfind(b"\n") + 1
+    pending = [head]  # the start of a piece that no block has ended yet
+    while chunk := fh.read(size or _BLOCK_SIZE):
+        cut = chunk.rfind(end) + 1
         if cut:
             pending = [b"".join([*pending, memoryview(chunk)[:cut]]), chunk[cut:]]
             del chunk
             yield pending.pop(0)  # popped: the caller alone holds the block
         else:
             pending.append(chunk)
-    if tail := b"".join(pending):  # a last line without its newline
+    if tail := b"".join(pending):  # a last piece without its end
         yield tail + b"\n"
 
 
@@ -456,7 +458,7 @@ def _json_object(pairs: list) -> dict:
 
 
 def _gaussian_json(data: bytes, source: str) -> list:
-    """The records of a Gaussian JSON file's bytes, read by ``json`` as a text file would be."""
+    """:func:`_gaussian_arrays` of a Gaussian JSON file's bytes, read as a text file by ``json``."""
     try:
         payload = json.load(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"),
                             object_pairs_hook=_json_object)
@@ -472,7 +474,7 @@ def _gaussian_json(data: bytes, source: str) -> list:
         payload = payload["predictions"]
     if not isinstance(payload, list) or not payload:
         raise ValueError(f"{source}: expected a non-empty JSON array of records")
-    return payload
+    return _gaussian_arrays(payload, source)
 
 
 #: The keys of a Gaussian record, as the array reader finds them in a file's skeleton.
@@ -529,37 +531,29 @@ def _json_spelled(raw: np.ndarray, starts: np.ndarray) -> bool:
 def _gaussian_blocks(fh):
     """:func:`_gaussian_arrays` of a Gaussian JSON file's records, by arrays a block at a time.
 
-    Yields (means, covariances, truths) stacks, one per block, or yields None
-    and stops at the first block it declines; the caller then reads the file by
-    :func:`_gaussian_json`. Takes an ASCII file holding an array of records,
-    bare or as the one value of ``{"predictions": ...}``: each record an object
-    with the keys mean, covariance and truth once each, spelled without escapes
-    and in the first record's order, holding d numbers, d lists of d numbers and
-    d numbers, with JSON whitespace anywhere between tokens.
+    Yields (means, covariances, truths) stacks, one per block, or yields None and
+    stops at the first block it declines or at an array that never closes; the
+    caller then reads the file by :func:`_gaussian_json`. Takes an ASCII file
+    holding an array of records, bare or as the one value of ``{"predictions": ...}``:
+    each record an object with the keys mean, covariance and truth once each,
+    spelled without escapes and in the first record's order, holding d numbers,
+    d lists of d numbers and d numbers, with JSON whitespace anywhere between tokens.
 
-    ``fh`` is read ``_JSON_STEP`` bytes at a time, and a block ends after the
-    last ``}`` read, so that it holds whole records; it grows until one ends.
-    Each block's skeleton (see :func:`_json_skeleton`) must be exactly its part
-    of the file's: the array's opening and the first record (first block only),
-    then records as the first one, each after a comma, then the closing, after
-    which only whitespace may follow. No number spans a cut, so the blocks'
-    skeletons join to the file's. The numbers must be spelled as JSON has them
-    (:func:`_json_spelled`), and are read with ``float``'s bits by
+    :func:`_blocks` reads ``fh`` ``_JSON_STEP`` bytes at a time and cuts it after
+    the last ``}`` read, so that a block holds whole records; the LF it appends to a
+    tail is JSON whitespace. Each block's skeleton (see :func:`_json_skeleton`) must
+    be exactly its part of the file's: the array's opening and the first record
+    (first block only), then records as the first one, each after a comma, then the
+    closing, after which only whitespace may follow. No number spans a cut, so the
+    blocks' skeletons join to the file's. The numbers must be spelled as JSON has
+    them (:func:`_json_spelled`), and are read with ``float``'s bits by
     :func:`entrocal._floattext.get_floats`; a block with one that is not finite is
     declined. An int ``-0`` is +0.0, as ``json`` reads it.
     """
     from ._floattext import get_floats  # builds its tables; only file reads and writes need them
 
     record, closed = None, False  # the first record's skeleton; whether the array has closed
-    pending = []  # the start of a record that no block has ended yet
-    while True:
-        chunk = fh.read(_JSON_STEP)
-        cut = chunk.rfind(b"}") + 1
-        if chunk and not cut:
-            pending.append(chunk)
-            continue
-        block = b"".join([*pending, memoryview(chunk)[:cut]])
-        pending = [chunk[cut:]]
+    for block in _blocks(fh, b"", b"}", _JSON_STEP):
         found = _json_skeleton(block) if block.isascii() else None
         if found is None:
             break
@@ -588,7 +582,7 @@ def _gaussian_blocks(fh):
                 break
         elif body == records + close:
             closed = True
-        elif body != records or not chunk:  # the file ends before the array
+        elif body != records:
             break
         if starts.size:
             raw = np.frombuffer(block, np.uint8)
@@ -604,7 +598,8 @@ def _gaussian_blocks(fh):
             del block, raw, values, table  # the caller alone holds the block's arrays
             mean, cov, truth = map(columns.get, _RECORD_KEYS)
             yield mean, cov.reshape(-1, d, d), truth
-        if not chunk:
+    else:
+        if closed:
             return
     yield None
 

@@ -192,6 +192,52 @@ def test_evaluate_bad_flags_exit_1(tmp_path, capsys):
     assert run_cli(capsys, "evaluate", "--input", str(csv), "--clip", "0.9")[0] == 1
 
 
+def _clip_commands(tmp_path, clip: float) -> list:
+    """evaluate, suite and curve, each with ``--clip clip``; evaluate on rows at 1, 0 and 0.3."""
+    csv = tmp_path / "d.csv"
+    write_fixture_csv(csv, [1.0, 0.0, 0.3], [1, 0, 1])
+    return [["evaluate", "--input", str(csv), "--format", "json", "--clip", repr(clip)],
+            ["suite", "--seed", "1", "--n", "50", "--sigmas", "0", "--out-dir",
+             str(tmp_path / "s"), "--clip", repr(clip)],
+            ["curve", "--grid", "11", "--output", str(tmp_path / "c.svg"), "--clip", repr(clip)]]
+
+
+@pytest.mark.parametrize("clip", [1e-17, 2.0 ** -54], ids=["1e-17", "2^-54"])
+def test_clip_whose_complement_rounds_to_one_exit_1(tmp_path, capsys, clip):
+    # 1 - clip rounds to 1, so the upper clamp is 1 and log(1 - p) there is -inf:
+    # evaluate printed nan scores and curve ended in a traceback.
+    message = ("entrocal: error: --clip must be above 2**-54, so that 1 - clip is below 1; "
+               f"got {clip}\n")
+    for argv in _clip_commands(tmp_path, clip):
+        assert run_cli(capsys, *argv) == (1, "", message), argv[0]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv"]
+
+
+def test_smallest_clip_keeps_scores_finite(tmp_path, capsys):
+    # 2^-53 is the smallest power of two whose 1 - clip is below 1.
+    evaluate, suite, curve = _clip_commands(tmp_path, 2.0 ** -53)
+    code, out, _ = run_cli(capsys, *evaluate)
+    report = report_from_json(out)  # which rejects a NaN
+    assert code == 0 and np.isfinite([report.ecd, report.nll]).all()
+    assert run_cli(capsys, *suite)[0] == 0
+    assert report_from_json((tmp_path / "s" / "sigma-0" / "report.json").read_text()).n_total == 50
+    assert run_cli(capsys, *curve)[0] == 0
+
+
+def test_bins_above_65536_exit_1(tmp_path, capsys):
+    # Every bin costs memory before a row is read, so a huge --bins died unlocated.
+    csv = tmp_path / "d.csv"
+    write_fixture_csv(csv, [0.3, 0.8], [1, 0])
+    for argv in (["evaluate", "--input", str(csv)],
+                 ["suite", "--seed", "1", "--n", "50", "--out-dir", str(tmp_path / "s")]):
+        assert run_cli(capsys, *argv, "--bins", "65537") == (
+            1, "", "entrocal: error: --bins must be at most 65536, got 65537\n")
+    assert not (tmp_path / "s").exists()
+    code, out, _ = run_cli(capsys, "evaluate", "--input", str(csv), "--bins", "65536",
+                           "--format", "json")
+    assert code == 0 and report_from_json(out).num_bins == 65536
+
+
 def test_parser_defaults_match_study_settings():
     # A bare `suite` run is the bundled noise study; the defaults encode it.
     from entrocal.cli import build_parser
@@ -819,7 +865,7 @@ def _array_reader(data: bytes):
 def _both_readers(data: bytes) -> tuple:
     """The arrays of the array reader and of ``json.load``, each as its bytes (None: declined)."""
     stacks = _array_reader(data)
-    arrays = report_io._gaussian_arrays(report_io._gaussian_json(data, "g.json"), "g.json")
+    arrays = report_io._gaussian_json(data, "g.json")
     return (None if stacks is None else [(a.shape, a.tobytes()) for a in stacks],
             [(a.shape, a.tobytes()) for a in arrays])
 
@@ -985,8 +1031,7 @@ def test_gaussian_array_reader_takes_no_file_that_json_reads_otherwise(monkeypat
             stacks = _array_reader(bytes(data))
             if stacks is not None:
                 taken += 1
-                payload = report_io._gaussian_json(bytes(data), "g.json")
-                arrays = report_io._gaussian_arrays(payload, "g.json")
+                arrays = report_io._gaussian_json(bytes(data), "g.json")
                 assert [(a.shape, a.tobytes()) for a in stacks] == [
                     (a.shape, a.tobytes()) for a in arrays], (step, bytes(data))
     assert taken > 200

@@ -280,6 +280,32 @@ def test_rows_spanning_block_boundaries(as_source, monkeypatch, block_size):
     assert str(excinfo.value) == "row 42: label must be 0 or 1, got '2'"
 
 
+@pytest.mark.parametrize("size", [1, 7, None], ids=["1B", "7B", "default"])
+@pytest.mark.parametrize("end", [b"\n", b"}"], ids=["LF", "brace"])
+def test_blocks_hold_whole_pieces(end, size):
+    # The cutter that both readers share: seeded bytes, a piece ending at each
+    # delimiter, many longer than a read. Every block but a tail ends in the
+    # delimiter and holds whole pieces, the blocks join to the input (with an LF
+    # after a tail), and reads of one byte give one piece a block.
+    rng = np.random.default_rng([len(end), size or 0])
+    longest = 0
+    for _ in range(60):
+        data = rng.choice(np.frombuffer(b"ab}\n", np.uint8), rng.integers(0, 300),
+                          p=[0.46, 0.46, 0.04, 0.04]).tobytes()
+        split = int(rng.integers(0, len(data) + 1)) if rng.random() < 0.5 else 0
+        blocks = list(report_io._blocks(io.BytesIO(data[split:]), data[:split], end, size))
+        tail = bool(data) and not data.endswith(end)
+        assert b"".join(blocks) == data + b"\n" * tail
+        assert all(block.endswith(end) for block in blocks[: len(blocks) - tail])
+        ends = set(np.cumsum([len(block) for block in blocks[: len(blocks) - tail]]).tolist())
+        pieces = [m.end() for m in re.finditer(re.escape(end), data)]
+        assert ends <= set(pieces)
+        if size == 1 and split == 0:
+            assert ends == set(pieces)
+        longest = max([longest, *np.diff([0, *pieces]).tolist()])
+    assert longest > 7
+
+
 def test_load_csv_reads_from_the_stream_position_and_leaves_it_open():
     stream = io.BytesIO(b"junk\nprob,label\n0.5,1\n")
     stream.readline()

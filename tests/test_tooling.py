@@ -216,22 +216,49 @@ def test_readme_command_examples_parse():
     assert {args.command for args in parsed} == subcommands
 
 
-def test_bench_tracer_targets_resolve():
-    # The traced benchmark run replaces these names where callers look them
-    # up; a rename in the package would silently drop its spans. Parsed, not
-    # imported, so nothing is written under bench/.
+def _tracer_targets() -> tuple:
+    """bench/tracer.py's ``WRAPPED``, parsed, not imported, so nothing is written under bench/."""
     tree = ast.parse((ROOT / "bench" / "tracer.py").read_text(encoding="utf-8"))
-    table = next(
+    return next(
         ast.literal_eval(node.value)
         for node in tree.body
         if isinstance(node, ast.Assign)
         and any(isinstance(t, ast.Name) and t.id == "WRAPPED" for t in node.targets)
     )
+
+
+def test_bench_tracer_targets_resolve():
+    # The traced benchmark run replaces these names where callers look them
+    # up; a rename in the package would silently drop its spans.
+    table = _tracer_targets()
     assert table
     for module, attr, _ in table:
         assert callable(getattr(importlib.import_module(module), attr, None)), (
             f"{module}.{attr}"
         )
+
+
+def test_unused_imports_are_only_tracer_targets():
+    # A name the package imports unused (noqa: F401) is there for the tracer alone:
+    # a WRAPPED target of its module, imported once and used nowhere else there. So
+    # these imports are exactly the ones that timers inside the package would delete.
+    targets = {(module, attr) for module, attr, _ in _tracer_targets()}
+    unused = []
+    for path in sorted((ROOT / "src" / "entrocal").glob("*.py")):
+        module = "entrocal" if path.stem == "__init__" else f"entrocal.{path.stem}"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        tree = ast.parse("\n".join(lines))
+        imports = [node for node in ast.walk(tree)
+                   if isinstance(node, (ast.Import, ast.ImportFrom))]
+        imported = [alias.asname or alias.name for node in imports for alias in node.names]
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in imports:
+            if any("noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno]):
+                for name in (alias.asname or alias.name for alias in node.names):
+                    unused.append(f"{module}.{name}")
+                    assert (module, name) in targets, unused[-1]
+                    assert imported.count(name) == 1 and name not in used, unused[-1]
+    assert unused
 
 
 def test_bench_library_pass_writes_the_fixture_report(tmp_path):
