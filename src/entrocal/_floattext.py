@@ -164,8 +164,8 @@ EXTRA = np.finfo(np.longdouble).nmant - np.finfo(np.float64).nmant
 #: Longdouble ulps: an L closer than this to a float64 midpoint is read by ``float``.
 READ_GUARD = 2
 
-#: Rows a slice of :func:`get_floats` works on: each temporary stays under 1 MiB, where
-#: glibc serves it from the heap and reuses it, rather than mapping fresh pages each time.
+#: Rows a slice of :func:`get_floats` works on, so that each temporary stays under 1 MiB
+#: however large the block.
 READ_ROWS = 8192
 
 

@@ -17,7 +17,6 @@ OS and announce it on stderr.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import io
 import json
 import math
@@ -48,7 +47,6 @@ from .report_io import (
     _histogram_svg,
     _write_chunks,
     render_ecd_curve_svg,
-    render_histogram_svg,
     render_reliability_svg,
     render_report,
     write_simulated_csv,
@@ -57,7 +55,7 @@ from .simulation import SimulationConfig, run_noise_suite, simulate
 
 # Not called here: bench/tracer.py wraps these names in this module to time their stages.
 from .gaussian import ecd_gaussian, nees  # noqa: F401
-from .report_io import load_csv  # noqa: F401
+from .report_io import load_csv, render_histogram_svg  # noqa: F401
 
 OUT_DIR_ENV = "ENTROCAL_OUT_DIR"
 
@@ -123,6 +121,14 @@ def _write(dest, text: str) -> None:
         _write_chunks(dest, [text.encode()])
 
 
+def _write_plots(directory: Path, report, suffix: str = "") -> None:
+    """Write the report's reliability diagram and histogram, ``suffix`` ending each title."""
+    _write(directory / "reliability.svg", render_reliability_svg(
+        reliability_points(report.bins), title=f"Reliability diagram{suffix}"))
+    _write(directory / "histogram.svg", _histogram_svg(
+        [b.count for b in report.bins], f"Estimated probability histogram{suffix}"))
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -143,10 +149,7 @@ def _cmd_evaluate(args) -> int:
     else:
         sys.stdout.write(doc.content)
     if args.plots_dir:
-        plots = Path(args.plots_dir)
-        _write(plots / "reliability.svg",
-               render_reliability_svg(reliability_points(report.bins)))
-        _write(plots / "histogram.svg", _histogram_svg([b.count for b in report.bins]))
+        _write_plots(Path(args.plots_dir), report)
     return 0
 
 
@@ -211,17 +214,14 @@ def _cmd_suite(args) -> int:
         "|-------|------|-----|------|-----|-------|-----|",
     ]
     while run := _from_flags(next, runs, None):  # simulated here: its ValueError is a usage error
-        sub, r, label = root / _run_dir(run.sigma), run.report, f"sigma={run.sigma:g}"
+        sub, r = root / _run_dir(run.sigma), run.report
         with _writing(sub / "dataset.csv"):
             write_simulated_csv(run.data, sub / "dataset.csv", include_true_probs=True)
         _write(sub / "report.json", render_report(r, "json").content)
         if args.format != "json":
             ext = "md" if args.format == "markdown" else args.format
             _write(sub / f"report.{ext}", render_report(r, args.format).content)
-        _write(sub / "reliability.svg", render_reliability_svg(
-            reliability_points(r.bins), title=f"Reliability diagram ({label})"))
-        _write(sub / "histogram.svg", render_histogram_svg(
-            run.data.dataset(), args.bins, title=f"Estimated probability histogram ({label})"))
+        _write_plots(sub, r, f" (sigma={run.sigma:g})")
         comparison.append(f"| {run.sigma:g} | {run.config.seed} | {r.ece:.4f} | {r.esce:.4f} "
                           f"| {r.ecd:.4f} | {r.brier:.4f} | {r.nll:.4f} |")
         del run  # before the next run is simulated: one run's arrays are held at a time
@@ -338,35 +338,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-#: glibc's mallopt parameters (malloc.h) and the values the CLI pins them to.
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
-_MMAP_THRESHOLD = 1 << 20
-
-
-def _pin_malloc_thresholds() -> None:
-    """Pin glibc's mmap threshold at 1 MiB and its trim threshold at 2 MiB.
-
-    glibc raises its mmap threshold to the size of each mapped block it frees,
-    so after the first large temporary, arrays of up to 32 MiB come from the
-    heap, and the peak RSS depends on how they happen to fit its holes: on a
-    10^6-row ``evaluate`` it took one of two values 6 MiB apart, by the length
-    of the input path. With fixed thresholds every block of 1 MiB or more is
-    mapped on its own and unmapped when freed. A C library without ``mallopt``
-    is left as it is.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):
-        return
-    mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD)
-    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _pin_malloc_thresholds()
         return args.func(args)
     except UsageError as exc:
         print(f"entrocal: error: {exc}", file=sys.stderr)

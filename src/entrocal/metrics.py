@@ -122,18 +122,9 @@ def _require_nonempty(n: int) -> None:
 
 
 def _binary_scores(probs: np.ndarray, labels: np.ndarray, policy: ClipPolicy) -> np.ndarray:
-    """``(q - labels) * (ln q - ln(1 - q))`` on the clipped q, in two arrays of N.
-
-    q is clipped twice: once for ln q and ln(1 - q), and again into the spent array.
-    """
-    lo, hi = policy.epsilon, 1.0 - policy.epsilon
-    q = np.clip(probs, lo, hi)
-    logit = np.log(q)
-    logit -= np.log(np.subtract(1.0, q, out=q), out=q)
-    q = np.clip(probs, lo, hi, out=q)
-    q -= labels
-    q *= logit
-    return q
+    """``(q - labels) * (ln q - ln(1 - q))`` on the clipped q."""
+    q = np.clip(probs, policy.epsilon, 1.0 - policy.epsilon)
+    return (q - labels) * (np.log(q) - np.log(1.0 - q))
 
 
 def ecd_sample_binary(prob: float, label: int, policy: ClipPolicy = DEFAULT_CLIP) -> float:
@@ -169,12 +160,17 @@ def _distribution_rows(probs) -> np.ndarray:
     """
     try:
         rows = np.asarray(probs, dtype=np.float64)
-    except ValueError:  # rows of unequal lengths have no (N, K) shape
-        sizes = [np.size(row) for row in probs]
-        i = next((i for i, size in enumerate(sizes) if size != sizes[0]), None)
-        if i is None:
-            raise
-        raise ValueError(f"row {i}: length {sizes[i]} differs from row 0's {sizes[0]}") from None
+    except (TypeError, ValueError):  # ragged rows, or an entry that is no real number
+        sizes = []
+        for i, row in enumerate(probs):
+            try:
+                sizes.append(np.asarray(row, dtype=np.float64).size)
+            except (TypeError, ValueError):
+                raise ValueError(f"row {i}: entries must be real numbers") from None
+            if sizes[i] != sizes[0]:
+                raise ValueError(
+                    f"row {i}: length {sizes[i]} differs from row 0's {sizes[0]}") from None
+        raise
     if rows.ndim != 2:
         raise ValueError(f"expected an (N, K) array, got shape {rows.shape}")
     if rows.shape[1] < 2:
@@ -245,18 +241,17 @@ def ecd_discrete(probs, labels: Sequence[int], policy: ClipPolicy = DEFAULT_CLIP
 
 
 def _nll_terms(probs: np.ndarray, labels: np.ndarray, policy: ClipPolicy) -> np.ndarray:
-    """Per-datum ``-(x ln q + (1 - x) ln(1 - q))`` on the clipped q, in two arrays of N.
+    """Per-datum ``-(x ln q + (1 - x) ln(1 - q))`` on the clipped q.
 
     While 1 - epsilon < 1 both logs are finite, so the term is -ln q where x is 1
     and -ln(1 - q) where it is 0, exactly. A smaller epsilon lets q be 1, where
     x = 1 gives 0 * ln 0, NaN.
     """
     q = np.clip(probs, policy.epsilon, 1.0 - policy.epsilon)
-    terms = np.log(q)
-    np.copyto(terms, np.log(np.subtract(1.0, q, out=q), out=q), where=labels == 0)
+    terms = -np.where(labels == 0, np.log(1.0 - q), np.log(q))
     if 1.0 - policy.epsilon == 1.0:
-        terms[(q == -np.inf) & (labels == 1)] = np.nan
-    return np.negative(terms, out=terms)
+        terms[(q == 1.0) & (labels == 1)] = np.nan
+    return terms
 
 
 def _brier_terms(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:

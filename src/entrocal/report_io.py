@@ -484,8 +484,7 @@ _RECORD_KEYS = (b'"mean"', b'"covariance"', b'"truth"')
 _SKELETON = bytes(1 if b in b"0123456789.eE+-" else 2 if b in b" \t\n\r" else 3 if b in (1, 2)
                   else b for b in range(256))
 #: Bytes of a file the array reader reads at a time. A block is about that size, unless a
-#: record is longer, so each of its temporaries stays under the 1 MiB mmap threshold
-#: that ``main`` pins, and glibc reuses it from the heap.
+#: record is longer, so each of its temporaries stays under 1 MiB however long the file.
 _JSON_STEP = 1 << 18
 
 

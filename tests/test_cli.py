@@ -1221,31 +1221,3 @@ def test_curve_grid_too_small_exit_1(tmp_path, capsys):
     assert (code, err) == (1, "entrocal: error: grid_size must be an integer >= 2, got 1\n")
     assert not (tmp_path / "x.svg").exists()
 
-
-def test_malloc_thresholds_pinned_after_parsing(tmp_path, capsys, monkeypatch):
-    calls = []
-
-    class Libc:
-        def mallopt(self, param, value):
-            calls.append((param, value))
-
-    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: Libc())
-    with pytest.raises(SystemExit):
-        main(["--help"])
-    assert calls == []
-    csv = tmp_path / "d.csv"
-    write_fixture_csv(csv, [0.3, 0.8], [1, 0])
-    code, _, _ = run_cli(capsys, "evaluate", "--input", str(csv))
-    assert code == 0
-    assert calls == [(-1, 2 << 20), (-3, 1 << 20)]  # M_TRIM_THRESHOLD, M_MMAP_THRESHOLD
-
-
-@pytest.mark.parametrize("libc", [OSError, object], ids=["no-libc", "no-mallopt"])
-def test_malloc_thresholds_left_alone_without_mallopt(monkeypatch, libc):
-    def load(name):
-        if libc is OSError:
-            raise OSError("no C library")
-        return libc()
-
-    monkeypatch.setattr(cli.ctypes, "CDLL", load)
-    cli._pin_malloc_thresholds()

@@ -383,9 +383,15 @@ def test_ecd_discrete_rejects_an_array_that_is_not_n_by_k():
         ([[0.5, 0.5]] * 3, [0, 2, -1], "row 1: label 2 out of range for 2-class distribution"),
         ([[0.5, 0.5]], ["a"], "row 0: label 'a' is not an integer class index"),
         ([[0.5, 0.5]] * 2, [1, None], "row 1: label None is not an integer class index"),
+        ([[0.5, 0.5]] * 3, np.array([0, 10**30, -1], dtype=object),
+         "row 1: label 1e+30 out of range for 2-class distribution"),
+        ([[0.5, 0.5], ["a", "b"], [0.5]], [0] * 3, "row 1: entries must be real numbers"),
+        ([[0.5, 0.5]] * 2 + [[0.5j, 0.5]], [0] * 3, "row 2: entries must be real numbers"),
+        ([[0.5, 0.5], [0.5, [1]], [2.0, -1.0]], [0] * 3, "row 1: entries must be real numbers"),
     ],  # each names the first of its bad rows
     ids=["class-count", "ragged-rows", "entry-range", "row-sum", "non-integer-label",
-         "label-out-of-range", "text-label", "object-label"],
+         "label-out-of-range", "text-label", "object-label", "object-label-out-of-range",
+         "text-entry", "complex-entry", "nested-entry"],
 )
 def test_discrete_errors_name_the_first_bad_row(rows, labels, message):
     calls = [lambda: ecd_discrete(rows, labels), lambda: log_likelihood(rows, labels)]
@@ -413,6 +419,9 @@ def test_discrete_labels_accept_integer_valued_floats():
     assert ecd_discrete(rows, [1.0]) == ecd_discrete(rows, [1])
     assert ecd_discrete(rows, np.array([0.0])) == ecd_discrete(rows, [0])
     assert np.array_equal(log_likelihood(rows, [1.0]), log_likelihood(rows, [1]))
+    # An object array of Python ints is read as the numbers it holds.
+    rows = np.array([[0.2, 0.8], [0.7, 0.3]])
+    assert ecd_discrete(rows, np.array([0, 1], dtype=object)) == ecd_discrete(rows, [0, 1])
 
 
 # Rows whose sum is within rounding of the 1e-9 tolerance, where a plain
@@ -465,7 +474,7 @@ def test_nll_examples():
 
 @pytest.mark.parametrize("epsilon", [1e-12, 1e-4, 0.1, 0.49])
 def test_scores_and_nll_keep_the_bits_of_their_formulas(epsilon):
-    # Both are computed in place; each must give the bits of its one-line formula.
+    # Each must give the bits of its one-line formula.
     rng = np.random.default_rng(7)
     probs = rng.random(10_001)
     probs[::97], probs[1::89], probs[2::83] = 0.0, 1.0, 0.5

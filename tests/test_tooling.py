@@ -323,20 +323,25 @@ _PEAK_RSS = (
 def test_evaluate_peak_memory_does_not_grow_with_rows(tmp_path):
     # evaluate scores its CSV a 4 MiB block at a time, so 10**6 rows peak
     # within a few MiB of 2.5 * 10**5. Holding every row, the peak grew by
-    # about 39 MiB per 10**6 rows.
+    # about 39 MiB per 10**6 rows. Nor may the peak depend on the length of
+    # the input path: when glibc fitted row-length arrays into heap holes, the
+    # same 10**6 rows peaked at one of two values 6 MiB apart by that length.
     from entrocal import Dataset, write_dataset_csv
 
     rng = np.random.default_rng(26)
-    peaks = []
     for n in (250_000, 1_000_000):
-        path = tmp_path / f"{n}.csv"
-        write_dataset_csv(Dataset(rng.random(n), rng.integers(0, 2, n)), path)
+        write_dataset_csv(Dataset(rng.random(n), rng.integers(0, 2, n)), tmp_path / f"{n}.csv")
+    long_path = tmp_path / ("long-" * 12 + ".csv")
+    long_path.symlink_to(tmp_path / "1000000.csv")
+    peaks = []
+    for path in ("250000.csv", "1000000.csv", str(long_path)):
         run = _run("-c", _PEAK_RSS, sys.executable, "-m", "entrocal.cli", "evaluate",
-                   "--input", str(path))
+                   "--input", path, cwd=tmp_path)
         code, maxrss_kib = map(int, run.stdout.split())
         assert code == 0
         peaks.append(maxrss_kib / 1024)
     assert abs(peaks[1] - peaks[0]) < 6.0, f"peaks {peaks} MiB"
+    assert abs(peaks[2] - peaks[1]) < 2.0, f"peaks {peaks} MiB by path length"
 
 
 def test_gaussian_peak_memory_does_not_grow_with_records(tmp_path):
