@@ -14,8 +14,8 @@ label x the two terms collapse to the single summand
     (p - x) * ln(p / (1 - p))
 
 evaluated on the clipped probability. Clipping (see :class:`ClipPolicy`)
-applies to every logarithmic metric in this module (ECD, NLL, entropy);
-the Brier score uses raw probabilities.
+applies to every logarithmic metric in this module (ECD, NLL, entropy) and
+keeps their logs finite; the Brier score uses raw probabilities.
 
 All natural logarithms. All dataset means use the deterministic pairwise
 reduction from :mod:`entrocal._accumulate`.
@@ -59,7 +59,7 @@ class ClipPolicy:
     Probabilities are clamped to [epsilon, 1 - epsilon] before entering any
     logarithm, which removes the singularities at 0 and 1 while leaving
     interior values untouched. Raw probabilities (Brier, bin confidence)
-    are never clipped.
+    are never clipped. Epsilon lies in (0, 0.5) and above 2**-54, so 1 - epsilon < 1.
     """
 
     epsilon: float = 1e-4
@@ -67,6 +67,9 @@ class ClipPolicy:
     def __post_init__(self) -> None:
         if not (0.0 < self.epsilon < 0.5):
             raise ValueError(f"epsilon must be in (0, 0.5), got {self.epsilon}")
+        if 1.0 - self.epsilon == 1.0:
+            raise ValueError(f"epsilon must be above 2**-54, so that 1 - epsilon is below 1; "
+                             f"got {self.epsilon}")
 
 
 #: The clip policy of every score that is given none.
@@ -163,13 +166,13 @@ def _distribution_rows(probs) -> np.ndarray:
     except (TypeError, ValueError):  # ragged rows, or an entry that is no real number
         sizes = []
         for i, row in enumerate(probs):
-            try:
-                sizes.append(np.asarray(row, dtype=np.float64).size)
+            try:  # a ValueError too if the row is a number or nested, not 1-D
+                (k,) = np.asarray(row, dtype=np.float64).shape
             except (TypeError, ValueError):
                 raise ValueError(f"row {i}: entries must be real numbers") from None
-            if sizes[i] != sizes[0]:
-                raise ValueError(
-                    f"row {i}: length {sizes[i]} differs from row 0's {sizes[0]}") from None
+            sizes.append(k)
+            if k != sizes[0]:
+                raise ValueError(f"row {i}: length {k} differs from row 0's {sizes[0]}") from None
         raise
     if rows.ndim != 2:
         raise ValueError(f"expected an (N, K) array, got shape {rows.shape}")
@@ -243,15 +246,11 @@ def ecd_discrete(probs, labels: Sequence[int], policy: ClipPolicy = DEFAULT_CLIP
 def _nll_terms(probs: np.ndarray, labels: np.ndarray, policy: ClipPolicy) -> np.ndarray:
     """Per-datum ``-(x ln q + (1 - x) ln(1 - q))`` on the clipped q.
 
-    While 1 - epsilon < 1 both logs are finite, so the term is -ln q where x is 1
-    and -ln(1 - q) where it is 0, exactly. A smaller epsilon lets q be 1, where
-    x = 1 gives 0 * ln 0, NaN.
+    Both logs are finite, so the term is -ln q where x is 1 and -ln(1 - q)
+    where it is 0, exactly.
     """
     q = np.clip(probs, policy.epsilon, 1.0 - policy.epsilon)
-    terms = -np.where(labels == 0, np.log(1.0 - q), np.log(q))
-    if 1.0 - policy.epsilon == 1.0:
-        terms[(q == 1.0) & (labels == 1)] = np.nan
-    return terms
+    return -np.where(labels == 0, np.log(1.0 - q), np.log(q))
 
 
 def _brier_terms(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:

@@ -206,7 +206,7 @@ def _clip_commands(tmp_path, clip: float) -> list:
 def test_clip_whose_complement_rounds_to_one_exit_1(tmp_path, capsys, clip):
     # 1 - clip rounds to 1, so the upper clamp is 1 and log(1 - p) there is -inf:
     # evaluate printed nan scores and curve ended in a traceback.
-    message = ("entrocal: error: --clip must be above 2**-54, so that 1 - clip is below 1; "
+    message = ("entrocal: error: epsilon must be above 2**-54, so that 1 - epsilon is below 1; "
                f"got {clip}\n")
     for argv in _clip_commands(tmp_path, clip):
         assert run_cli(capsys, *argv) == (1, "", message), argv[0]
@@ -456,6 +456,51 @@ def test_suite_bad_sigmas_exit_1(tmp_path, capsys):
                            "--out-dir", str(tmp_path / "x"))
     assert code == 1 and err.startswith("entrocal: error: ")
     assert not (tmp_path / "x").exists()
+
+
+HOSTILE_FLOATS = ["nan", "inf", "-inf", "-1", "0", "-0", "1e-17", "5e-324", "1e308", "0.5",
+                  "1e-300"]
+HOSTILE_FLAGS = (
+    [(command, "--clip", v) for command in ("evaluate", "suite", "curve") for v in HOSTILE_FLOATS]
+    + [("simulate", flag, v) for flag in ("--weight", "--halfwidth", "--noise-mean",
+                                          "--noise-sigma") for v in HOSTILE_FLOATS]
+    + [("suite", flag, v) for flag in ("--sigmas", "--weight", "--halfwidth")
+       for v in HOSTILE_FLOATS]
+    + [(command, flag, v) for command, flag in (("evaluate", "--bins"), ("suite", "--bins"),
+                                                ("curve", "--grid"), ("simulate", "--n"),
+                                                ("suite", "--n"))
+       for v in ("0", "-1", "1", "2", "65536", "65537")]
+)
+
+
+@pytest.mark.parametrize("command, flag, value", HOSTILE_FLAGS,
+                         ids=[f"{c}{f}={v}" for c, f, v in HOSTILE_FLAGS])
+def test_hostile_flag_values_exit_0_or_1_cleanly(tmp_path, capsys, command, flag, value):
+    # Each value is judged by the type that holds it or by the CLI's own rules: a
+    # rejected one is one error line and writes nothing, an accepted one writes
+    # reports that read back (report_from_json rejects a NaN). A traceback or a
+    # RuntimeWarning (an error under the pytest settings) fails the test.
+    csv, out = tmp_path / "d.csv", tmp_path / "out"
+    write_fixture_csv(csv, [1.0, 0.0, 0.5, 0.3], [1, 0, 1, 0])
+    argv = {
+        "evaluate": ["--input", str(csv), "--format", "json"],
+        "simulate": ["--seed", "1", "--n", "50", "--output", str(out / "sim.csv")],
+        "suite": ["--seed", "1", "--n", "50", "--sigmas", "0", "--format", "json",
+                  "--out-dir", str(out)],
+        "curve": ["--grid", "11", "--output", str(out / "curve.svg")],
+    }[command]
+    code, stdout, stderr = run_cli(capsys, command, *argv, f"{flag}={value}")  # the last wins
+    if code == 1:
+        assert stdout == "" and stderr.startswith("entrocal: error: ")
+        assert stderr.count("\n") == 1 and stderr.endswith("\n")
+        assert not out.exists()
+        return
+    assert code == 0
+    reports = [stdout] if command == "evaluate" else [
+        p.read_text() for p in sorted(out.rglob("report.json"))]
+    assert len(reports) == (command in ("evaluate", "suite"))
+    for text in reports:
+        assert report_from_json(text).n_total
 
 
 def test_suite_error_in_a_later_run_exit_1_keeps_the_runs_before_it(tmp_path, capsys):

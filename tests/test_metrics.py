@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 
 from entrocal import (
     ECD_BINARY_LOWER_BOUND,
+    BinSpec,
     ClipPolicy,
     Dataset,
     brier,
+    build_report,
     ecd_binary,
     ecd_curve,
     ecd_discrete,
@@ -20,6 +22,8 @@ from entrocal import (
     log_likelihood,
     negative_entropy,
     nll,
+    render_report,
+    report_from_json,
 )
 from entrocal import _accumulate
 from entrocal._accumulate import _Fold, pairwise_mean, pairwise_sum, pairwise_sum_rows
@@ -388,10 +392,11 @@ def test_ecd_discrete_rejects_an_array_that_is_not_n_by_k():
         ([[0.5, 0.5], ["a", "b"], [0.5]], [0] * 3, "row 1: entries must be real numbers"),
         ([[0.5, 0.5]] * 2 + [[0.5j, 0.5]], [0] * 3, "row 2: entries must be real numbers"),
         ([[0.5, 0.5], [0.5, [1]], [2.0, -1.0]], [0] * 3, "row 1: entries must be real numbers"),
+        ([[0.5, 0.5], [[0.5], [0.5]]], [0, 1], "row 1: entries must be real numbers"),
     ],  # each names the first of its bad rows
     ids=["class-count", "ragged-rows", "entry-range", "row-sum", "non-integer-label",
          "label-out-of-range", "text-label", "object-label", "object-label-out-of-range",
-         "text-entry", "complex-entry", "nested-entry"],
+         "text-entry", "complex-entry", "nested-entry", "nested-same-size"],
 )
 def test_discrete_errors_name_the_first_bad_row(rows, labels, message):
     calls = [lambda: ecd_discrete(rows, labels), lambda: log_likelihood(rows, labels)]
@@ -489,19 +494,20 @@ def test_scores_and_nll_keep_the_bits_of_their_formulas(epsilon):
         assert nll(Dataset(probs[i : i + 1], labels[i : i + 1]), policy) == terms[i]
 
 
-@pytest.mark.parametrize("epsilon", [1e-17, 5e-324])
-def test_nll_keeps_its_formulas_nan_when_one_minus_epsilon_rounds_to_one(epsilon):
-    # q can be 1 here: x = 1 gives the formula's 0 * ln 0, NaN, and x = 0 gives inf.
-    probs, labels = np.array([1.0, 1.0, 0.0, 0.0, 0.5]), np.array([1, 0, 1, 0, 1])
-    policy = ClipPolicy(epsilon)
-    q = np.clip(probs, epsilon, 1.0 - epsilon)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = -(labels * np.log(q) + (1 - labels) * np.log(1.0 - q))
-        rows = [nll(Dataset(probs[i : i + 1], labels[i : i + 1]), policy) for i in range(5)]
-        assert math.isnan(nll(Dataset(probs, labels), policy))
-        assert nll(Dataset(probs[1:], labels[1:]), policy) == math.inf
-    assert math.isnan(terms[0]) and terms[1] == math.inf
-    np.testing.assert_array_equal(rows, terms)  # NaN where NaN
+@pytest.mark.parametrize("epsilon", [1e-17, 5e-324, 2.0**-54], ids=["1e-17", "5e-324", "2^-54"])
+def test_clip_policy_rejects_epsilon_whose_complement_rounds_to_one(epsilon):
+    # 1 - epsilon would be 1, so q could be 1, where ln(1 - q) is -inf: ECD and NLL were NaN.
+    message = f"epsilon must be above 2**-54, so that 1 - epsilon is below 1; got {epsilon}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ClipPolicy(epsilon)
+
+
+def test_smallest_epsilon_keeps_the_report_finite():
+    # 2^-53 is the smallest power of two whose 1 - epsilon is below 1.
+    data = Dataset([0.0, 0.5, 1.0] * 2, [0, 0, 0, 1, 1, 1])
+    report = build_report(data, BinSpec(2), ClipPolicy(2.0**-53))
+    back = report_from_json(render_report(report, "json").content)  # which rejects a NaN
+    assert np.isfinite([back.ecd, back.nll]).all()
 
 
 def test_brier_examples():

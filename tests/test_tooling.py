@@ -261,6 +261,24 @@ def test_unused_imports_are_only_tracer_targets():
     assert unused
 
 
+def test_cli_usage_errors_judge_only_flags_seeds_and_paths():
+    # The CLI judges flag syntax, its own memory cap on --bins, seeds and output
+    # paths; every value rule belongs to the library type that holds the value,
+    # whose ValueError _from_flags turns into a usage error. So a new check of a
+    # value in cli.py, a second judge of a library rule, shows up here.
+    allowed = {"_from_flags", "_bin_spec", "_resolve_seed", "_parse_sigmas", "_cmd_suite"}
+    tree = ast.parse((ROOT / "src" / "entrocal" / "cli.py").read_text(encoding="utf-8"))
+
+    def raises_usage_error(node) -> bool:
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        return isinstance(exc, ast.Name) and exc.id == "UsageError"
+
+    raisers = {func.name for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+               for node in ast.walk(func) if isinstance(node, ast.Raise)
+               if raises_usage_error(node)}
+    assert raisers and raisers <= allowed, sorted(raisers - allowed)
+
+
 def test_bench_library_pass_writes_the_fixture_report(tmp_path):
     # The report-bins workload drives the public names (Dataset, build_report,
     # render_report(...).content, ...); the fixture's arrays must give the
