@@ -10,7 +10,7 @@ Library surface:
 - :mod:`entrocal.gaussian`: NEES and Gaussian ECD for state estimates.
 - :mod:`entrocal.simulation`: seeded generator of miscalibrated datasets.
 - :mod:`entrocal.report_io`: CSV ingestion/export, report rendering, SVG
-  plots.
+  plots. Gaussian JSON, read by ``gaussian`` alone, is in ``_gaussian_io``.
 - :mod:`entrocal.cli`: the ``entrocal`` command.
 
 Each library module's ``__all__`` is its part of the package surface: the

@@ -42,8 +42,6 @@ from .metrics import ClipPolicy, ecd_curve
 from .report_io import (
     REPORT_FORMATS,
     _dataset_blocks,
-    _gaussian_blocks,
-    _gaussian_json,
     _histogram_svg,
     _write_chunks,
     render_ecd_curve_svg,
@@ -240,6 +238,8 @@ def _folded_nees(blocks, source: str):
 
 
 def _cmd_gaussian(args) -> int:
+    from ._gaussian_io import _gaussian_blocks, _gaussian_json  # only this command reads them
+
     try:
         with open(args.input, "rb") as fh:
             source = fh if fh.seekable() else io.BytesIO(fh.read())  # a pipe is read once

@@ -21,7 +21,7 @@ from entrocal import (
     render_report,
     report_from_json,
 )
-from entrocal import _floattext, cli, report_io
+from entrocal import _floattext, _gaussian_io, cli, report_io
 from entrocal.cli import main
 
 
@@ -698,6 +698,12 @@ def test_gaussian_int_beyond_float64_exit_2(tmp_path, capsys):
     code, out, err = run_cli(capsys, "gaussian", "--input", str(path))
     assert (code, out) == (2, "")
     assert err == "entrocal: error: record 0: int too large to convert to float\n"
+    # Ints past Python's 4,300-digit parsing limit, of either sign, name their record too.
+    for sign in ("", "-"):
+        huge = sign + "1" + "0" * 4999
+        payload = f'[{json.dumps(G1)}, {{"mean": [{huge}], "covariance": [[1]], "truth": [0]}}]'
+        assert _gaussian_run(tmp_path, capsys, payload)[1:] == (
+            2, "", "entrocal: error: record 1: int too large to convert to float\n")
 
 
 NON_FINITE_CASES = [
@@ -875,8 +881,8 @@ def test_gaussian_scores_the_stack_once(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "GaussianPrediction",
                         lambda *args, **kwargs: calls.append("prediction")
                         or gaussian.GaussianPrediction(*args, **kwargs))
-    for reader in (report_io._gaussian_blocks, _declines):
-        monkeypatch.setattr(cli, "_gaussian_blocks", reader)
+    for reader in (_gaussian_io._gaussian_blocks, _declines):
+        monkeypatch.setattr(_gaussian_io, "_gaussian_blocks", reader)
         calls.clear()
         _, code, out, _ = _gaussian_run(tmp_path, capsys, _seeded_records(43, 50, 3))
         assert code == 0 and calls == ["prediction", "kernel"]
@@ -896,12 +902,12 @@ def _declines(fh):
 
 #: Bytes the array reader reads at a time, as the block-size tests patch it: every record
 #: longer than a block, some records longer than a block, and the default.
-BLOCK_STEPS = [64, 4096, report_io._JSON_STEP]
+BLOCK_STEPS = [64, 4096, _gaussian_io._JSON_STEP]
 
 
 def _array_reader(data: bytes):
     """The array reader's block stacks of ``data`` joined into its three arrays, or None."""
-    blocks = list(report_io._gaussian_blocks(io.BytesIO(data)))
+    blocks = list(_gaussian_io._gaussian_blocks(io.BytesIO(data)))
     if blocks[-1] is None:
         return None
     return [np.concatenate(stacks) for stacks in zip(*blocks)]
@@ -910,7 +916,7 @@ def _array_reader(data: bytes):
 def _both_readers(data: bytes) -> tuple:
     """The arrays of the array reader and of ``json.load``, each as its bytes (None: declined)."""
     stacks = _array_reader(data)
-    arrays = report_io._gaussian_json(data, "g.json")
+    arrays = _gaussian_io._gaussian_json(data, "g.json")
     return (None if stacks is None else [(a.shape, a.tobytes()) for a in stacks],
             [(a.shape, a.tobytes()) for a in arrays])
 
@@ -927,7 +933,7 @@ def test_gaussian_array_reader_takes_regular_files(tmp_path, capsys, monkeypatch
                 json.dumps(records, indent=2), json.dumps(reordered, separators=(",", ":")),
                 json.dumps({"predictions": records}, indent=1) + "\n\n"]
     for step in BLOCK_STEPS:
-        monkeypatch.setattr(report_io, "_JSON_STEP", step)
+        monkeypatch.setattr(_gaussian_io, "_JSON_STEP", step)
         for payload in payloads:
             stacks, arrays = _both_readers(payload.encode())
             assert stacks == arrays, step
@@ -953,7 +959,7 @@ def test_gaussian_array_reader_takes_a_bench_shaped_file(tmp_path, capsys, monke
     payload = json.dumps(_bench_shaped_records(d, 5000, d))
     stacks, arrays = _both_readers(payload.encode())
     assert stacks == arrays
-    monkeypatch.setattr(cli, "_gaussian_blocks", _declines)
+    monkeypatch.setattr(_gaussian_io, "_gaussian_blocks", _declines)
     expected = _gaussian_run(tmp_path, capsys, payload)[1:]
     assert expected[0] == 0
     monkeypatch.undo()
@@ -1022,8 +1028,8 @@ def test_gaussian_reads_the_sign_of_zero_as_json_does(tmp_path, capsys):
          "no-integer-part-with-exponent"],
 )
 def test_gaussian_array_reader_declines_other_files(monkeypatch, payload):
-    for step in (1, 7, report_io._JSON_STEP):
-        monkeypatch.setattr(report_io, "_JSON_STEP", step)
+    for step in (1, 7, _gaussian_io._JSON_STEP):
+        monkeypatch.setattr(_gaussian_io, "_JSON_STEP", step)
         assert _array_reader(payload.encode()) is None, step
 
 
@@ -1039,8 +1045,8 @@ def test_gaussian_array_reader_declines_other_files(monkeypatch, payload):
 def test_gaussian_array_reader_reads_numbers_beyond_the_kernel_as_json_does(monkeypatch, payload):
     # Numbers that float reads for the kernel: the array reader takes the file, with
     # json.load's bits.
-    for step in (1, 7, report_io._JSON_STEP):
-        monkeypatch.setattr(report_io, "_JSON_STEP", step)
+    for step in (1, 7, _gaussian_io._JSON_STEP):
+        monkeypatch.setattr(_gaussian_io, "_JSON_STEP", step)
         stacks, arrays = _both_readers(payload.encode())
         assert stacks == arrays, step
 
@@ -1071,12 +1077,12 @@ def test_gaussian_array_reader_takes_no_file_that_json_reads_otherwise(monkeypat
                 del data[i]
             else:
                 data[i] = byte
-        for step in (7, report_io._JSON_STEP):
-            monkeypatch.setattr(report_io, "_JSON_STEP", step)
+        for step in (7, _gaussian_io._JSON_STEP):
+            monkeypatch.setattr(_gaussian_io, "_JSON_STEP", step)
             stacks = _array_reader(bytes(data))
             if stacks is not None:
                 taken += 1
-                arrays = report_io._gaussian_json(bytes(data), "g.json")
+                arrays = _gaussian_io._gaussian_json(bytes(data), "g.json")
                 assert [(a.shape, a.tobytes()) for a in stacks] == [
                     (a.shape, a.tobytes()) for a in arrays], (step, bytes(data))
     assert taken > 200
@@ -1092,7 +1098,7 @@ def test_gaussian_errors_do_not_depend_on_the_array_reader(tmp_path, capsys, mon
                 + [INT_BEYOND_FLOAT64])
     expected = [_gaussian_run(tmp_path, capsys, payload)[1:] for payload in payloads]
     assert all(code == 2 for code, _, _ in expected)
-    monkeypatch.setattr(cli, "_gaussian_blocks", _declines)
+    monkeypatch.setattr(_gaussian_io, "_gaussian_blocks", _declines)
     assert [_gaussian_run(tmp_path, capsys, payload)[1:] for payload in payloads] == expected
 
 
@@ -1104,11 +1110,11 @@ def test_gaussian_output_does_not_depend_on_the_block_size(tmp_path, capsys, mon
     payloads = [_seeded_records(40 + d, 300, d) for d in (1, 2, 3)]
     payloads += [{"predictions": payloads[2]}, _seeded_records(9, 3, 40),
                  _bench_shaped_records(5, 1500, 2)]
-    monkeypatch.setattr(cli, "_gaussian_blocks", _declines)
+    monkeypatch.setattr(_gaussian_io, "_gaussian_blocks", _declines)
     expected = [_gaussian_run(tmp_path, capsys, payload)[1:] for payload in payloads]
     assert [out for _, out, _ in expected[:3]] == [out + "\n" for _, out in PINNED_STDOUT[:3]]
     monkeypatch.undo()
-    monkeypatch.setattr(report_io, "_JSON_STEP", step)
+    monkeypatch.setattr(_gaussian_io, "_JSON_STEP", step)
     monkeypatch.setattr(json, "load", _json_load_fails)
     assert [_gaussian_run(tmp_path, capsys, payload)[1:] for payload in payloads] == expected
 
@@ -1134,13 +1140,13 @@ def test_gaussian_error_in_a_later_block_keeps_the_whole_file_order(
     # A block that is declined or fails to score sends the file to the whole-file
     # json.load path, which names the first error in the README's order, wherever
     # it lies.
-    monkeypatch.setattr(report_io, "_JSON_STEP", 256)
+    monkeypatch.setattr(_gaussian_io, "_JSON_STEP", 256)
     payload = json.dumps([first, *[G2] * 30, later])
-    blocks = list(report_io._gaussian_blocks(io.BytesIO(payload.encode())))
+    blocks = list(_gaussian_io._gaussian_blocks(io.BytesIO(payload.encode())))
     assert len(blocks) > 2 if read else blocks == [None]
     assert _gaussian_run(tmp_path, capsys, payload)[1:] == (
         2, "", f"entrocal: error: {message}\n")
-    monkeypatch.setattr(cli, "_gaussian_blocks", _declines)
+    monkeypatch.setattr(_gaussian_io, "_gaussian_blocks", _declines)
     assert _gaussian_run(tmp_path, capsys, payload)[1:] == (
         2, "", f"entrocal: error: {message}\n")
 
@@ -1153,16 +1159,16 @@ def test_gaussian_declined_file_stops_at_its_first_declined_block(
     records = _seeded_records(43, 200, 3)
     records[1::2] = [{"truth": r["truth"], "mean": r["mean"], "covariance": r["covariance"]}
                      for r in records[1::2]]
-    monkeypatch.setattr(cli, "_gaussian_blocks", _declines)
+    monkeypatch.setattr(_gaussian_io, "_gaussian_blocks", _declines)
     path, *expected = _gaussian_run(tmp_path, capsys, records)
     monkeypatch.undo()
     calls, skeletons = [], []
-    get_floats, skeleton = _floattext.get_floats, report_io._json_skeleton
+    get_floats, skeleton = _floattext.get_floats, _gaussian_io._json_skeleton
     monkeypatch.setattr(_floattext, "get_floats",
                         lambda *args: calls.append(1) or get_floats(*args))
-    monkeypatch.setattr(report_io, "_json_skeleton",
+    monkeypatch.setattr(_gaussian_io, "_json_skeleton",
                         lambda block: skeletons.append(len(block)) or skeleton(block))
-    monkeypatch.setattr(report_io, "_JSON_STEP", 256)
+    monkeypatch.setattr(_gaussian_io, "_JSON_STEP", 256)
     assert _gaussian_run(tmp_path, capsys, records)[1:] == tuple(expected)
     assert expected[0] == 0 and len(calls) <= 1
     assert sum(skeletons) < 2048 < path.stat().st_size // 16

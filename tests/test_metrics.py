@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from entrocal import (
@@ -12,15 +12,19 @@ from entrocal import (
     BinSpec,
     ClipPolicy,
     Dataset,
+    GaussianPrediction,
     brier,
     build_report,
     ecd_binary,
     ecd_curve,
     ecd_discrete,
+    ecd_gaussian,
     ecd_sample_binary,
     ecd_sample_scores,
+    gaussian_log_density,
     log_likelihood,
     negative_entropy,
+    nees,
     nll,
     render_report,
     report_from_json,
@@ -534,6 +538,118 @@ def test_decomposition_identity(pairs):
     total = ecd_binary(data)
     assert total == pytest.approx(nll(data) + neg_ent, abs=1e-12)
     assert total <= nll(data) + 1e-15
+
+
+# ---------------------------------------------------------------------------
+# ECD as NLL's slope in confidence
+# ---------------------------------------------------------------------------
+
+#: Step h of the central difference in log T (or log c), and the identity's tolerance:
+#: relative, with an absolute floor for an ECD near 0.
+LOG_STEP, SLOPE_RTOL, SLOPE_ATOL = 1e-4, 1e-6, 1e-8
+EPSILON = ClipPolicy().epsilon
+
+
+def _log_slope(nll_at, scale: float) -> float:
+    """Central difference of ``nll_at`` in log ``scale``, with step ``LOG_STEP``."""
+    up, down = scale * math.exp(LOG_STEP), scale * math.exp(-LOG_STEP)
+    return (nll_at(up) - nll_at(down)) / (2.0 * LOG_STEP)
+
+
+def _logistic(z: np.ndarray, t: float) -> np.ndarray:
+    return 1.0 / (1.0 + np.exp(-z / t))
+
+
+def _softmax(z: np.ndarray, t: float) -> np.ndarray:
+    e = np.exp(z / t - (z / t).max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _clamped(probs: np.ndarray) -> np.ndarray:
+    """Where the default clip policy moves a probability."""
+    return (probs < EPSILON) | (probs > 1.0 - EPSILON)
+
+
+def _unclamped_near(probs_at, t: float) -> bool:
+    """Whether no probability is clamped at T or T·e^{±h}."""
+    return not any(_clamped(probs_at(t * math.exp(s * LOG_STEP))).any() for s in (-1, 0, 1))
+
+
+@seed(321)
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.tuples(st.floats(-4.0, 4.0), labels_st), min_size=1, max_size=40),
+       log_t=st.floats(-0.5, 1.0))
+def test_binary_ecd_is_minus_the_slope_of_nll_in_log_temperature(rows, log_t):
+    # q = logistic(z / T) gives d NLL / d log T = -ECD exactly while no q is clamped.
+    z, labels = (np.array(column) for column in zip(*rows))
+    t = math.exp(log_t)
+    assume(_unclamped_near(lambda s: _logistic(z, s), t))
+    slope = _log_slope(lambda s: nll(Dataset(_logistic(z, s), labels)), t)
+    assert math.isclose(ecd_binary(Dataset(_logistic(z, t), labels)), -slope,
+                        rel_tol=SLOPE_RTOL, abs_tol=SLOPE_ATOL)
+
+
+@seed(322)
+@settings(max_examples=400, deadline=None)
+@given(rows=st.integers(2, 6).flatmap(lambda k: st.lists(
+           st.tuples(st.lists(st.floats(-2.0, 2.0), min_size=k, max_size=k),
+                     st.integers(0, k - 1)), min_size=1, max_size=30)),
+       log_t=st.floats(-0.5, 1.0))
+def test_discrete_ecd_is_minus_the_slope_of_nll_in_log_temperature(rows, log_t):
+    # q = softmax(z / T) gives d NLL / d log T = -ECD exactly while no q is clamped.
+    z, labels = np.array([logits for logits, _ in rows]), [y for _, y in rows]
+    t = math.exp(log_t)
+    assume(_unclamped_near(lambda s: _softmax(z, s), t))
+    slope = _log_slope(lambda s: -np.mean(log_likelihood(_softmax(z, s), labels)), t)
+    assert math.isclose(ecd_discrete(_softmax(z, t), labels), -slope,
+                        rel_tol=SLOPE_RTOL, abs_tol=SLOPE_ATOL)
+
+
+def _gaussian_stacks(rng, n: int, d: int):
+    """Seeded means (n, d), SPD covariances (n, d, d) and truths (n, d)."""
+    a, mean = rng.normal(size=(n, d, d)), rng.normal(size=(n, d))
+    return mean, a @ a.transpose(0, 2, 1) + 0.5 * np.eye(d), rng.normal(size=(n, d))
+
+
+@seed(323)
+@settings(max_examples=100, deadline=None)
+@given(rng_seed=st.integers(0, 2**32 - 1), n=st.integers(1, 20), d=st.integers(1, 4),
+       log_c=st.floats(-2.0, 2.0))
+def test_gaussian_ecd_is_minus_the_slope_of_nll_in_log_covariance_scale(rng_seed, n, d, log_c):
+    # Covariances c·Σ give d NLL / d log c = (d - NEES) / 2 = -ECD exactly; nothing is clamped.
+    mean, cov, truth = _gaussian_stacks(np.random.default_rng(rng_seed), n, d)
+    c = math.exp(log_c)
+    slope = _log_slope(
+        lambda s: -np.mean(gaussian_log_density(GaussianPrediction(mean, s * cov, truth))), c)
+    assert math.isclose(ecd_gaussian(GaussianPrediction(mean, c * cov, truth)), -slope,
+                        rel_tol=SLOPE_RTOL, abs_tol=SLOPE_ATOL)
+
+
+def test_clamping_alone_breaks_the_slope_identity():
+    # Logits spread to ±12 at T = 0.5 put some q past [ε, 1 - ε]. A clamped q stays put as
+    # T moves, so its NLL adds no slope while its ECD counts: the central difference misses
+    # ECD by the clamped points' share of it, and by nothing else.
+    z, t = np.linspace(-12.0, 12.0, 49), 0.5
+    labels = np.random.default_rng(324).integers(0, 2, z.size)
+    clamped = [_clamped(_logistic(z, t * math.exp(s * LOG_STEP))) for s in (-1, 0, 1)]
+    assert clamped[0].tolist() == clamped[1].tolist() == clamped[2].tolist()
+    assert 0 < clamped[1].sum() < z.size
+    data = Dataset(_logistic(z, t), labels)
+    slope = _log_slope(lambda s: nll(Dataset(_logistic(z, s), labels)), t)
+    ecd = ecd_binary(data)
+    assert abs(ecd + slope) > 1e-3
+    share = ecd_sample_scores(data)[clamped[1]].sum() / z.size
+    assert math.isclose(ecd - share, -slope, rel_tol=SLOPE_RTOL, abs_tol=SLOPE_ATOL)
+
+
+def test_gaussian_ecd_is_zero_at_the_covariance_scale_nees_over_d():
+    # c* = NEES / d scales NEES to d, so ECD on c*·Σ is 0 up to rounding.
+    rng = np.random.default_rng(325)
+    for d in (1, 2, 3, 4):
+        for n in (1, 7, 50):
+            mean, cov, truth = _gaussian_stacks(rng, n, d)
+            c = nees(GaussianPrediction(mean, cov, truth)) / d
+            assert abs(ecd_gaussian(GaussianPrediction(mean, c * cov, truth))) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

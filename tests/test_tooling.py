@@ -79,6 +79,27 @@ def test_no_command_loads_scipy(tmp_path):
     )
 
 
+def test_only_gaussian_loads_the_gaussian_reader(tmp_path):
+    # The Gaussian JSON readers live in a module of their own that the gaussian
+    # command alone imports, so --help and every other command never compile them.
+    loaded = "print('entrocal._gaussian_io' in sys.modules)"
+    gaussian = tmp_path / "g.json"
+    gaussian.write_text('[{"mean": [0.0], "covariance": [[1.0]], "truth": [0.5]}]')
+    others = [
+        ["evaluate", "--input", str(ROOT / "tests" / "data" / "sample_predictions.csv")],
+        ["simulate", "--n", "50", "--seed", "1", "--output", str(tmp_path / "s.csv")],
+        ["suite", "--sigmas", "0,0.5", "--n", "200", "--seed", "1",
+         "--out-dir", str(tmp_path / "suite")],
+        ["curve", "--grid", "11", "--output", str(tmp_path / "c.svg")],
+    ]
+    runs = "".join(f"assert main({argv!r}) == 0\n" for argv in others)
+    assert _run_python(f"{_HELP_RUN}from entrocal.cli import main\n{runs}{loaded}"
+                       ).stdout.endswith("False\n")
+    argv = ["gaussian", "--input", str(gaussian)]
+    code = f"import sys; from entrocal.cli import main; assert main({argv!r}) == 0; {loaded}"
+    assert _run_python(code).stdout.endswith("True\n")
+
+
 def test_commands_that_draw_no_seed_load_no_openssl(tmp_path):
     # secrets imports hmac, whose _hashlib maps OpenSSL's libcrypto: about
     # 3.5 MiB of peak memory. Temp-file names come from os.urandom, and only an
@@ -302,7 +323,7 @@ def test_bench_traces_one_gaussian_prediction_per_block(tmp_path):
     # for a 200-record file, and once a block for a longer one. The command folds
     # the blocks' squared distances itself, so gaussian.nees records no span.
     # -B and tmp_path outputs keep bench/ untouched.
-    from entrocal import report_io
+    from entrocal import _gaussian_io
 
     rng = np.random.default_rng(24)
     for d, n in ((2, 200), (3, 200), (3, 3000)):
@@ -316,7 +337,7 @@ def test_bench_traces_one_gaussian_prediction_per_block(tmp_path):
             for m, c, t in zip(means.tolist(), covs.tolist(), truths.tolist())
         ]))
         with open(path, "rb") as fh:
-            blocks = sum(1 for _ in report_io._gaussian_blocks(fh))
+            blocks = sum(1 for _ in _gaussian_io._gaussian_blocks(fh))
         assert (blocks == 1) == (n == 200)
         spans = tmp_path / f"g{d}-{n}.spans.json"
         run = _run("-B", str(ROOT / "bench" / "tracer.py"), str(spans), "1", "cli",
