@@ -48,10 +48,11 @@ its significand show. Where ``np.longdouble`` is not x87 extended precision
 (:data:`EXTENDED`), ``float`` reads every token. The reader gives None only
 when ``float`` rejects a token.
 
-The tables are built when this module is imported, which
-:mod:`entrocal.report_io` does on its first CSV read or write, and
-on its first Gaussian JSON read, so that
-``import entrocal`` does not pay for them.
+Both readers, of CSV and of Gaussian JSON, cut their files into blocks of
+whole pieces by :func:`_blocks` and read each block's numbers here. The tables
+are built when this module is imported, which :mod:`entrocal.report_io` does on
+its first CSV read or write, and ``gaussian`` when it loads the JSON readers, so
+that ``import entrocal`` does not pay for them.
 """
 
 from __future__ import annotations
@@ -208,6 +209,26 @@ def _digit_words(words: np.ndarray) -> np.ndarray:
     low = _U64(0x000000FF000000FF)
     return ((words & low) * _U64(100 + (10**6 << 32))
             + ((words >> _U64(16)) & low) * _U64(1 + (10**4 << 32))) >> _U64(32)
+
+
+def _blocks(fh, head: bytes, end: bytes, size: int):
+    """Whole pieces of ``head`` then ``fh``, each ending in ``end``, a block at a time.
+
+    Reads ``size`` bytes at a time and cuts after the last ``end``; a non-empty
+    tail comes last with an LF appended. A piece longer than a block is gathered
+    read by read, so the work stays linear.
+    """
+    pending = [head]  # the start of a piece that no block has ended yet
+    while chunk := fh.read(size):
+        cut = chunk.rfind(end) + 1
+        if cut:
+            pending = [b"".join([*pending, memoryview(chunk)[:cut]]), chunk[cut:]]
+            del chunk
+            yield pending.pop(0)  # popped: the caller alone holds the block
+        else:
+            pending.append(chunk)
+    if tail := b"".join(pending):  # a last piece without its end
+        yield tail + b"\n"
 
 
 def get_floats(raw: np.ndarray, starts: np.ndarray, ends: np.ndarray):

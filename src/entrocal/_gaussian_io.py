@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .report_io import _blocks
+from ._floattext import _blocks, get_floats
 
 
 #: Each field of a Gaussian record: whether it may be a list of lists, and what it must be.
@@ -210,8 +210,6 @@ def _gaussian_blocks(fh):
     :func:`entrocal._floattext.get_floats`; a block with one that is not finite is
     declined. An int ``-0`` is +0.0, as ``json`` reads it.
     """
-    from ._floattext import get_floats  # builds its tables; only file reads and writes need them
-
     record, closed = None, False  # the first record's skeleton; whether the array has closed
     for block in _blocks(fh, b"", b"}", _JSON_STEP):
         found = _json_skeleton(block) if block.isascii() else None

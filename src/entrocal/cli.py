@@ -33,27 +33,42 @@ from pathlib import Path
 if "numpy" not in sys.modules:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-import numpy as np
+#: The module that defines each library name the commands use. None is imported
+#: here: ``main`` binds a command's names once its flags parse, so ``--help`` and a
+#: flag error load no numpy. ``ecd_gaussian``, ``load_csv``, ``nees`` and
+#: ``render_histogram_svg`` are not called here: bench/tracer.py wraps these names
+#: in this module (through ``__getattr__``) to time their stages.
+_LIBRARY = {
+    "_Fold": "_accumulate",
+    "BinSpec": "binning", "build_report": "binning", "reliability_points": "binning",
+    "GaussianPrediction": "gaussian", "_InvalidPrediction": "gaussian",
+    "mahalanobis_sq": "gaussian", "ecd_gaussian": "gaussian", "nees": "gaussian",
+    "ClipPolicy": "metrics", "ecd_curve": "metrics",
+    "_dataset_blocks": "report_io", "_histogram_svg": "report_io", "_write_chunks": "report_io",
+    "load_csv": "report_io", "render_ecd_curve_svg": "report_io",
+    "render_histogram_svg": "report_io", "render_reliability_svg": "report_io",
+    "render_report": "report_io", "write_simulated_csv": "report_io",
+    "SimulationConfig": "simulation", "run_noise_suite": "simulation", "simulate": "simulation",
+}
+#: The modules of ``_LIBRARY`` whose names each command runs.
+_COMMAND_MODULES = {
+    "evaluate": ("binning", "metrics", "report_io"),
+    "simulate": ("report_io", "simulation"),
+    "suite": ("binning", "metrics", "report_io", "simulation"),
+    "gaussian": ("_accumulate", "gaussian"),
+    "curve": ("metrics", "report_io"),
+}
+#: ``report_io.REPORT_FORMATS``, spelled here so that the parser loads no library module.
+REPORT_FORMATS = ("markdown", "json", "csv")
 
-from ._accumulate import _Fold
-from .binning import BinSpec, build_report, reliability_points
-from .gaussian import GaussianPrediction, _InvalidPrediction, mahalanobis_sq
-from .metrics import ClipPolicy, ecd_curve
-from .report_io import (
-    REPORT_FORMATS,
-    _dataset_blocks,
-    _histogram_svg,
-    _write_chunks,
-    render_ecd_curve_svg,
-    render_reliability_svg,
-    render_report,
-    write_simulated_csv,
-)
-from .simulation import SimulationConfig, run_noise_suite, simulate
 
-# Not called here: bench/tracer.py wraps these names in this module to time their stages.
-from .gaussian import ecd_gaussian, nees  # noqa: F401
-from .report_io import load_csv, render_histogram_svg  # noqa: F401
+def __getattr__(name: str):
+    """A library name that no command has bound yet, from its module (PEP 562)."""
+    if name not in _LIBRARY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # __import__, unlike importlib.import_module, is logged by -X importtime
+    return getattr(__import__(_LIBRARY[name], globals(), level=1), name)
+
 
 OUT_DIR_ENV = "ENTROCAL_OUT_DIR"
 
@@ -217,20 +232,22 @@ def _cmd_suite(args) -> int:
     return 0
 
 
-@np.errstate(over="ignore")  # an overflow is reported, so numpy need not warn
 def _folded_nees(blocks, source: str):
     """(N, d, NEES) of a reader's (means, covariances, truths) blocks, folded a block at a time.
 
     Each block's squared distances go into one running pairwise sum, so NEES has ``nees``'
     bits for any blocking. A ValueError if a block is None or fails to score, or NEES is inf.
     """
+    import numpy as np
+
     fold = _Fold()
-    for stacks in blocks:
-        if stacks is None:
-            raise ValueError(f"{source}: declined by the array reader")
-        pred = GaussianPrediction(*stacks, _owned=True)
-        fold.add(mahalanobis_sq(pred))
-    value = float(fold.total()) / fold.count
+    with np.errstate(over="ignore"):  # an overflow is reported, so numpy need not warn
+        for stacks in blocks:
+            if stacks is None:
+                raise ValueError(f"{source}: declined by the array reader")
+            pred = GaussianPrediction(*stacks, _owned=True)
+            fold.add(mahalanobis_sq(pred))
+        value = float(fold.total()) / fold.count
     if not math.isfinite(value):
         raise ValueError(f"{source}: NEES overflows: the sum of squared Mahalanobis distances "
                          "is not finite")
@@ -331,6 +348,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        for name, module in _LIBRARY.items():  # a name bound already (a wrapper) stays
+            if module in _COMMAND_MODULES[args.command] and name not in globals():
+                globals()[name] = __getattr__(name)
         return args.func(args)
     except UsageError as exc:
         print(f"entrocal: error: {exc}", file=sys.stderr)

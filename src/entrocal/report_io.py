@@ -60,13 +60,15 @@ import math
 import os
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import BinaryIO, Iterable, Optional, Sequence, TextIO, Union
+from typing import TYPE_CHECKING, BinaryIO, Iterable, Optional, Sequence, TextIO, Union
 
 import numpy as np
 
 from .binning import BinSpec, BinStats, CalibrationReport, bin_indices
 from .metrics import Dataset
-from .simulation import SimulatedDataset
+
+if TYPE_CHECKING:  # an annotation only: evaluate and curve never load the simulator
+    from .simulation import SimulatedDataset
 
 __all__ = [
     "ReportDocument",
@@ -134,8 +136,10 @@ def _dataset_blocks(source: Source):
             rownum += len(part[0])  # one row a line: the array parser declines blank lines
         return Dataset(*part, _owned=True)
 
+    from ._floattext import _blocks  # the cutter both readers share
+
     # No frame here keeps a block's bytes or rows while the caller works on them.
-    yield from map(rows, _blocks(source, rest))
+    yield from map(rows, _blocks(source, rest, b"\n", _BLOCK_SIZE))
 
 
 def _header(fh) -> tuple[tuple[int, int, int], bytes]:
@@ -165,26 +169,6 @@ _BLOCK_BYTES = b"0123456789.,eE+-\n"
 #: ``bytes.translate`` table of the array parser: 1 for a separator (``,`` or LF), 0 for
 #: any other byte of ``_BLOCK_BYTES`` and 2 for a byte outside them.
 _BYTE_KINDS = bytes(1 if c in b",\n" else 0 if c in _BLOCK_BYTES else 2 for c in range(256))
-
-
-def _blocks(fh, head: bytes, end: bytes = b"\n", size: Optional[int] = None):
-    """Whole pieces of ``head`` then ``fh``, each ending in ``end``, a block at a time.
-
-    Reads ``size`` (default ``_BLOCK_SIZE``) bytes at a time and cuts after the last
-    ``end``; a non-empty tail comes last with an LF appended. A piece longer than a
-    block is gathered read by read, so the work stays linear.
-    """
-    pending = [head]  # the start of a piece that no block has ended yet
-    while chunk := fh.read(size or _BLOCK_SIZE):
-        cut = chunk.rfind(end) + 1
-        if cut:
-            pending = [b"".join([*pending, memoryview(chunk)[:cut]]), chunk[cut:]]
-            del chunk
-            yield pending.pop(0)  # popped: the caller alone holds the block
-        else:
-            pending.append(chunk)
-    if tail := b"".join(pending):  # a last piece without its end
-        yield tail + b"\n"
 
 
 def _parse_block(block: bytes, k: int, prob_col: int, label_col: int):

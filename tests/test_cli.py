@@ -255,6 +255,11 @@ def test_parser_defaults_match_study_settings():
     assert (curve.grid, curve.clip) == (2001, 1e-4)
 
 
+def test_format_choices_are_the_report_formats():
+    # The parser spells the formats itself, so that --help loads no report_io.
+    assert cli.REPORT_FORMATS == report_io.REPORT_FORMATS
+
+
 def test_usage_error_exit_1(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["evaluate"])  # missing --input

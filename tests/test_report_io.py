@@ -251,7 +251,7 @@ def test_block_parser_declines_what_it_does_not_take(body, expected):
         assert rest == body[len(header) + 1:]
     else:
         assert rest == b""
-        blocks = list(report_io._blocks(fh, rest))
+        blocks = list(_floattext._blocks(fh, rest, b"\n", report_io._BLOCK_SIZE))
         assert [report_io._parse_block(b, *columns) for b in blocks] == [None]
 
 
@@ -293,7 +293,8 @@ def test_blocks_hold_whole_pieces(end, size):
         data = rng.choice(np.frombuffer(b"ab}\n", np.uint8), rng.integers(0, 300),
                           p=[0.46, 0.46, 0.04, 0.04]).tobytes()
         split = int(rng.integers(0, len(data) + 1)) if rng.random() < 0.5 else 0
-        blocks = list(report_io._blocks(io.BytesIO(data[split:]), data[:split], end, size))
+        blocks = list(_floattext._blocks(io.BytesIO(data[split:]), data[:split], end,
+                                         size or report_io._BLOCK_SIZE))
         tail = bool(data) and not data.endswith(end)
         assert b"".join(blocks) == data + b"\n" * tail
         assert all(block.endswith(end) for block in blocks[: len(blocks) - tail])

@@ -100,6 +100,40 @@ def test_only_gaussian_loads_the_gaussian_reader(tmp_path):
     assert _run_python(code).stdout.endswith("True\n")
 
 
+def test_help_and_flag_errors_load_no_numpy():
+    # argparse judges these before main binds a command's library names, so they
+    # load neither numpy nor a library module. A value error, such as --bins 0,
+    # comes later: the library type that holds the value judges it.
+    runs = [["--help"], ["evaluate", "--input", "x", "--bogus"], ["evaluate"],
+            ["simulate", "--n", "1.5", "--output", "s.csv"], ["nosuch"]]
+    runs += [[command, "--help"] for command in ("evaluate", "simulate", "suite", "gaussian",
+                                                 "curve")]
+    loaded = "print('numpy' in sys.modules, sorted(m for m in sys.modules if 'entrocal' in m))"
+    for argv in runs:
+        code = (f"import sys\nfrom entrocal.cli import main\ntry:\n    main({argv!r})\n"
+                f"except SystemExit as exc:\n    print(exc.code)\n{loaded}")
+        *_, exit_code, modules = _run_python(code).stdout.splitlines()
+        assert exit_code == ("0" if "--help" in argv else "1"), argv
+        assert modules == "False ['entrocal', 'entrocal.cli']", argv
+
+
+def test_commands_load_only_the_modules_they_run(tmp_path):
+    gaussian = tmp_path / "g.json"
+    gaussian.write_text('[{"mean": [0.0], "covariance": [[1.0]], "truth": [0.5]}]')
+    runs = [
+        (["evaluate", "--input", str(ROOT / "tests" / "data" / "sample_predictions.csv"),
+          "--plots-dir", str(tmp_path / "plots")], {"entrocal.gaussian", "entrocal.simulation"}),
+        (["curve", "--grid", "11", "--output", str(tmp_path / "c.svg")],
+         {"entrocal.gaussian", "entrocal.simulation"}),
+        (["gaussian", "--input", str(gaussian)], {"entrocal.binning", "entrocal.metrics",
+                                                  "entrocal.report_io", "entrocal.simulation"}),
+    ]
+    for argv, absent in runs:
+        code = f"import sys\nfrom entrocal.cli import main\nassert main({argv!r}) == 0\n"
+        loaded = _run_python(code + "print(*sys.modules)").stdout.split()
+        assert "entrocal.cli" in loaded and not absent & set(loaded), argv[0]
+
+
 def test_commands_that_draw_no_seed_load_no_openssl(tmp_path):
     # secrets imports hmac, whose _hashlib maps OpenSSL's libcrypto: about
     # 3.5 MiB of peak memory. Temp-file names come from os.urandom, and only an
@@ -144,16 +178,22 @@ def test_import_entrocal_loads_no_numpy_until_a_name_is_used():
     assert _run_python(code).stdout == "False ['entrocal']\nTrue\n"
 
 
-def test_cli_import_runs_numpy_on_one_blas_thread_unless_set():
+def test_cli_import_runs_numpy_on_one_blas_thread_unless_set(tmp_path):
+    # Importing the command sets the variable, and numpy reads it when a command
+    # loads numpy, so the threads are counted once gaussian has run.
+    gaussian = tmp_path / "g.json"
+    gaussian.write_text('[{"mean": [0.0], "covariance": [[1.0]], "truth": [0.5]}]')
     code = (
-        "import os, sys, entrocal.cli\n"
+        "import os, sys\n"
+        "from entrocal.cli import main\n"
+        f"assert main(['gaussian', '--input', {str(gaussian)!r}]) == 0 and 'numpy' in sys.modules\n"
         "tasks = '/proc/self/task'\n"
         "print(os.environ['OPENBLAS_NUM_THREADS'], "
         "len(os.listdir(tasks)) if os.path.isdir(tasks) else 1)\n"
     )
-    assert _run("-c", code, env=_env_blas_threads(None)).stdout == "1 1\n"
+    assert _run("-c", code, env=_env_blas_threads(None)).stdout.splitlines()[-1] == "1 1"
     # A caller's own setting wins.
-    assert _run("-c", code, env=_env_blas_threads("3")).stdout.split()[0] == "3"
+    assert _run("-c", code, env=_env_blas_threads("3")).stdout.splitlines()[-1].split()[0] == "3"
     # A library caller that loaded numpy first keeps its environment.
     first = "import numpy, os, entrocal.cli; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
     assert _run("-c", first, env=_env_blas_threads(None)).stdout == "None\n"
@@ -280,6 +320,16 @@ def test_unused_imports_are_only_tracer_targets():
                     assert (module, name) in targets, unused[-1]
                     assert imported.count(name) == 1 and name not in used, unused[-1]
     assert unused
+    # cli.py imports no library name: each one in its table is used by a command or is
+    # there for the tracer alone, and each name the tracer wraps in cli is in the table.
+    from entrocal import cli
+
+    tree = ast.parse((ROOT / "src" / "entrocal" / "cli.py").read_text(encoding="utf-8"))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    wrapped = {attr for module, attr in targets if module == "entrocal.cli"}
+    assert all(name in used or name in wrapped for name in cli._LIBRARY)
+    assert wrapped <= set(cli._LIBRARY), sorted(wrapped - set(cli._LIBRARY))
+    assert all(getattr(cli, name) for name in cli._LIBRARY)
 
 
 def test_cli_usage_errors_judge_only_flags_seeds_and_paths():
@@ -346,6 +396,28 @@ def test_bench_traces_one_gaussian_prediction_per_block(tmp_path):
         doc = json.loads(spans.read_text(encoding="utf-8"))
         names = [doc["names"][span[0]] for span in doc["spans"]]
         assert (names.count("gaussian.prediction"), names.count("gaussian.nees")) == (blocks, 0)
+
+
+def test_bench_traces_the_report_stages_of_evaluate_and_suite(tmp_path):
+    # The command binds its library names only after its flags parse, and never over
+    # a name bound already, so the tracer's wrappers in cli still record each stage.
+    # -B and tmp_path outputs keep bench/ untouched.
+    runs = [
+        (["evaluate", "--input", str(ROOT / "tests" / "data" / "sample_predictions.csv"),
+          "--plots-dir", str(tmp_path / "plots")],
+         {"binning.build_report": 1, "report_io.render_report": 1, "report_io.svg": 1}),
+        (["suite", "--sigmas", "0,0.5", "--n", "200", "--seed", "1",
+          "--out-dir", str(tmp_path / "suite")],
+         {"binning.build_report": 2, "report_io.render_report": 4,
+          "report_io.write_simulated_csv": 2, "simulation.run_noise_suite": 1}),
+    ]
+    for argv, expected in runs:
+        spans = tmp_path / f"{argv[0]}.spans.json"
+        _run("-B", str(ROOT / "bench" / "tracer.py"), str(spans), "1", "cli", *argv,
+             cwd=tmp_path)
+        doc = json.loads(spans.read_text(encoding="utf-8"))
+        names = [doc["names"][span[0]] for span in doc["spans"]]
+        assert {name: names.count(name) for name in expected} == expected, argv[0]
 
 
 #: Run the command in argv in a child and print its exit code and ``ru_maxrss`` (KiB).
